@@ -21,6 +21,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import calibrate  # noqa: E402
 import inputs  # noqa: E402
 import oracles  # noqa: E402
 import run  # noqa: E402
@@ -190,3 +191,11 @@ def test_inputs_follow_the_seed():
     texts = [inputs.chords_text(inputs.chords(6, "6a", random.Random(s)), "c") for s in (1, 1, 2)]
     assert texts[0] == texts[1] != texts[2]
     assert inputs.a_n_text(9, random.Random(3)) == inputs.a_n_text(9, random.Random(3))
+
+
+def test_scaling_divides_by_the_reference_around_an_operation():
+    ref = calibrate.REF_MS / 1000.0
+    assert calibrate.scale(0.3, ref, ref) == pytest.approx(0.3)
+    # The host ran at half speed: the reference took twice as long on average.
+    assert calibrate.scale(0.6, 1.5 * ref, 2.5 * ref) == pytest.approx(0.3)
+    assert calibrate.reference() > 0

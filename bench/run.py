@@ -7,7 +7,9 @@ Run from the repository root.  The inputs are generated from the seed into
 ``bench/out/`` and the program only ever reads those files.  Every run
 covers whole passes over its workload's fixed input list; a new pass starts
 only when one more pass as long as the last fits in ``--seconds`` (the first
-pass always runs).  The outputs of every pass
+pass always runs).  Every operation and every set-up is bracketed by
+``calibrate.reference()``, and the timings reported are its wall time scaled
+to a host of fixed speed (see ``calibrate``).  The outputs of every pass
 are checked after the timed region against ``oracles``.  The last line of
 standard output is one JSON object: ``correct``, ``attempted``, ``failed``
 and ``metrics``, which are the end-to-end metrics with ``--trace 0`` and the
@@ -33,6 +35,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
+import calibrate
 import inputs
 import oracles
 import tracer
@@ -110,16 +113,17 @@ def make_inputs(workload: str, seed: int, where: Path) -> list[Item]:
     return items
 
 
-def measure_setup(items: list[Item]) -> float:
-    """Wall time of a fresh interpreter importing divides and reading every
-    input file."""
+def measure_setup(items: list[Item]) -> tuple[float, float]:
+    """(scaled, raw) wall time of a fresh interpreter importing divides and
+    reading every input file."""
     argv = [sys.executable, "-c", SETUP_CODE, str(SRC)] + [str(i.path) for i in items]
+    ref_before = calibrate.reference()
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, timeout=120)
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"set-up interpreter failed: {proc.stderr.decode()[-500:]}")
-    return elapsed
+    return calibrate.scale(elapsed, ref_before, calibrate.reference()), elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +187,11 @@ def round_trip_ok(item: Item, result) -> bool:
 
 @dataclass
 class Pass:
-    latencies: list[float]
+    latencies: list[float]  # scaled by calibrate.scale
+    raw: list[float]  # wall seconds as measured
     outputs: list  # sha256 of each report or screening summary, or a Failure
     traced: bool
+    wall: float  # of the whole pass, reference runs included
 
 
 def run_pass(workload: str, items: list[Item], first: bool, traced: bool,
@@ -193,8 +199,11 @@ def run_pass(workload: str, items: list[Item], first: bool, traced: bool,
     """One pass over the items.  The first pass's outputs are kept whole in
     ``firsts`` for the oracles; every pass keeps only their digests."""
     gc.collect()
-    lat, outs = [], []
+    started = time.perf_counter()
+    lat, outs, refs = [], [], [calibrate.reference()]
     for idx, item in enumerate(items):
+        if idx:
+            refs.append(calibrate.reference())
         if workload != "depth-survey":
             item.report_path.unlink(missing_ok=True)
         t0 = time.perf_counter()
@@ -223,7 +232,9 @@ def run_pass(workload: str, items: list[Item], first: bool, traced: bool,
             if first:
                 firsts[idx] = data
         outs.append(hashlib.sha256(data).hexdigest())
-    return Pass(lat, outs, traced)
+    refs.append(calibrate.reference())
+    scaled = [calibrate.scale(x, refs[i], refs[i + 1]) for i, x in enumerate(lat)]
+    return Pass(scaled, lat, outs, traced, time.perf_counter() - started)
 
 
 def check(workload: str, items: list[Item], passes: list[Pass],
@@ -278,12 +289,23 @@ def end_to_end(items: list[Item], passes: list[Pass], setup_s: float) -> dict:
     }
 
 
+def raw_figures(passes: list[Pass], raw_setups: list[float]) -> str:
+    """The unscaled wall-clock figures, for standard error."""
+    lat = [x for p in passes for x in p.raw]
+    return (f"raw wall time: setup_s {statistics.median(raw_setups):.4f}, "
+            f"ops_per_s {len(lat) / sum(lat):.4f}, "
+            f"op_ms_p50 {statistics.median(lat) * 1000.0:.2f}")
+
+
 def per_layer(passes: list[Pass], traced_runs: list[tuple[list, dict]],
               absent: list[str]) -> tuple[dict, bool]:
     """Median self time per pass of each traced function, the counts, and
-    the tracing overhead.  Counts must repeat exactly on every traced pass."""
+    the tracing overhead.  Counts must repeat exactly on every traced pass.
+    A pass's self times are scaled by the factor that scaled its latencies."""
     metrics = {}
-    selfs = [tracer.self_times_ms(spans) for spans, _ in traced_runs]
+    factors = [sum(p.latencies) / sum(p.raw) for p in passes if p.traced]
+    selfs = [{name: ms * f for name, ms in tracer.self_times_ms(spans).items()}
+             for (spans, _), f in zip(traced_runs, factors)]
     for name in tracer.TRACED:
         value = statistics.median(s.get(name, 0.0) for s in selfs)
         metrics[f"{name}_ms"] = {"value": value, "unit": "ms"}
@@ -318,6 +340,8 @@ def main(argv=None) -> int:
     shutil.rmtree(where, ignore_errors=True)
     where.mkdir(parents=True)
     items = make_inputs(args.workload, args.seed, where)
+    for _ in range(3):  # warm the reference computation
+        calibrate.reference()
     # Set-up is timed at the start and again between passes, so that its
     # samples are spread over the run like the operations' are.
     setups = [] if args.trace else [measure_setup(items) for _ in range(SETUP_AT_START)]
@@ -330,7 +354,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
 
     def fits(until: float) -> bool:
-        return time.perf_counter() + sum(passes[-1].latencies) <= until
+        return time.perf_counter() + passes[-1].wall <= until
 
     # Traced runs spend the first half untraced, to measure the overhead.
     plain_until = start + (args.seconds / 2 if args.trace else args.seconds)
@@ -361,7 +385,8 @@ def main(argv=None) -> int:
                 for name, t0, t1, parent in spans:
                     fh.write(json.dumps([n, name, t0, t1, parent]) + "\n")
     else:
-        metrics = end_to_end(items, passes, statistics.median(setups))
+        metrics = end_to_end(items, passes, statistics.median(s for s, _ in setups))
+        print(raw_figures(passes, [r for _, r in setups]), file=sys.stderr)
     result = {
         "correct": correct,
         "attempted": len(passes) * len(items),
