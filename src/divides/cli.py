@@ -68,14 +68,18 @@ def _parse_reorders(specs: list[str]) -> dict[str, tuple[int, ...]]:
     return perms
 
 
-def _join_reorder_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--reorder VALUE`` as ``--reorder=VALUE``.
+VALUE_OPTIONS = ("--json", "--dot-ag", "--dot-quiver", "--reorder")
 
-    argparse takes a separate token such as ``-:2,1`` for an unknown option
-    and leaves ``--reorder`` without its value; the joined form is read as
-    the value whatever it starts with.  No spec starts with ``--``, so such a
-    token is left to be read as the next option, as is everything after a
-    bare ``--``.
+
+def _join_option_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--option VALUE`` as ``--option=VALUE`` for VALUE_OPTIONS.
+
+    argparse takes a separate token such as ``-:2,1`` or ``-out.json`` for an
+    unknown option and leaves the option without its value; the joined form
+    is read as the value whatever it starts with.  Abbreviations such as
+    ``--reo`` are joined too, and argparse resolves them.  A token starting
+    with ``--`` is left to be read as the next option, as is everything after
+    a bare ``--``.
     """
     out: list[str] = []
     i = 0
@@ -83,8 +87,9 @@ def _join_reorder_values(argv: list[str]) -> list[str]:
         tok = argv[i]
         if tok == "--":
             return out + argv[i:]
-        if tok == "--reorder" and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            out.append(f"--reorder={argv[i + 1]}")
+        takes_value = tok.startswith("--") and any(o.startswith(tok) for o in VALUE_OPTIONS)
+        if takes_value and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
             out.append(tok)
@@ -242,7 +247,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_corpus_run)
 
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_reorder_values(argv))
+    try:
+        args = parser.parse_args(_join_option_values(argv))
+    except SystemExit as exc:
+        if exc.code == 0:  # --help and --version have printed what was asked
+            raise
+        return EXIT_INVALID  # argparse has printed the usage error
     try:
         return args.func(args)
     except SystemExit as exc:

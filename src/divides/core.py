@@ -114,11 +114,12 @@ def _strand_components(divide: Divide) -> list[set[str]]:
 def branch_kinds(divide: Divide) -> dict[int, str]:
     """Kind ("interval" or "circle") for each declared branch, by index."""
     terminal_set = set(divide.terminals)
+    ends = {e.id: e.ends for e in divide.edges}
     kinds = {}
     for i, branch in enumerate(divide.branches):
         n_term = 0
         for eid in branch:
-            for v, _ in divide.edge_by_id(eid).ends:
+            for v, _ in ends[eid]:
                 if v in terminal_set:
                     n_term += 1
         if n_term == 2:
@@ -133,7 +134,10 @@ def branch_kinds(divide: Divide) -> dict[int, str]:
 
 
 def validate_divide(divide: Divide) -> list[str]:
-    """All structural diagnostics for a divide; empty list means valid."""
+    """All structural diagnostics for a divide; empty list means valid.
+
+    A valid divide has at least one double point, so that mu >= 1.
+    """
     diags: list[str] = []
     dps = list(divide.double_points)
     terms = list(divide.terminals)
@@ -141,13 +145,14 @@ def validate_divide(divide: Divide) -> list[str]:
         diags.append("duplicate ids among double points")
     if len(set(terms)) != len(terms):
         diags.append("duplicate ids among terminals")
-    if set(dps) & set(terms):
+    dp_set = set(dps)
+    if dp_set & set(terms):
         diags.append("duplicate ids: vertex appears as both double point and terminal")
     edge_ids = [e.id for e in divide.edges]
     if len(set(edge_ids)) != len(edge_ids):
         diags.append("duplicate ids among edges")
 
-    vertices = set(dps) | set(terms)
+    vertices = dp_set | set(terms)
     used: dict[End, str] = {}
     for e in divide.edges:
         if len(e.ends) != 2:
@@ -157,7 +162,7 @@ def validate_divide(divide: Divide) -> list[str]:
             if v not in vertices:
                 diags.append(f"edge '{e.id}' references unknown vertex '{v}'")
                 continue
-            deg = DOUBLE_POINT_DEGREE if v in set(dps) else 1
+            deg = DOUBLE_POINT_DEGREE if v in dp_set else 1
             if not (0 <= s < deg):
                 diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
                 continue
@@ -165,12 +170,15 @@ def validate_divide(divide: Divide) -> list[str]:
                 diags.append(f"slot used twice: ({v}, {s}) by '{used[(v, s)]}' and '{e.id}'")
             else:
                 used[(v, s)] = e.id
+    slots: dict[str, list[int]] = {}
+    for w, s in used:
+        slots.setdefault(w, []).append(s)
     for v in dps:
-        have = sorted(s for (w, s) in used if w == v)
+        have = sorted(slots.get(v, ()))
         if have != list(range(DOUBLE_POINT_DEGREE)):
             diags.append(f"degree mismatch at vertex '{v}': slots {have}")
     for t in terms:
-        have = sorted(s for (w, s) in used if w == t)
+        have = sorted(slots.get(t, ()))
         if have != [0]:
             diags.append(f"degree mismatch at vertex '{t}': slots {have}")
 
@@ -192,6 +200,8 @@ def validate_divide(divide: Divide) -> list[str]:
                     stack.append(nxt)
         if seen != vertices:
             diags.append("disconnected graph")
+        elif not dps:  # one chord: mu = 2d - r + 1 = 0
+            diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
     elif not divide.edges:
         diags.append("divide has no edges")
 

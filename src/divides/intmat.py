@@ -1,13 +1,19 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-All matrices are tuples of tuples of Python ints; intermediate rational work
-uses fractions.Fraction.  Nothing here touches floating point.
+All matrices are tuples of tuples of Python ints, and every result is an
+exact integer.  Determinant and rank use fraction-free Bareiss elimination
+(Bareiss, Math. Comp. 22, 1968).  The characteristic polynomial is the
+Hessenberg recurrence taken modulo 61-bit primes and combined by the Chinese
+remainder theorem under a proven bound on its coefficients (Cohen, *A Course
+in Computational Algebraic Number Theory*, 2.2).  The order of a matrix comes
+from the cyclotomic factors of that polynomial and one check by binary
+powering.  Nothing here touches floating point or rationals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import isqrt, lcm
+from typing import Iterator, Sequence
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -41,142 +47,318 @@ def scal(c: int, a: Mat) -> Mat:
 
 
 def mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    """Row i of the product is the sum of a[i][k] * b[k] over a[i][k] != 0."""
+    n = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def trace(a: Mat) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
 
+def _bareiss(a: Mat) -> tuple[int, int, int]:
+    """Fraction-free row echelon form: (rank, sign of the row swaps, last pivot).
+
+    After the step on pivot column c every entry below the pivot rows is a
+    minor of the input divided exactly by the previous pivot, so all
+    arithmetic stays in integers.
+    """
+    m = [list(row) for row in a]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        p_row = m[r]
+        p = p_row[c]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            f = row[c]
+            row[c] = 0
+            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], p_row[c + 1:])]
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
 def det(a: Mat) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    r, sign, last = _bareiss(a)
+    return sign * last if r == len(a) else 0
 
 
 def rank(a: Mat) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+    """Rank over Q by fraction-free Bareiss elimination."""
+    return _bareiss(a)[0]
+
+
+def inverse_unipotent_lower(a: Mat) -> Mat:
+    """Inverse of a lower-triangular matrix with unit diagonal.
+
+    Forward substitution: row i of the inverse is e_i minus a[i][j] times
+    row j of the inverse over j < i, so it is integral and exact.
+    """
+    n = len(a)
+    if any(a[i][i] != 1 or any(a[i][i + 1:]) for i in range(n)):
+        raise ValueError("matrix is not unipotent lower-triangular")
+    inv: list[list[int]] = []
+    for i, row in enumerate(a):
+        x = [int(i == j) for j in range(n)]
+        for j in range(i):
+            c = row[j]
+            if c:
+                x = [s - c * y for s, y in zip(x, inv[j])]
+        inv.append(x)
+    return freeze(inv)
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomial
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases.
+
+    Deterministic below 318665857834031151167461, the least strong
+    pseudoprime to all twelve bases (Sorenson and Webster, 2015), which
+    covers every candidate below 2^61.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_below_2_61() -> Iterator[int]:
+    """The primes below 2^61 in descending order, 2^61 - 1 first."""
+    n = (1 << 61) - 1
+    while n > 2:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def coefficient_bound(a: Mat) -> int:
+    """B = prod_i (1 + ceil(|row_i|_2)), a bound on every charpoly coefficient.
+
+    The coefficient of t^(n-k) is a signed sum of the principal k-minors; by
+    Hadamard each is at most the product of its rows' norms, and these
+    products sum to at most B.
+    """
+    bound = 1
+    for row in a:
+        sq = sum(x * x for x in row)
+        root = isqrt(sq)
+        bound *= 1 + root + (root * root < sq)
+    return bound
+
+
+def _charpoly_mod(a: Mat, p: int) -> list[int]:
+    """det(tI - a) mod p, descending powers, via upper Hessenberg form."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    # Similarity transforms that clear column m-1 below its subdiagonal.
+    for m in range(1, n - 1):
+        col = m - 1
+        pivot = next((i for i in range(m, n) if h[i][col]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def inverse_unimodular(a: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1 (exact, integral)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = []
-    for i in range(n):
-        row = m[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        h_m = h[m]
+        inv = pow(h_m[col], -1, p)
+        for i in range(m + 1, n):
+            h_i = h[i]
+            u = h_i[col] * inv % p
+            if not u:
+                continue
+            # row i -= u * row m, then column m += u * column i
+            h_i[col:] = [(x - u * y) % p for x, y in zip(h_i[col:], h_m[col:])]
+            for row in h:
+                if row[i]:
+                    row[m] = (row[m] + u * row[i]) % p
+    # p_{m+1} = (t - h[m][m]) p_m - sum_{i<m} h[i][m] h[i+1][i] ... h[m][m-1] p_i,
+    # each p_k a coefficient list in ascending powers.
+    polys: list[list[int]] = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        nxt = [0] + prev
+        h_mm = h[m][m]
+        for j, c in enumerate(prev):
+            nxt[j] -= h_mm * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][m] * t % p
+            if f:
+                for j, c in enumerate(polys[i]):
+                    nxt[j] -= f * c
+        polys.append([c % p for c in nxt])
+    return polys[n][::-1]
 
 
 def charpoly(a: Mat) -> tuple[int, ...]:
     """Characteristic polynomial det(tI - M), coefficients by descending power.
 
-    Faddeev-LeVerrier over Q; the result is asserted integral.
+    Computed modulo successive 61-bit primes until their product exceeds
+    2B + 1 for the coefficient bound B, then read as symmetric residues.
     """
-    n = len(a)
-    coeffs: list[Fraction] = [Fraction(1)]
-    m = [[Fraction(x) for x in row] for row in a]
-    work = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # work <- M @ (work + c_{k-1} I)
-        for i in range(n):
-            work[i][i] += coeffs[k - 1]
-        nxt = [
-            [sum(m[i][l] * work[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        work = nxt
-        c = -sum(work[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError("characteristic polynomial is not integral")
-    return tuple(int(c) for c in coeffs)
+    need = 2 * coefficient_bound(a) + 1
+    coeffs: list[int] = []
+    modulus = 1
+    for p in primes_below_2_61():
+        res = _charpoly_mod(a, p)
+        if modulus == 1:
+            coeffs = res
+        else:
+            inv = pow(modulus % p, -1, p)
+            coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, res)]
+        modulus *= p
+        if modulus > need:
+            break
+    half = modulus // 2
+    return tuple(c - modulus if c > half else c for c in coeffs)
 
 
-def matrix_order(m: Mat, max_power: int) -> int | None:
-    """Smallest k <= max_power with m^k = identity, else None."""
-    n = len(m)
-    ident = identity(n)
-    power = m
-    for k in range(1, max_power + 1):
-        if power == ident:
-            return k
-        power = mul(power, m)
+# ---------------------------------------------------------------------------
+# Order
+
+
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by a monic divisor, both in descending powers."""
+    out = list(num)
+    k = len(den) - 1
+    for i in range(len(num) - k):
+        c = out[i]
+        if c:
+            for j in range(1, k + 1):
+                out[i + j] -= c * den[j]
+    return out[: len(num) - k], out[len(num) - k:]
+
+
+def _distinct_prime_factors(k: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def _cyclotomic(k: int, primes: list[int], degree: int) -> list[int]:
+    """Phi_k in descending powers, given the distinct prime factors of k and phi(k).
+
+    Phi_k = prod over squarefree e | k of (1 - t^(k/e))^mu(e), expanded as a
+    power series truncated above degree phi(k).  For k >= 2 it is
+    palindromic, so the ascending series is also the descending coefficient
+    list; for k = 1 the series 1 - t reads as t - 1.
+    """
+    series = [1] + [0] * degree
+    for mask in range(1 << len(primes)):
+        e, parity = 1, 1
+        for bit, p in enumerate(primes):
+            if mask >> bit & 1:
+                e *= p
+                parity = -parity
+        d = k // e
+        if parity == 1:  # multiply by 1 - t^d
+            for i in range(degree, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # divide by 1 - t^d
+            for i in range(d, degree + 1):
+                series[i] += series[i - d]
+    return series
+
+
+def _power(m: Mat, e: int) -> Mat:
+    result = identity(len(m))
+    while e:
+        if e & 1:
+            result = mul(result, m)
+        e >>= 1
+        if e:
+            m = mul(m, m)
+    return result
+
+
+def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:
+    """The least N >= 1 with m^N = identity, or None when the order is infinite.
+
+    char_poly, when given, must be charpoly(m); it saves computing it again.
+
+    A matrix of finite order has a characteristic polynomial that is a
+    product of cyclotomic polynomials Phi_k.  These are divided out for every
+    k with phi(k) at most the remaining degree (phi(k) >= sqrt(k) for k > 6
+    bounds the search); a factor left over means infinite order.  Otherwise
+    the order is a multiple of N = lcm of the k found.  When no Phi_k repeats,
+    the characteristic polynomial divides t^N - 1 and Cayley-Hamilton gives
+    m^N = identity; else m^N is computed, and if it is not the identity, m is
+    not diagonalisable and has no finite order.
+    """
+    rest = list(charpoly(m) if char_poly is None else char_poly)
+    order = 1
+    repeated = False
+    k = 1
+    while len(rest) > 1 and k <= max(6, (len(rest) - 1) ** 2):
+        primes = _distinct_prime_factors(k)
+        totient = k
+        for p in primes:
+            totient -= totient // p
+        if totient < len(rest):
+            phi = _cyclotomic(k, primes, totient)
+            found = 0
+            while len(rest) > totient:
+                quotient, remainder = _divmod_monic(rest, phi)
+                if any(remainder):
+                    break
+                rest = quotient
+                found += 1
+            if found:
+                order = lcm(order, k)
+                repeated = repeated or found > 1
+        k += 1
+    if len(rest) > 1:
+        return None
+    if not repeated or _power(m, order) == identity(len(m)):
+        return order
     return None
-
-
-def perm_matrix(perm: Sequence[int]) -> Mat:
-    """Matrix P with P e_old = e_new for perm[old] = new (0-based)."""
-    n = len(perm)
-    return tuple(
-        tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)
-    )
-
-
-def conjugate_by_perm(a: Mat, perm: Sequence[int]) -> Mat:
-    """P A P^T, i.e. A with rows and columns relabeled by perm."""
-    n = len(perm)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = a[i][j]
-    return freeze(out)

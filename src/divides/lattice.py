@@ -108,14 +108,25 @@ def monodromy(i_mat: Mat, dim_n: int = 2) -> MonodromyPair:
     """
     mu = len(i_mat)
     sign = pl_sign_for_dim(dim_n)
-    twists = [transvection(i_mat, k, sign) for k in range(mu)]
-    m_desc = intmat.identity(mu)
-    m_asc = intmat.identity(mu)
-    for k in range(mu):
-        m_desc = intmat.mul(m_desc, twists[k])  # T_1 T_2 ... T_mu: T_mu acts first
-        m_asc = intmat.mul(twists[k], m_asc)  # T_mu ... T_2 T_1: T_1 acts first
+    # T_k = Id + e_k c_k^T with c_k[j] = sign * I[j][k]; only nonzero entries kept.
+    cs = [[(j, sign * i_mat[j][k]) for j in range(mu) if i_mat[j][k]] for k in range(mu)]
+    desc = [[int(i == j) for j in range(mu)] for i in range(mu)]
+    asc = [row[:] for row in desc]
+    for k, c in enumerate(cs):
+        # M_desc <- M_desc T_k = M_desc + (M_desc e_k) c_k^T: T_mu acts first
+        for row in desc:
+            v = row[k]
+            if v:
+                for j, x in c:
+                    row[j] += v * x
+        # M_asc <- T_k M_asc, row k += c_k^T M_asc: T_1 acts first
+        new_row = asc[k]
+        for j, x in c:
+            new_row = [a + x * y for a, y in zip(new_row, asc[j])]
+        asc[k] = new_row
+    m_desc, m_asc = intmat.freeze(desc), intmat.freeze(asc)
     s = seifert_matrix(i_mat, dim_n)
-    s_inv_t = intmat.transpose(intmat.inverse_unimodular(s))
+    s_inv_t = intmat.transpose(intmat.inverse_unipotent_lower(s))
     parity = 1 if dim_n % 2 == 0 else -1
     rho_s = intmat.scal(parity, intmat.mul(s_inv_t, s))
     return MonodromyPair(m_desc=m_desc, m_asc=m_asc, rho_s=rho_s)
@@ -241,14 +252,13 @@ def identity_suite(
 
 @dataclass(frozen=True)
 class CharPolyOrder:
-    coefficients: tuple[int, ...]  # descending powers, monic
-    order: int | None  # smallest k with M^k = Id, None if it exceeds max_power
-    max_power: int
+    coefficients: tuple[int, ...]  # det(tI - M), descending powers, monic
+    order: int | None  # least k >= 1 with M^k = Id; None when the order is infinite
 
 
-def char_poly_and_order(m: Mat, max_power: int = 64) -> CharPolyOrder:
+def char_poly_and_order(m: Mat) -> CharPolyOrder:
+    coefficients = intmat.charpoly(m)
     return CharPolyOrder(
-        coefficients=intmat.charpoly(m),
-        order=intmat.matrix_order(m, max_power),
-        max_power=max_power,
+        coefficients=coefficients,
+        order=intmat.matrix_order(m, coefficients),
     )

@@ -36,6 +36,11 @@ CALIBRATION_NOTE = (
     "asserted by the identity suite, never assumed"
 )
 
+# The report's char_poly.max_power field keeps this value so that report bytes
+# do not move.  It bounds nothing: "order" is exact, and null only when the
+# order is infinite.  The field goes with the next schema change.
+REPORT_MAX_POWER = 64
+
 
 @dataclass
 class PipelineResult:
@@ -86,7 +91,7 @@ def run_pipeline(
     lat = lattice_mod.milnor_lattice(ag)
     pair = lattice_mod.monodromy(lat.i_mat)
     suite = lattice_mod.identity_suite(lat, pair, inv.r)
-    cpo = lattice_mod.char_poly_and_order(pair.m_desc, max_power=64)
+    cpo = lattice_mod.char_poly_and_order(pair.m_desc)
 
     family = adapted_mod.adapted_vectors(lat.i_mat)
     verdict = adapted_mod.verify_adapted(family, lat.i_mat, lat.pl_sign)
@@ -178,7 +183,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
         "char_poly": {
             "coefficients": list(result.cpo.coefficients),
             "order": result.cpo.order,
-            "max_power": result.cpo.max_power,
+            "max_power": REPORT_MAX_POWER,
         },
         "adapted": {
             "vectors": [list(v) for v in result.family.vectors],

@@ -140,10 +140,66 @@ def test_reorder_value_as_separate_token(tmp_path, capsys):
     capsys.readouterr()
     assert split.read_bytes() == joined.read_bytes()
 
-    with pytest.raises(SystemExit) as exc:
-        main(["report", str(path), "--reorder"])
-    assert exc.value.code == 2
+    assert main(["report", str(path), "--reorder"]) == 2
 
     code, _, err = _run(capsys, "report", str(path), "--reorder", "-x")
     assert code == 2
     assert "bad --reorder spec" in err
+
+
+def test_usage_errors_return_invalid(tmp_path, capsys):
+    path = tmp_path / "e6.json"
+    path.write_text(divide_to_text(gen_e6().divide))
+    for argv in ([], ["report"], ["report", str(path), "--json"],
+                 ["report", str(path), "--json", "--dot-ag", "g.dot"], ["bogus"]):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert "usage:" in err
+
+
+def test_value_options_take_dash_tokens(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e6.json"
+    path.write_text(divide_to_text(gen_e6().divide))
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(capsys, "report", str(path), "--json", "-out.json",
+                      "--dot-ag", "-ag.dot", "--dot-quiver", "-quiver.dot")
+    assert code == 0
+    assert json.loads((tmp_path / "-out.json").read_text())["invariants"]["mu"] == 6
+    assert (tmp_path / "-ag.dot").read_text().startswith("graph")
+    assert (tmp_path / "-quiver.dot").read_text().startswith("digraph")
+    code, out, _ = _run(capsys, "report", str(path), "--json", "-")
+    assert code == 0
+    assert json.loads(out[: out.rindex("}") + 1])["invariants"]["mu"] == 6
+    code, _, _ = _run(capsys, "report", str(path), "--js", "-short.json", "--reo", "-:2,1")
+    assert code == 0
+    assert (tmp_path / "-short.json").read_bytes() != (tmp_path / "-out.json").read_bytes()
+    code, _, err = _run(capsys, "report", str(path), "--dot", "-x.dot")
+    assert code == 2
+    assert "ambiguous option" in err
+
+
+def test_mu_zero_rejected_alike_by_validate_and_report(tmp_path, capsys):
+    chord = {
+        "name": "chord",
+        "mode": "polyline",
+        "branches": [{"points": [[-12, 0], [12, 0]], "closed": False}],
+        "disc_radius": 10,
+        "sign_seed": {"point": [0, 5], "sign": "+"},
+    }
+    as_map = {
+        "name": "chord",
+        "mode": "map",
+        "double_points": [],
+        "terminals": ["t0", "t1"],
+        "edges": [{"id": "e0", "ends": [["t1", 0], ["t0", 0]]}],
+        "branches": [["e0"]],
+        "sign_seed": {"edge": "e0", "side": "left", "sign": "+"},
+    }
+    for obj in (chord, as_map):
+        path = tmp_path / "chord.json"
+        path.write_text(json.dumps(obj))
+        code_v, _, err_v = _run(capsys, "validate", str(path))
+        code_r, _, err_r = _run(capsys, "report", str(path))
+        assert code_v == code_r == 2
+        assert err_v == err_r
+        assert "mu = 0" in err_v

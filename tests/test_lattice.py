@@ -111,19 +111,19 @@ def test_identity_suite_reports_failures_without_aborting():
 
 def test_char_poly_and_order_examples():
     r2 = pipeline("a2")
-    cpo = char_poly_and_order(r2.pair.m_desc, max_power=24)
+    cpo = char_poly_and_order(r2.pair.m_desc)
     assert cpo.coefficients == (1, -1, 1)
     assert cpo.order == 6
     r1 = pipeline("a1")
-    cpo1 = char_poly_and_order(r1.pair.m_desc, max_power=4)
+    cpo1 = char_poly_and_order(r1.pair.m_desc)
     assert cpo1.coefficients == (1, -1)
     assert cpo1.order == 1
     r4 = pipeline("a4")
-    assert char_poly_and_order(r4.pair.m_desc, max_power=24).order == 10
+    assert char_poly_and_order(r4.pair.m_desc).order == 10
 
 
 def test_char_poly_order_exceeds_max():
-    cpo = char_poly_and_order(((1, 1), (0, 1)), max_power=8)
+    cpo = char_poly_and_order(((1, 1), (0, 1)))
     assert cpo.order is None
 
 
