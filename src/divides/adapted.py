@@ -33,12 +33,12 @@ def adapted_vectors(i_mat: Mat) -> AdaptedFamily:
     a_j meets V_j once positively, meets every earlier cycle with the
     multiplicity of the intersection form, and misses all later cycles.
     """
-    mu = len(i_mat)
-    vectors = []
-    for j in range(mu):
-        vec = [i_mat[j][i] for i in range(j)] + [1] + [0] * (mu - j - 1)
-        vectors.append(tuple(vec))
-    return AdaptedFamily(vectors=tuple(vectors))
+    return AdaptedFamily(vectors=tuple(adapted_vector(i_mat, j) for j in range(len(i_mat))))
+
+
+def adapted_vector(i_mat: Mat, j: int) -> Vec:
+    """The j-th vector of ``adapted_vectors``: (I[j][0..j-1], 1, 0, ..., 0)."""
+    return tuple(i_mat[j][:j]) + (1,) + (0,) * (len(i_mat) - j - 1)
 
 
 def pl_variation(vector: Sequence[int], i_mat: Mat, pl_sign: int = -1) -> Vec:
@@ -211,8 +211,9 @@ def depth1_cone(
     """Two-component class whose variation is pl_sign * V_vertex.
 
     The partner is the smallest-index depth-0 neighbor; a_prime solves
-    var(a_prime) = pl_sign*(e_vertex - e_partner) by back substitution
-    through the triangular variation matrix.
+    var(a_prime) = pl_sign*(e_vertex - e_partner) by inverting the
+    descending twist iteration (``_solve_variation``), and the result is
+    checked by running ``pl_variation`` on it.
     """
     mu = lattice.mu
     if not (0 <= vertex < mu):
@@ -234,8 +235,7 @@ def depth1_cone(
         sign if i == vertex else (-sign if i == partner else 0) for i in range(mu)
     )
     a_prime = _solve_variation(lattice.i_mat, sign, target)
-    fam = adapted_vectors(lattice.i_mat)
-    a_partner = fam.vectors[partner]
+    a_partner = adapted_vector(lattice.i_mat, partner)
 
     var_prime = pl_variation(a_prime, lattice.i_mat, sign)
     var_partner = pl_variation(a_partner, lattice.i_mat, sign)
@@ -255,14 +255,16 @@ def depth1_cone(
 
 
 def _solve_variation(i_mat: Mat, pl_sign: int, target: Vec) -> Vec:
-    """Solve pl_variation(a) = target; the variation matrix is upper
-    triangular with unit-magnitude diagonal, so back substitution is exact."""
-    w = variation_matrix(i_mat, pl_sign)
-    mu = len(i_mat)
-    a = [0] * mu
-    for i in range(mu - 1, -1, -1):
-        rhs = target[i] - sum(w[i][j] * a[j] for j in range(i + 1, mu))
-        if rhs % w[i][i] != 0:
-            raise DivideError("variation solve is not integral")
-        a[i] = rhs // w[i][i]
-    return tuple(a)
+    """Solve pl_variation(a) = target, for pl_sign = +1 or -1.
+
+    Twist k of the descending iteration leaves the coefficient
+    c[k] = pl_sign * (a[k] + sum_{m>k} c[m] I[m][k]), later twists never
+    change it, and c must end equal to target, so
+    a[k] = pl_sign * target[k] - sum_{m>k} target[m] I[m][k]: integral, with
+    no division, in O(mu * nnz(target)).
+    """
+    support = [m for m, x in enumerate(target) if x]
+    return tuple(
+        pl_sign * target[k] - sum(target[m] * i_mat[m][k] for m in support if m > k)
+        for k in range(len(i_mat))
+    )

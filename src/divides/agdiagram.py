@@ -9,7 +9,7 @@ face-trace order for regions).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     DOUBLE_POINT_DEGREE,
@@ -17,8 +17,6 @@ from .core import (
     SignedDivide,
     edge_side_faces,
 )
-
-TYPE_ORDER = {"-": 0, "0": 1, "+": 2}
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,33 @@ class AGEdge:
 
 @dataclass(frozen=True)
 class AGDiagram:
+    """Vertices in the total order and edges between their positions.
+
+    The adjacency, multiplicity and label indexes are built once, when the
+    diagram is constructed, so each query is a dictionary lookup.
+    """
+
     vertices: tuple[AGVertex, ...]
     edges: tuple[AGEdge, ...]
+    _adjacent: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _multiplicity: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adjacent: dict[int, list[int]] = {}
+        multiplicity: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            adjacent.setdefault(e.u, []).append(e.v)
+            adjacent.setdefault(e.v, []).append(e.u)
+            multiplicity.setdefault((e.u, e.v), e.multiplicity)
+        position: dict[str, int] = {}
+        for i, vx in enumerate(self.vertices):
+            position.setdefault(vx.label, i)
+        # frozen: the indexes are set once, here
+        sorted_adjacent = {p: tuple(sorted(ns)) for p, ns in adjacent.items()}
+        object.__setattr__(self, "_adjacent", sorted_adjacent)
+        object.__setattr__(self, "_multiplicity", multiplicity)
+        object.__setattr__(self, "_position", position)
 
     @property
     def mu(self) -> int:
@@ -51,26 +74,14 @@ class AGDiagram:
         return n["-"], n["0"], n["+"]
 
     def neighbors(self, pos: int) -> list[int]:
-        out = []
-        for e in self.edges:
-            if e.u == pos:
-                out.append(e.v)
-            elif e.v == pos:
-                out.append(e.u)
-        return sorted(out)
+        """Positions joined to ``pos``, ascending, once per edge."""
+        return list(self._adjacent.get(pos, ()))
 
     def multiplicity(self, i: int, j: int) -> int:
-        a, b = min(i, j), max(i, j)
-        for e in self.edges:
-            if (e.u, e.v) == (a, b):
-                return e.multiplicity
-        return 0
+        return self._multiplicity.get((min(i, j), max(i, j)), 0)
 
     def position_by_label(self, label: str) -> int:
-        for i, vx in enumerate(self.vertices):
-            if vx.label == label:
-                return i
-        raise KeyError(label)
+        return self._position[label]
 
 
 def _region_positions(signed: SignedDivide) -> dict[int, tuple[str, int]]:
@@ -142,9 +153,9 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
 
     A saddle is exposed when one of its quadrants is an outer-adjacent face;
     a region vertex when its closure shares an edge or a double point with
-    an outer-adjacent face.
+    an outer-adjacent face.  O(V + E): each dart is looked at a bounded
+    number of times, through the face-across-the-edge index of the faces.
     """
-    divide = signed.divide
     faces = signed.faces
     outer = set(faces.outer_indices)
 
@@ -163,8 +174,7 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
             face = faces.faces[origin]
             hit = False
             for v, s in face.darts():
-                twin_face = _twin_face(signed, v, s)
-                if twin_face in outer:
+                if faces.face_across(v, s) in outer:
                     hit = True
                     break
             if not hit and set(face.vertices()) & outer_vertices:
@@ -174,15 +184,6 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
     return frozenset(exposed)
 
 
-def _twin_face(signed: SignedDivide, vertex: str, slot: int) -> int:
-    for e in signed.divide.edges:
-        if (vertex, slot) == e.ends[0]:
-            return signed.faces.face_of_dart(*e.ends[1])
-        if (vertex, slot) == e.ends[1]:
-            return signed.faces.face_of_dart(*e.ends[0])
-    raise KeyError((vertex, slot))
-
-
 @dataclass(frozen=True)
 class DepthLabels:
     depth: tuple[int, ...]
@@ -190,7 +191,10 @@ class DepthLabels:
 
 
 def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
-    """Depth = graph distance to the exposed set (the peeling recursion)."""
+    """Depth = graph distance to the exposed set (the peeling recursion).
+
+    One breadth-first search over the diagram's adjacency index: O(V + E).
+    """
     if not exposed:
         raise DivideError("depth undefined: exposed set is empty")
     depth = [-1] * ag.mu

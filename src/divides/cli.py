@@ -21,7 +21,6 @@ from .fileio import divide_to_text, parse_divide
 from .report import (
     build_report,
     check_entry,
-    entry_digest,
     input_digest,
     report_json,
     run_pipeline,

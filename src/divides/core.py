@@ -10,9 +10,9 @@ virtual boundary arc inserted between cyclically consecutive terminals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional
 
-SIGN_CHARS = {1: "+", -1: "-"}
 DOUBLE_POINT_DEGREE = 4
 
 
@@ -55,14 +55,10 @@ class Divide:
     branches: tuple[tuple[str, ...], ...]
     sign_seed: SignSeed
 
-    def degree(self, vertex: str) -> int:
-        return DOUBLE_POINT_DEGREE if vertex in set(self.double_points) else 1
-
-    def edge_by_id(self, edge_id: str) -> EdgeDef:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+    @cached_property
+    def edge_index(self) -> dict[str, EdgeDef]:
+        """Edge by id, built on first use; a repeated id keeps its last edge."""
+        return {e.id: e for e in self.edges}
 
 
 def _end_maps(divide: Divide) -> dict[End, End]:
@@ -114,12 +110,12 @@ def _strand_components(divide: Divide) -> list[set[str]]:
 def branch_kinds(divide: Divide) -> dict[int, str]:
     """Kind ("interval" or "circle") for each declared branch, by index."""
     terminal_set = set(divide.terminals)
-    ends = {e.id: e.ends for e in divide.edges}
+    edges = divide.edge_index
     kinds = {}
     for i, branch in enumerate(divide.branches):
         n_term = 0
         for eid in branch:
-            for v, _ in ends[eid]:
+            for v, _ in edges[eid].ends:
                 if v in terminal_set:
                     n_term += 1
         if n_term == 2:
@@ -254,19 +250,28 @@ class Face:
 
 
 class FaceSet:
-    """Faces of the complement, as orbits of the next-at-face permutation."""
+    """Faces of the complement, as orbits of the next-at-face permutation.
 
-    def __init__(self, faces: tuple[Face, ...]):
+    ``dart_face`` maps each dart (vertex, slot) to the face it bounds, and
+    ``across`` maps it to the face on the other side of its edge: the face of
+    its twin, the dart at the edge's other end.  Both are built once here.
+    """
+
+    def __init__(self, faces: tuple[Face, ...], twin: dict[End, End]):
         self.faces = faces
-        self.dart_face: dict[tuple[str, int], int] = {}
+        self.dart_face: dict[End, int] = {}
         for f in faces:
             for d in f.darts():
                 self.dart_face[d] = f.index
+        self.across = {d: self.dart_face[t] for d, t in twin.items()}
         self.region_indices = tuple(f.index for f in faces if f.is_region)
         self.outer_indices = tuple(f.index for f in faces if f.outer)
 
     def face_of_dart(self, vertex: str, slot: int) -> int:
         return self.dart_face[(vertex, slot)]
+
+    def face_across(self, vertex: str, slot: int) -> int:
+        return self.across[(vertex, slot)]
 
 
 def trace_faces(divide: Divide) -> FaceSet:
@@ -335,15 +340,7 @@ def trace_faces(divide: Divide) -> FaceSet:
             "rotation system not planar-consistent: Euler relation fails "
             f"(V={n_v}, E={n_e}, F={len(faces)}); offending orbit {faces[0].items}"
         )
-    return FaceSet(tuple(faces))
-
-
-def quadrant_faces(divide: Divide, faces: FaceSet, dp: str) -> list[int]:
-    """The four faces at the corners of a double point, in CCW corner order.
-
-    The corner between slots i and i+1 is the face containing dart (dp, i).
-    """
-    return [faces.face_of_dart(dp, s) for s in range(DOUBLE_POINT_DEGREE)]
+    return FaceSet(tuple(faces), twin)
 
 
 def edge_side_faces(divide: Divide, faces: FaceSet, edge: EdgeDef) -> tuple[int, int]:
@@ -392,7 +389,7 @@ class SignedDivide:
 
 def seed_face_index(divide: Divide, faces: FaceSet) -> int:
     seed = divide.sign_seed
-    edge = divide.edge_by_id(seed.edge)
+    edge = divide.edge_index[seed.edge]
     left, right = edge_side_faces(divide, faces, edge)
     return left if seed.side == "left" else right
 

@@ -3,8 +3,10 @@
 Map mode keys: name, mode="map", double_points, terminals, edges, branches,
 sign_seed {edge, side, sign}.  Polyline mode keys: name, mode="polyline",
 branches [{points, closed}], disc_radius, sign_seed {point, sign}.
-Unknown keys are rejected at every level.  Parsing is total: it returns
-either a valid Divide or a list of diagnostics, never an exception.
+Unknown keys are rejected and types are checked at every level: ids and
+names are strings, slots and coordinates integers, ``closed`` a boolean.
+Parsing is total: it returns either a valid Divide or a list of
+diagnostics, never an exception.
 """
 
 from __future__ import annotations
@@ -27,6 +29,48 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str, diags: list[str]) 
             diags.append(f"unknown key '{key}' in {where}")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_int_pair(value: Any) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+
+
+def _sign(seed_obj: dict, diags: list[str]) -> Optional[int]:
+    sign_text = seed_obj.get("sign")
+    if not isinstance(sign_text, str) or sign_text not in _SIGNS:
+        diags.append("malformed sign seed: sign must be '+' or '-'")
+        return None
+    return _SIGNS[sign_text]
+
+
+def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
+    if not isinstance(e, dict):
+        diags.append(f"edge must be an object, got {type(e).__name__}")
+        return None
+    _reject_unknown(e, {"id", "ends"}, f"edge {e.get('id')!r}", diags)
+    eid, ends = e.get("id"), e.get("ends")
+    if not isinstance(eid, str):
+        diags.append(f"edge {eid!r}: id must be a string")
+        return None
+    if not isinstance(ends, list) or not all(
+        isinstance(end, list) and len(end) == 2 and isinstance(end[0], str) and _is_int(end[1])
+        for end in ends
+    ):
+        diags.append(f"edge {eid!r}: ends must be [vertex, slot] pairs")
+        return None
+    if len(ends) != 2:
+        diags.append(f"edge {eid!r} must have exactly two ends")
+        return None
+    (u, su), (v, sv) = ends
+    return EdgeDef(id=eid, ends=((u, su), (v, sv)))
+
+
 def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
     _reject_unknown(obj, _MAP_KEYS, "map divide", diags)
     for key in sorted(_MAP_KEYS):
@@ -34,39 +78,42 @@ def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
             diags.append(f"missing key '{key}'")
     if diags:
         return None
-    try:
-        edges = []
+    if not isinstance(obj["name"], str):
+        diags.append("name must be a string")
+    for key in ("double_points", "terminals"):
+        if not _is_str_list(obj[key]):
+            diags.append(f"{key} must be a list of strings")
+    edges = []
+    if isinstance(obj["edges"], list):
         for e in obj["edges"]:
-            _reject_unknown(e, {"id", "ends"}, f"edge {e.get('id')!r}", diags)
-            ends = tuple((str(v), int(s)) for v, s in e["ends"])
-            if len(ends) != 2:
-                diags.append(f"edge {e.get('id')!r} must have exactly two ends")
-                continue
-            edges.append(EdgeDef(id=str(e["id"]), ends=(ends[0], ends[1])))
-        seed_obj = obj["sign_seed"]
-        _reject_unknown(seed_obj, {"edge", "side", "sign"}, "sign_seed", diags)
-        sign_text = seed_obj.get("sign")
-        if sign_text not in _SIGNS:
-            diags.append("malformed sign seed: sign must be '+' or '-'")
-            return None
-        seed = SignSeed(
-            edge=str(seed_obj["edge"]),
-            side=str(seed_obj["side"]),
-            sign=_SIGNS[sign_text],
-        )
-        divide = Divide(
-            name=str(obj["name"]),
-            double_points=tuple(str(v) for v in obj["double_points"]),
-            terminals=tuple(str(v) for v in obj["terminals"]),
-            edges=tuple(edges),
-            branches=tuple(tuple(str(e) for e in b) for b in obj["branches"]),
-            sign_seed=seed,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        diags.append(f"malformed divide object: {exc}")
+            edge = _parse_edge(e, diags)
+            if edge is not None:
+                edges.append(edge)
+    else:
+        diags.append("edges must be a list")
+    branches = obj["branches"]
+    if not isinstance(branches, list) or not all(map(_is_str_list, branches)):
+        diags.append("branches must be a list of lists of edge ids")
+    seed_obj = obj["sign_seed"]
+    if not isinstance(seed_obj, dict):
+        diags.append("malformed sign seed: sign_seed must be an object")
         return None
+    _reject_unknown(seed_obj, {"edge", "side", "sign"}, "sign_seed", diags)
+    sign = _sign(seed_obj, diags)
+    if sign is None:
+        return None
+    if not (isinstance(seed_obj.get("edge"), str) and isinstance(seed_obj.get("side"), str)):
+        diags.append("malformed sign seed: edge and side must be strings")
     if diags:
         return None
+    divide = Divide(
+        name=obj["name"],
+        double_points=tuple(obj["double_points"]),
+        terminals=tuple(obj["terminals"]),
+        edges=tuple(edges),
+        branches=tuple(tuple(b) for b in branches),
+        sign_seed=SignSeed(edge=seed_obj["edge"], side=seed_obj["side"], sign=sign),
+    )
     diags.extend(validate_divide(divide))
     return None if diags else divide
 
@@ -80,31 +127,46 @@ def _parse_polyline(obj: dict, diags: list[str]) -> Optional[Divide]:
             diags.append(f"missing key '{key}'")
     if diags:
         return None
-    try:
-        branches = []
-        for b in obj["branches"]:
+    if not isinstance(obj["name"], str):
+        diags.append("name must be a string")
+    branches = []
+    if isinstance(obj["branches"], list):
+        for i, b in enumerate(obj["branches"]):
+            if not isinstance(b, dict):
+                diags.append(f"polyline branch {i} must be an object")
+                continue
             _reject_unknown(b, {"points", "closed"}, "polyline branch", diags)
-            pts = [(int(x), int(y)) for x, y in b["points"]]
-            branches.append((pts, bool(b["closed"])))
-        seed_obj = obj["sign_seed"]
-        _reject_unknown(seed_obj, {"point", "sign"}, "sign_seed", diags)
-        if seed_obj.get("sign") not in _SIGNS:
-            diags.append("malformed sign seed: sign must be '+' or '-'")
-            return None
-        seed_point = (int(seed_obj["point"][0]), int(seed_obj["point"][1]))
-        radius = int(obj["disc_radius"])
-    except (KeyError, TypeError, ValueError) as exc:
-        diags.append(f"malformed divide object: {exc}")
+            points, closed = b.get("points"), b.get("closed")
+            if not (isinstance(points, list) and all(map(_is_int_pair, points))):
+                diags.append(f"polyline branch {i}: points must be [x, y] integer pairs")
+            elif not isinstance(closed, bool):
+                diags.append(f"polyline branch {i}: closed must be true or false")
+            else:
+                branches.append(([(x, y) for x, y in points], closed))
+    else:
+        diags.append("branches must be a list")
+    seed_obj = obj["sign_seed"]
+    if not isinstance(seed_obj, dict):
+        diags.append("malformed sign seed: sign_seed must be an object")
         return None
+    _reject_unknown(seed_obj, {"point", "sign"}, "sign_seed", diags)
+    sign = _sign(seed_obj, diags)
+    if sign is None:
+        return None
+    if not _is_int_pair(seed_obj.get("point")):
+        diags.append("malformed sign seed: point must be an [x, y] integer pair")
+    if not _is_int(obj["disc_radius"]):
+        diags.append("disc_radius must be an integer")
     if diags:
         return None
+    x, y = seed_obj["point"]
     try:
         return ingest_polyline(
             branches,
-            disc_radius=radius,
-            seed_point=seed_point,
-            seed_sign=_SIGNS[seed_obj["sign"]],
-            name=str(obj["name"]),
+            disc_radius=obj["disc_radius"],
+            seed_point=(x, y),
+            seed_sign=sign,
+            name=obj["name"],
         )
     except DivideError as exc:
         diags.extend(exc.diagnostics)
@@ -116,8 +178,10 @@ def parse_divide(text: str) -> tuple[Optional[Divide], list[str]]:
     diags: list[str] = []
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         return None, [f"not valid JSON: {exc}"]
+    except RecursionError:
+        return None, ["not valid JSON: nested too deeply"]
     if not isinstance(obj, dict):
         return None, ["divide file must contain a single JSON object"]
     mode = obj.get("mode")

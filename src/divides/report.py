@@ -25,7 +25,6 @@ from .core import (
     trace_faces,
 )
 from .corpus import CorpusEntry
-from .fileio import divide_to_text
 
 TOOL_NAME = "divides"
 
@@ -308,7 +307,3 @@ def check_entry(entry: CorpusEntry) -> list[str]:
         else:
             problems.append(f"unknown expected fact '{key}'")
     return problems
-
-
-def entry_digest(entry: CorpusEntry) -> str:
-    return input_digest(divide_to_text(entry.divide).encode())

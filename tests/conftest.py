@@ -1,11 +1,25 @@
 from __future__ import annotations
 
 import functools
+import math
+import random
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
-from divides import builtin_entries, gen_a, gen_depth1, gen_e6
+from divides import DivideError, builtin_entries, gen_a, gen_depth1, gen_e6, ingest_polyline
 from divides.report import run_pipeline
+
+# No example database, so test runs write no .hypothesis/ directory into the
+# working tree.  Tests keep their own max_examples and deadline settings.
+settings.register_profile("divides", database=None)
+settings.load_profile("divides")
+# Hypothesis also caches the constants of the source under its home directory
+# (from collection on); keep that in a temporary directory removed at exit.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,3 +43,30 @@ CORPUS_NAMES = [e.name for e in builtin_entries(12)]
 @pytest.fixture(scope="session")
 def corpus_names():
     return CORPUS_NAMES
+
+
+def generic_chords(k: int, seed: int):
+    """A divide of k straight chords that cross pairwise inside the disc.
+
+    Chord i runs through a point near the centre in a direction near
+    i * pi / k, so every pair crosses; a draw is kept only when it ingests
+    with all k(k-1)/2 crossings (no triple point, none outside the disc).
+    """
+    rng = random.Random(f"chords:{k}:{seed}")
+    reach = 100 * k
+    while True:
+        branches = []
+        for i in range(k):
+            theta = math.pi * (i + rng.uniform(0.25, 0.75)) / k
+            dx, dy = round(reach * math.cos(theta)), round(reach * math.sin(theta))
+            cx, cy = rng.randint(-k, k), rng.randint(-k, k)
+            branches.append(([(cx - dx, cy - dy), (cx + dx, cy + dy)], False))
+        witness = (rng.randint(-reach // 3, reach // 3), rng.randint(-reach // 3, reach // 3))
+        try:
+            divide = ingest_polyline(
+                branches, reach * 2 // 3, witness, rng.choice((1, -1)), name=f"chords{k}"
+            )
+        except DivideError:
+            continue
+        if len(divide.double_points) == k * (k - 1) // 2:
+            return divide

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from divides import (
@@ -11,9 +13,10 @@ from divides import (
     quiver_dot,
     verify_adapted,
 )
-from divides.adapted import AdaptedFamily, EulerQuiver, variation_matrix
+from divides.adapted import AdaptedFamily, EulerQuiver, _solve_variation, variation_matrix
 from divides.core import DivideError
-from conftest import pipeline
+from divides.report import run_pipeline
+from conftest import generic_chords, pipeline
 
 
 def test_adapted_vectors_examples():
@@ -164,3 +167,43 @@ def test_pl_variation_linearity_explicit():
     va = pl_variation(a, i_mat)
     vb = pl_variation(b, i_mat)
     assert pl_variation(ab, i_mat) == tuple(x + y for x, y in zip(va, vb))
+
+
+def _back_substitution(w, target):
+    """Solve w a = target for an upper triangular w with unit diagonal."""
+    mu = len(w)
+    a = [0] * mu
+    for i in range(mu - 1, -1, -1):
+        a[i] = (target[i] - sum(w[i][j] * a[j] for j in range(i + 1, mu))) * w[i][i]
+    return tuple(a)
+
+
+@pytest.mark.parametrize("k, seed", [(4, 0), (5, 1), (6, 2), (7, 0)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_solve_variation_on_random_targets(k, seed, sign):
+    i_mat = run_pipeline(generic_chords(k, seed)).lattice.i_mat
+    w = variation_matrix(i_mat, sign)
+    mu = len(i_mat)
+    rng = random.Random(f"{k}:{seed}:{sign}")
+    for n in range(40):
+        target = tuple(
+            rng.randint(-3, 3) if rng.random() < (0.1 if n % 2 else 0.6) else 0
+            for _ in range(mu)
+        )
+        a = _solve_variation(i_mat, sign, target)
+        assert pl_variation(a, i_mat, sign) == target
+        assert a == _back_substitution(w, target)
+
+
+@pytest.mark.parametrize("k, seed", [(5, 0), (7, 1)])
+def test_depth1_cones_on_chords(k, seed):
+    r = run_pipeline(generic_chords(k, seed))
+    depth1 = [p for p, d in enumerate(r.depths.depth) if d == 1]
+    assert depth1 and [c.vertex for c in r.cones] == depth1
+    assert all(c.passed for c in r.cones)
+    fam = adapted_vectors(r.lattice.i_mat)
+    for c in r.cones:
+        assert c.a_partner == fam.vectors[c.partner]
+        assert c.a_prime == tuple(
+            x - y for x, y in zip(fam.vectors[c.vertex], fam.vectors[c.partner])
+        )

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from divides import divide_to_text, gen_a, gen_e6, parse_divide
 from conftest import entry
 
@@ -86,3 +89,137 @@ def test_parse_polyline_error_is_diagnostic():
     d, diags = parse_divide(text)
     assert d is None
     assert any("intersection at a polyline vertex" in m for m in diags)
+
+
+# ---------------------------------------------------------------------------
+# Totality: any JSON text gives a divide or diagnostics, never an exception
+
+_KEYS = sorted(
+    {"name", "mode", "double_points", "terminals", "edges", "branches", "sign_seed",
+     "disc_radius", "id", "ends", "edge", "side", "sign", "points", "closed", "point"}
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers(-5, 5) | st.integers() | st.floats()
+    | st.sampled_from(["map", "polyline", "+", "-", "left", "right", "x", "e1", "c1"])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=6),
+    max_leaves=25,
+)
+
+
+def _assert_total(text):
+    divide, diags = parse_divide(text)
+    assert (divide is None) == bool(diags)
+    assert all(isinstance(d, str) for d in diags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_parse_divide_total_on_arbitrary_json(value):
+    _assert_total(json.dumps(value))
+
+
+_POLYLINE_FILE = {
+    "name": "two-diagonals",
+    "mode": "polyline",
+    "branches": [
+        {"points": [[-9, -9], [9, 9]], "closed": False},
+        {"points": [[-9, 9], [9, -9]], "closed": False},
+    ],
+    "disc_radius": 8,
+    "sign_seed": {"point": [1, 0], "sign": "-"},
+}
+
+
+def _slots(value, path=()):
+    """Every (path) to a value nested in a JSON object, the root excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _slots(child, path + (key,))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["e6", "a3", "polyline"]), st.data())
+def test_parse_divide_total_on_a_valid_file_with_one_value_replaced(base, data):
+    obj = _POLYLINE_FILE if base == "polyline" else json.loads(
+        divide_to_text(entry(base).divide)
+    )
+    obj = json.loads(json.dumps(obj))
+    path = data.draw(st.sampled_from(list(_slots(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_JSON)
+    _assert_total(json.dumps(obj))
+
+
+_POINT = st.lists(st.integers(-12, 12), min_size=2, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {"points": st.lists(_POINT, min_size=1, max_size=4), "closed": st.booleans()}
+        ),
+        max_size=3,
+    ),
+    st.integers(-1, 10),
+    _POINT,
+    st.sampled_from(["+", "-"]),
+)
+def test_parse_divide_total_on_well_typed_polylines(branches, radius, point, sign):
+    obj = {
+        "name": "p",
+        "mode": "polyline",
+        "branches": branches,
+        "disc_radius": radius,
+        "sign_seed": {"point": point, "sign": sign},
+    }
+    _assert_total(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("edges", [1], "edge must be an object, got int"),
+        ("sign_seed", [], "malformed sign seed: sign_seed must be an object"),
+        ("double_points", "ab", "double_points must be a list of strings"),
+        ("terminals", [1, 2], "terminals must be a list of strings"),
+        ("branches", ["e1"], "branches must be a list of lists of edge ids"),
+        ("edges", [{"id": "e", "ends": [["c1", 1.0], ["c1", 2]]}],
+         "edge 'e': ends must be [vertex, slot] pairs"),
+        ("sign_seed", {"edge": "e", "side": "left", "sign": []},
+         "malformed sign seed: sign must be '+' or '-'"),
+    ],
+)
+def test_parse_map_type_errors_are_diagnostics(key, value, message):
+    obj = json.loads(divide_to_text(gen_e6().divide))
+    obj[key] = value
+    d, diags = parse_divide(json.dumps(obj))
+    assert d is None
+    assert message in diags
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100000, "not valid JSON: nested too deeply"),
+        ("1" * 5000, "not valid JSON"),
+        ('{"mode": "polyline", "name": "p", "branches": [], "disc_radius": 1e999,'
+         ' "sign_seed": {"point": [0, 0], "sign": "+"}}', "disc_radius must be an integer"),
+        ('{"mode": "polyline", "name": "p", "branches": [{"points": [[0, 0], [1, 1]],'
+         ' "closed": "no"}], "disc_radius": 5, "sign_seed": {"point": [0, 0], "sign": "+"}}',
+         "polyline branch 0: closed must be true or false"),
+    ],
+)
+def test_parse_text_errors_are_diagnostics(text, message):
+    d, diags = parse_divide(text)
+    assert d is None
+    assert any(m.startswith(message) for m in diags)

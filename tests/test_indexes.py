@@ -1,0 +1,184 @@
+"""The indexes built once per FaceSet and AGDiagram agree with plain scans."""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+import pytest
+
+from divides import (
+    AGDiagram,
+    assign_signs,
+    build_ag,
+    depth_labels,
+    exposure_set,
+    gen_a,
+    reorder_within_types,
+    trace_faces,
+)
+from divides.agdiagram import AGEdge, AGVertex
+from divides.core import DOUBLE_POINT_DEGREE, edge_side_faces
+
+from conftest import CORPUS_NAMES, entry, generic_chords
+
+CHORDS = [(k, seed) for k in (3, 4, 5, 6, 7) for seed in range(3)] + [(9, 0)]
+
+
+def _divide(case):
+    return entry(case).divide if isinstance(case, str) else generic_chords(*case)
+
+
+CASES = CORPUS_NAMES + CHORDS
+
+
+def _signed_and_ag(case):
+    divide = _divide(case)
+    signed = assign_signs(divide, trace_faces(divide))
+    return signed, build_ag(signed)
+
+
+def _random_reorder(ag, rng):
+    perms = {}
+    for t in ("-", "0", "+"):
+        n = sum(v.vtype == t for v in ag.vertices)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        perms[t] = tuple(perm)
+    return reorder_within_types(ag, perms)
+
+
+def _assert_ag_indexes_match_scans(ag):
+    mu = ag.mu
+    for pos in [-1, mu] + list(range(mu)):
+        scan = sorted(
+            [e.v for e in ag.edges if e.u == pos] + [e.u for e in ag.edges if e.v == pos]
+        )
+        assert ag.neighbors(pos) == scan
+    for i in range(mu):
+        for j in range(mu):
+            a, b = min(i, j), max(i, j)
+            scan = next((e.multiplicity for e in ag.edges if (e.u, e.v) == (a, b)), 0)
+            assert ag.multiplicity(i, j) == scan
+    for vx in ag.vertices:
+        scan = next(p for p, w in enumerate(ag.vertices) if w.label == vx.label)
+        assert ag.position_by_label(vx.label) == scan
+    with pytest.raises(KeyError):
+        ag.position_by_label("no such label")
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_ag_indexes_match_scans(case):
+    _signed, ag = _signed_and_ag(case)
+    _assert_ag_indexes_match_scans(ag)
+    rng = random.Random(str(case))
+    for _ in range(3):
+        ag = _random_reorder(ag, rng)
+        _assert_ag_indexes_match_scans(ag)
+
+
+def test_ag_indexes_survive_a_reorder_that_moves_an_edge():
+    _signed, ag = _signed_and_ag("depth1")
+    swapped = reorder_within_types(ag, {"-": (2, 1), "0": (6, 5, 4, 3, 2, 1)})
+    assert swapped.edges != ag.edges
+    _assert_ag_indexes_match_scans(swapped)
+
+
+def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
+    # the queries answer as the scans did: neighbors ascending and once per
+    # edge, the first edge of a pair and the first vertex of a label win
+    kinds = [("a", "-"), ("b", "0"), ("a", "+"), ("c", "0")]
+    vertices = tuple(
+        AGVertex(label=label, vtype=t, origin=("region", i))
+        for i, (label, t) in enumerate(kinds)
+    )
+    edges = (
+        AGEdge(2, 3, 1), AGEdge(0, 3, 2), AGEdge(1, 2, 1),
+        AGEdge(0, 1, 3), AGEdge(0, 3, 5), AGEdge(0, 2, 1),
+    )
+    ag = AGDiagram(vertices=vertices, edges=edges)
+    _assert_ag_indexes_match_scans(ag)
+    assert ag.neighbors(0) == [1, 2, 3, 3]
+    assert ag.multiplicity(3, 0) == 2
+    assert ag.position_by_label("a") == 0
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_face_across_agrees_with_edge_side_faces(case):
+    divide = _divide(case)
+    faces = trace_faces(divide)
+    seen = set()
+    for e in divide.edges:
+        left, right = edge_side_faces(divide, faces, e)
+        (u, su), (v, sv) = e.ends
+        assert faces.face_across(u, su) == right
+        assert faces.face_across(v, sv) == left
+        seen.update(e.ends)
+    darts = {(v, s) for v in divide.double_points for s in range(DOUBLE_POINT_DEGREE)}
+    darts |= {(t, 0) for t in divide.terminals}
+    assert seen == darts == set(faces.across)
+
+
+def _exposure_by_scans(signed, ag):
+    """The exposure rule with the face across each dart found by a scan."""
+    faces, edges = signed.faces, signed.divide.edges
+    outer = set(faces.outer_indices)
+    outer_vertices = {v for f in outer for v in faces.faces[f].vertices()}
+    exposed = set()
+    for pos, vx in enumerate(ag.vertices):
+        kind, origin = vx.origin
+        if kind == "double_point":
+            hit = any(faces.face_of_dart(origin, s) in outer for s in range(4))
+        else:
+            face = faces.faces[origin]
+            across = [
+                faces.face_of_dart(*e.ends[1 - k])
+                for d in face.darts() for e in edges for k in (0, 1) if e.ends[k] == d
+            ]
+            hit = bool(outer & set(across)) or bool(outer_vertices & set(face.vertices()))
+        if hit:
+            exposed.add(pos)
+    return frozenset(exposed)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_exposure_set_matches_scans(case):
+    signed, ag = _signed_and_ag(case)
+    assert exposure_set(signed, ag) == _exposure_by_scans(signed, ag)
+
+
+def _depths_by_bfs(ag, exposed):
+    """Breadth-first distances over an edge list read directly."""
+    adjacent = [[] for _ in range(ag.mu)]
+    for e in ag.edges:
+        adjacent[e.u].append(e.v)
+        adjacent[e.v].append(e.u)
+    depth = [None] * ag.mu
+    queue = deque(exposed)
+    for p in exposed:
+        depth[p] = 0
+    while queue:
+        p = queue.popleft()
+        for q in adjacent[p]:
+            if depth[q] is None:
+                depth[q] = depth[p] + 1
+                queue.append(q)
+    return tuple(depth)
+
+
+@pytest.mark.parametrize("case", ["a2000", (12, 0)], ids=str)
+def test_depth_labels_match_bfs_on_large_diagrams(case):
+    divide = gen_a(2000).divide if case == "a2000" else _divide(case)
+    signed = assign_signs(divide, trace_faces(divide))
+    ag = build_ag(signed)
+    exposed = exposure_set(signed, ag)
+    # the real exposed set, then a single exposed vertex, which makes the
+    # distances large on the path-shaped A_2000 diagram
+    for seeds in (exposed, frozenset({0})):
+        got = depth_labels(ag, seeds)
+        assert got.depth == _depths_by_bfs(ag, seeds)
+        assert got.diagram_depth == max(got.depth)
+    if case == "a2000":
+        assert depth_labels(ag, frozenset({0})).diagram_depth > 1000
+    else:
+        assert depth_labels(ag, exposed).diagram_depth >= 2
