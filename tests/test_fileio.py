@@ -136,7 +136,7 @@ _POLYLINE_FILE = {
 
 
 def _slots(value, path=()):
-    """Every (path) to a value nested in a JSON object, the root excluded."""
+    """The path to every value nested in a JSON object, the root excluded."""
     items = value.items() if isinstance(value, dict) else enumerate(value)
     for key, child in items:
         yield path + (key,)
@@ -147,10 +147,8 @@ def _slots(value, path=()):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(["e6", "a3", "polyline"]), st.data())
 def test_parse_divide_total_on_a_valid_file_with_one_value_replaced(base, data):
-    obj = _POLYLINE_FILE if base == "polyline" else json.loads(
-        divide_to_text(entry(base).divide)
-    )
-    obj = json.loads(json.dumps(obj))
+    text = json.dumps(_POLYLINE_FILE) if base == "polyline" else divide_to_text(entry(base).divide)
+    obj = json.loads(text)
     path = data.draw(st.sampled_from(list(_slots(obj))))
     parent = obj
     for key in path[:-1]:

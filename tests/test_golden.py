@@ -10,7 +10,6 @@ writes.  To rewrite the golden files after an intended change of the report:
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -75,4 +74,3 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (text, reorder) in CASES.items():
         (GOLDEN / f"{name}.report.json").write_text(report_text(text, reorder))
-    sys.exit(0)
