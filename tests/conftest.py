@@ -45,8 +45,8 @@ def corpus_names():
     return CORPUS_NAMES
 
 
-def generic_chords(k: int, seed: int):
-    """A divide of k straight chords that cross pairwise inside the disc.
+def chord_polylines(k: int, seed: int) -> dict:
+    """The ``ingest_polyline`` arguments of k straight chords crossing pairwise.
 
     Chord i runs through a point near the centre in a direction near
     i * pi / k, so every pair crosses; a draw is kept only when it ingests
@@ -62,11 +62,21 @@ def generic_chords(k: int, seed: int):
             cx, cy = rng.randint(-k, k), rng.randint(-k, k)
             branches.append(([(cx - dx, cy - dy), (cx + dx, cy + dy)], False))
         witness = (rng.randint(-reach // 3, reach // 3), rng.randint(-reach // 3, reach // 3))
+        kwargs = {
+            "branches": branches,
+            "disc_radius": reach * 2 // 3,
+            "seed_point": witness,
+            "seed_sign": rng.choice((1, -1)),
+            "name": f"chords{k}",
+        }
         try:
-            divide = ingest_polyline(
-                branches, reach * 2 // 3, witness, rng.choice((1, -1)), name=f"chords{k}"
-            )
+            divide = ingest_polyline(**kwargs)
         except DivideError:
             continue
         if len(divide.double_points) == k * (k - 1) // 2:
-            return divide
+            return kwargs
+
+
+def generic_chords(k: int, seed: int):
+    """The divide of ``chord_polylines(k, seed)``."""
+    return ingest_polyline(**chord_polylines(k, seed))
