@@ -1,28 +1,34 @@
 """Exact-geometry ingestion of integer polylines into combinatorial divides.
 
-All segment intersections are computed over Q (fractions.Fraction).  Disc
-boundary crossings are quadratic irrationals; their angular order is decided
-exactly with sign computations in Q(sqrt(D1), sqrt(D2)).  No floating point
-is used anywhere.
+Points stay integer pairs.  Each pair of segments is decided with integer
+cross products; a ``Fraction`` is built only for a real crossing, its point
+(which names and orders it) and its parameter along each segment.  The rotation
+at a crossing follows from the signs of the two segment directions.  Disc
+boundary crossings are quadratic irrationals, kept as integer ``QuadPoint``s;
+their angular order is decided exactly with sign computations in
+Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .core import Divide, DivideError, EdgeDef, SignSeed, validate_divide
 
-Vec = tuple[Fraction, Fraction]
+Rational = Union[int, Fraction]
+Vec = tuple[Rational, Rational]
+IntPoint = tuple[int, int]
 
 
-def _cross(a: Vec, b: Vec) -> Fraction:
+def _cross(a: Vec, b: Vec) -> Rational:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Vec, b: Vec) -> Fraction:
+def _dot(a: Vec, b: Vec) -> Rational:
     return a[0] * b[0] + a[1] * b[1]
 
 
@@ -30,11 +36,11 @@ def _sub(a: Vec, b: Vec) -> Vec:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _norm2(a: Vec) -> Fraction:
+def _norm2(a: Vec) -> Rational:
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -42,7 +48,7 @@ def _sign(x: Fraction) -> int:
 # Signs of expressions a + b*sqrt(D) and p + q*sqrt(D1) + r*sqrt(D2) + s*sqrt(D1*D2)
 
 
-def sign_quad(a: Fraction, b: Fraction, d: Fraction) -> int:
+def sign_quad(a: Rational, b: Rational, d: Rational) -> int:
     """Exact sign of a + b*sqrt(d) for d >= 0."""
     if d < 0:
         raise ValueError("negative radicand")
@@ -60,7 +66,7 @@ def sign_quad(a: Fraction, b: Fraction, d: Fraction) -> int:
 
 
 def sign_quad2(
-    p: Fraction, q: Fraction, r: Fraction, s: Fraction, d1: Fraction, d2: Fraction
+    p: Rational, q: Rational, r: Rational, s: Rational, d1: Rational, d2: Rational
 ) -> int:
     """Exact sign of p + q*sqrt(d1) + r*sqrt(d2) + s*sqrt(d1*d2)."""
     sx = sign_quad(p, q, d1)
@@ -84,11 +90,11 @@ def sign_quad2(
 class QuadPoint:
     """Point with coordinates (ax + bx*sqrt(d), ay + by*sqrt(d))."""
 
-    ax: Fraction
-    bx: Fraction
-    ay: Fraction
-    by: Fraction
-    d: Fraction
+    ax: Rational
+    bx: Rational
+    ay: Rational
+    by: Rational
+    d: Rational
 
     def half(self) -> int:
         sy = sign_quad(self.ay, self.by, self.d)
@@ -117,80 +123,57 @@ def compare_circle_points(p: QuadPoint, q: QuadPoint) -> int:
     return -c  # cross > 0 means p at the smaller angle
 
 
-def _compare_rational_dirs(u: Vec, v: Vec) -> int:
-    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    if hu != hv:
-        return -1 if hu < hv else 1
-    return -_sign(_cross(u, v))
-
-
 # ---------------------------------------------------------------------------
-# Segment events
-
-IntPoint = tuple[int, int]
+# Segments
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _Seg:
     branch: int
-    index: int  # position along the branch
-    a: Vec
-    b: Vec
-
-    @property
-    def d(self) -> Vec:
-        return _sub(self.b, self.a)
+    a: IntPoint
+    b: IntPoint
+    d: IntPoint  # b - a
 
     def at(self, t: Fraction) -> Vec:
         return (self.a[0] + t * self.d[0], self.a[1] + t * self.d[1])
 
 
-def _adjacent(s1: _Seg, s2: _Seg, n_segs: int, closed: bool) -> bool:
-    if s1.branch != s2.branch:
-        return False
-    di = abs(s1.index - s2.index)
-    if di == 1:
-        return True
-    return closed and di == n_segs - 1
+def _upper(v: IntPoint) -> bool:
+    """Whether v points into the half-plane of angles [0, pi)."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
 
 
-def _boundary_root(seg: _Seg, r2: Fraction, outward: bool) -> tuple[Fraction, Fraction, Fraction]:
-    """Clip parameter t* on a segment crossing the circle |p|^2 = r2.
+def _out_slots(di: IntPoint, dj: IntPoint) -> tuple[int, int]:
+    """Slots of the outgoing directions di and dj among the four ends of a
+    crossing, counted counterclockwise from angle 0.
 
-    Returns (alpha, beta, disc) with t* = alpha + beta*sqrt(disc); the minus
-    root is the inward->outward ... for outward=False the segment runs
-    outside->inside (take the smaller root), outward=True inside->outside
-    (take the larger root).
+    Let ui be whichever of +-di points into [0, pi), likewise uj.  The four
+    directions run ui, uj, -ui, -uj when ui has the smaller angle, that is
+    when cross(ui, uj) > 0, and uj, ui, -uj, -ui otherwise.  The incoming
+    end of a segment sits opposite its outgoing one, at slot (out + 2) % 4.
     """
-    d = seg.d
-    aq = _norm2(d)
-    bq = 2 * _dot(seg.a, d)
-    cq = _norm2(seg.a) - r2
-    disc = bq * bq - 4 * aq * cq
+    ei, ej = (1 if _upper(di) else -1), (1 if _upper(dj) else -1)
+    first_i = ei * ej * _cross(di, dj) > 0
+    out_i = (0 if first_i else 1) + (0 if ei > 0 else 2)
+    out_j = (1 if first_i else 0) + (0 if ej > 0 else 2)
+    return out_i, out_j
+
+
+def _terminal(seg: _Seg, r2: int, outward: bool) -> QuadPoint:
+    """Where the segment meets the circle |p|^2 = r2, scaled by 2|d|^2 > 0.
+
+    The meeting parameter is t = (-bq +- sqrt(disc)) / (2 aq), the larger
+    root when the segment runs outward, the smaller when it runs inward.  A
+    positive scale leaves the angular order of terminals unchanged.
+    """
+    (ax, ay), (dx, dy) = seg.a, seg.d
+    aq = dx * dx + dy * dy
+    bq = 2 * (ax * dx + ay * dy)
+    disc = bq * bq - 4 * aq * (ax * ax + ay * ay - r2)
     if disc <= 0:
         raise DivideError("segment does not cross the disc boundary transversely")
-    alpha = Fraction(-bq, 2 * aq)
-    beta = Fraction(1 if outward else -1, 2 * aq)
-    return alpha, beta, disc
-
-
-def _terminal_point(seg: _Seg, root: tuple[Fraction, Fraction, Fraction]) -> QuadPoint:
-    alpha, beta, disc = root
-    d = seg.d
-    return QuadPoint(
-        ax=seg.a[0] + d[0] * alpha,
-        bx=d[0] * beta,
-        ay=seg.a[1] + d[1] * alpha,
-        by=d[1] * beta,
-        d=disc,
-    )
-
-
-def _cmp_rational_vs_root(t: Fraction, root: tuple[Fraction, Fraction, Fraction]) -> int:
-    """Sign of t - (alpha + beta*sqrt(disc))."""
-    alpha, beta, disc = root
-    return sign_quad(t - alpha, -beta, disc)
+    root = 1 if outward else -1
+    return QuadPoint(2 * aq * ax - bq * dx, root * dx, 2 * aq * ay - bq * dy, root * dy, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +202,12 @@ def ingest_polyline(
     """
     if disc_radius <= 0:
         raise DivideError("disc_radius must be positive")
-    r2 = Fraction(disc_radius) ** 2
+    r2 = disc_radius * disc_radius
 
     segs: list[_Seg] = []
-    branch_meta: list[dict] = []
+    spans: list[tuple[int, int, bool]] = []  # (first segment, count, closed)
     for b_idx, (points, closed) in enumerate(branches):
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
+        pts = [(x, y) for x, y in points]
         if closed:
             if len(pts) < 3:
                 raise DivideError(f"closed polyline {b_idx} needs at least 3 points")
@@ -232,7 +215,7 @@ def ingest_polyline(
                 raise DivideError(
                     f"closed polyline {b_idx} must lie strictly inside the disc"
                 )
-            chain = pts + [pts[0]]
+            pts.append(pts[0])
         else:
             if len(pts) < 2:
                 raise DivideError(f"open polyline {b_idx} needs at least 2 points")
@@ -244,209 +227,132 @@ def ingest_polyline(
                 raise DivideError(
                     f"open polyline {b_idx} interior vertices must be strictly inside"
                 )
-            chain = pts
-        first = len(segs)
-        for i in range(len(chain) - 1):
-            if chain[i] == chain[i + 1]:
+        spans.append((len(segs), len(pts) - 1, closed))
+        for a, b in zip(pts, pts[1:]):
+            if a == b:
                 raise DivideError(f"polyline {b_idx} repeats a point consecutively")
-            segs.append(_Seg(branch=b_idx, index=i, a=chain[i], b=chain[i + 1]))
-        branch_meta.append(
-            {"closed": closed, "first": first, "count": len(chain) - 1}
-        )
+            segs.append(_Seg(b_idx, a, b, _sub(b, a)))
 
     # Fold-back overlap on adjacent segments.
-    for meta in branch_meta:
-        lo, n = meta["first"], meta["count"]
-        for k in range(n if meta["closed"] else n - 1):
-            s1 = segs[lo + k]
-            s2 = segs[lo + (k + 1) % n]
-            if _cross(s1.d, s2.d) == 0 and _dot(s1.d, s2.d) < 0:
+    for first, count, closed in spans:
+        for k in range(count if closed else count - 1):
+            d1, d2 = segs[first + k].d, segs[first + (k + 1) % count].d
+            if _cross(d1, d2) == 0 and _dot(d1, d2) < 0:
                 raise DivideError("tangency or overlapping segments")
 
-    # Pairwise intersections.
-    crossings: dict[Vec, list[tuple[int, Fraction, int, Fraction]]] = {}
-    for i in range(len(segs)):
+    # Pairwise intersections, decided in integers: with w = a2 - a1 the
+    # lines meet at a1 + (ns/den) d1 = a2 + (nt/den) d2, den > 0.
+    crossings: dict[tuple[Fraction, Fraction], list[tuple[int, Fraction, int, Fraction]]] = {}
+    for i, s1 in enumerate(segs):
+        _first, count, closed = spans[s1.branch]
+        (ax, ay), d1 = s1.a, s1.d
         for j in range(i + 1, len(segs)):
-            s1, s2 = segs[i], segs[j]
-            n1 = branch_meta[s1.branch]["count"]
-            if _adjacent(s1, s2, n1, branch_meta[s1.branch]["closed"]):
-                continue
-            d1, d2 = s1.d, s2.d
-            denom = _cross(d1, d2)
+            s2 = segs[j]
+            if s2.branch == s1.branch and (j - i == 1 or (closed and j - i == count - 1)):
+                continue  # adjacent segments
+            d2 = s2.d
+            den = _cross(d1, d2)
             w = _sub(s2.a, s1.a)
-            if denom == 0:
+            if den == 0:
                 if _cross(d1, w) != 0:
                     continue  # parallel, disjoint lines
                 # collinear: check overlap along d1
-                t0 = _dot(w, d1)
-                t1 = _dot(_sub(s2.b, s1.a), d1)
+                t0, t1 = _dot(w, d1), _dot(_sub(s2.b, s1.a), d1)
                 lo, hi = min(t0, t1), max(t0, t1)
                 if hi < 0 or lo > _norm2(d1):
                     continue
                 if hi == 0 or lo == _norm2(d1):
                     raise DivideError("intersection at a polyline vertex")
                 raise DivideError("tangency or overlapping segments")
-            s = _cross(w, d2) / denom
-            t = _cross(w, d1) / denom
-            if s < 0 or s > 1 or t < 0 or t > 1:
+            ns, nt = _cross(w, d2), _cross(w, d1)
+            if den < 0:
+                den, ns, nt = -den, -ns, -nt
+            if not (0 <= ns <= den and 0 <= nt <= den):
                 continue
-            p = s1.at(s)
-            pn = _norm2(p)
-            if pn > r2:
+            px, py = ax * den + ns * d1[0], ay * den + ns * d1[1]
+            pn, rn = px * px + py * py, r2 * den * den
+            if pn > rn:
                 continue  # outside the disc; not part of the divide
-            if pn == r2:
+            if pn == rn:
                 raise DivideError("intersection on the disc boundary")
-            if s in (0, 1) or t in (0, 1):
+            if ns in (0, den) or nt in (0, den):
                 raise DivideError("intersection at a polyline vertex")
-            crossings.setdefault(p, []).append((i, s, j, t))
+            p = (Fraction(px, den), Fraction(py, den))
+            crossings.setdefault(p, []).append((i, Fraction(ns, den), j, Fraction(nt, den)))
 
     for p, recs in crossings.items():
         if len(recs) > 1:
             raise DivideError(f"triple point at ({p[0]}, {p[1]})")
 
+    # Events per segment: (parameter, crossing id, slot of the outgoing end).
     points_sorted = sorted(crossings)
-    xid = {p: f"x{k}" for k, p in enumerate(points_sorted)}
+    seg_events: list[list[tuple[Fraction, str, int]]] = [[] for _ in segs]
+    for k, p in enumerate(points_sorted):
+        ((i, s, j, t),) = crossings[p]
+        out_i, out_j = _out_slots(segs[i].d, segs[j].d)
+        seg_events[i].append((s, f"x{k}", out_i))
+        seg_events[j].append((t, f"x{k}", out_j))
+    for events in seg_events:
+        events.sort()
 
-    # Events per segment: crossings with rational params.
-    seg_events: dict[int, list[tuple[Fraction, str]]] = {k: [] for k in range(len(segs))}
-    for p, recs in crossings.items():
-        (i, s, j, t) = recs[0]
-        seg_events[i].append((s, xid[p]))
-        seg_events[j].append((t, xid[p]))
-    for k in seg_events:
-        seg_events[k].sort(key=lambda e: e[0])
-
-    # Terminal events (boundary clips) per open branch.  Crossings on the
-    # out-of-disc side of a clip were already skipped by the |P|^2 > R^2 test.
-    terminal_records = []  # (branch, "start"|"end", seg index, root, QuadPoint)
-    for b_idx, meta in enumerate(branch_meta):
-        if meta["closed"]:
-            continue
-        k_first = meta["first"]
-        k_last = meta["first"] + meta["count"] - 1
-        root_in = _boundary_root(segs[k_first], r2, outward=False)
-        root_out = _boundary_root(segs[k_last], r2, outward=True)
-        terminal_records.append(
-            (b_idx, "start", k_first, root_in, _terminal_point(segs[k_first], root_in))
-        )
-        terminal_records.append(
-            (b_idx, "end", k_last, root_out, _terminal_point(segs[k_last], root_out))
-        )
-
-    # Terminal ids in CCW angular order.
+    # Terminals (boundary clips) of each open branch, in CCW angular order.
+    # Crossings on the out-of-disc side of a clip were already skipped.
+    ends: list[tuple[int, bool]] = []  # (branch, whether the end terminal)
+    clips: list[QuadPoint] = []
+    for b_idx, (first, count, closed) in enumerate(spans):
+        if not closed:
+            ends += [(b_idx, False), (b_idx, True)]
+            last = segs[first + count - 1]
+            clips += [_terminal(segs[first], r2, False), _terminal(last, r2, True)]
     order = sorted(
-        range(len(terminal_records)),
-        key=functools.cmp_to_key(
-            lambda i, j: compare_circle_points(terminal_records[i][4], terminal_records[j][4])
-        ),
+        range(len(clips)),
+        key=functools.cmp_to_key(lambda a, b: compare_circle_points(clips[a], clips[b])),
     )
     for a, b in zip(order, order[1:]):
-        if compare_circle_points(terminal_records[a][4], terminal_records[b][4]) == 0:
+        if compare_circle_points(clips[a], clips[b]) == 0:
             raise DivideError("coincident boundary terminals")
-    tid_by_record = {rec_idx: f"t{pos}" for pos, rec_idx in enumerate(order)}
-    terminal_ids = [f"t{pos}" for pos in range(len(order))]
-    term_lookup = {
-        (terminal_records[rec_idx][0], terminal_records[rec_idx][1]): tid_by_record[rec_idx]
-        for rec_idx in range(len(terminal_records))
-    }
+    terminal_id = {ends[rec]: f"t{pos}" for pos, rec in enumerate(order)}
 
-    # Walks: build edges with geometric support pieces.
+    # Walk each branch once: an edge runs from one stop's outgoing end to the
+    # next stop's incoming end.
     edges: list[EdgeDef] = []
-    edge_pieces: dict[str, list[tuple[int, Optional[Fraction], Optional[Fraction]]]] = {}
     branch_edge_ids: list[list[str]] = []
-    # direction of each edge end at a crossing: (crossing id, direction vector)
-    end_dirs: dict[str, list[tuple[str, Vec, int]]] = {}  # crossing -> (edge, dir, end#)
-
-    def seg_dir(k: int) -> Vec:
-        return segs[k].d
-
-    edge_counter = 0
-    for b_idx, meta in enumerate(branch_meta):
-        lo, n = meta["first"], meta["count"]
-        events: list[tuple[int, Fraction, str]] = []  # (seg, t, crossing id)
-        for k in range(lo, lo + n):
-            for t, node in seg_events[k]:
-                events.append((k, t, node))
-        events.sort(key=lambda e: (e[0], e[1]))
-        if meta["closed"]:
+    branch_stops: list[list[tuple[int, Fraction]]] = []  # (segment, t) per crossing
+    for b_idx, (first, count, closed) in enumerate(spans):
+        events = [(k, t, vid, slot) for k in range(first, first + count)
+                  for t, vid, slot in seg_events[k]]
+        outs = [(vid, slot) for _k, _t, vid, slot in events]
+        ins = [(vid, (slot + 2) % 4) for _k, _t, vid, slot in events]
+        if closed:
             if not events:
                 raise DivideError(
                     f"closed polyline {b_idx} has no crossings and cannot be encoded"
                 )
-            cyc = [(k, t, ("crossing", node)) for (k, t, node) in events]
-            cyc = cyc + [cyc[0]]
+            ins = ins[1:] + ins[:1]
         else:
-            cyc = (
-                [(lo, None, ("terminal", term_lookup[(b_idx, "start")]))]
-                + [(k, t, ("crossing", node)) for (k, t, node) in events]
-                + [(lo + n - 1, None, ("terminal", term_lookup[(b_idx, "end")]))]
-            )
-
-        ids_here = []
-        for (k1, t1, node1), (k2, t2, node2) in zip(cyc, cyc[1:]):
-            eid = f"e{edge_counter}"
-            edge_counter += 1
-            ids_here.append(eid)
-            pieces: list[tuple[int, Optional[Fraction], Optional[Fraction]]] = []
-            if meta["closed"] and (k2, t2) <= (k1, t1):
-                # wrap-around piece of a closed branch
-                pieces.append((k1, t1, None))
-                for k in range(k1 + 1, lo + n):
-                    pieces.append((k, None, None))
-                for k in range(lo, k2):
-                    pieces.append((k, None, None))
-                pieces.append((k2, None, t2))
-            elif k1 == k2:
-                pieces.append((k1, t1, t2))
-            else:
-                pieces.append((k1, t1, None))
-                for k in range(k1 + 1, k2):
-                    pieces.append((k, None, None))
-                pieces.append((k2, None, t2))
-            edge_pieces[eid] = pieces
-            ends = []
-            for which, (k, t, node) in (("out", (k1, t1, node1)), ("in", (k2, t2, node2))):
-                kind, vid = node
-                if kind == "terminal":
-                    ends.append((vid, 0))
-                else:
-                    d = seg_dir(k)
-                    direction = d if which == "out" else (-d[0], -d[1])
-                    end_dirs.setdefault(vid, []).append((eid, direction, len(ends)))
-                    ends.append((vid, -1))  # slot filled later
-            edges.append(EdgeDef(id=eid, ends=(ends[0], ends[1])))
-        branch_edge_ids.append(ids_here)
-
-    # Rotation: sort the four directions CCW at every crossing.
-    slot_fix: dict[tuple[str, int], tuple[str, int]] = {}
-    for vid in sorted(end_dirs):
-        entries = end_dirs[vid]
-        if len(entries) != 4:
-            raise DivideError(f"crossing {vid} has {len(entries)} incident ends")
-        ordered = sorted(
-            entries, key=functools.cmp_to_key(lambda a, b: _compare_rational_dirs(a[1], b[1]))
-        )
-        for slot, (eid, _direction, end_pos) in enumerate(ordered):
-            slot_fix[(eid, end_pos)] = (vid, slot)
-    fixed_edges = []
-    for e in edges:
-        ends = list(e.ends)
-        for pos in (0, 1):
-            if ends[pos][1] == -1:
-                ends[pos] = slot_fix[(e.id, pos)]
-        fixed_edges.append(EdgeDef(id=e.id, ends=(ends[0], ends[1])))
-    edges = fixed_edges
+            outs.insert(0, (terminal_id[(b_idx, False)], 0))
+            ins.append((terminal_id[(b_idx, True)], 0))
+        ids = []
+        for out_end, in_end in zip(outs, ins):
+            ids.append(f"e{len(edges)}")
+            edges.append(EdgeDef(id=ids[-1], ends=(out_end, in_end)))
+        branch_edge_ids.append(ids)
+        branch_stops.append([(k, t) for k, t, _vid, _slot in events])
 
     # Seed: locate the witness face by exact ray casting.
-    seed = _resolve_seed(segs, len(crossings), edges, edge_pieces, r2, seed_point, seed_sign)
+    k, t, side = _resolve_seed(segs, len(crossings), r2, seed_point)
+    b_idx = segs[k].branch
+    ids = branch_edge_ids[b_idx]
+    before = bisect_left(branch_stops[b_idx], (k, t))
+    hit_edge = ids[(before - 1) % len(ids)] if spans[b_idx][2] else ids[before]
 
     divide = Divide(
         name=name,
-        double_points=tuple(xid[p] for p in points_sorted),
-        terminals=tuple(terminal_ids),
+        double_points=tuple(f"x{k}" for k in range(len(points_sorted))),
+        terminals=tuple(f"t{pos}" for pos in range(len(order))),
         edges=tuple(edges),
         branches=tuple(tuple(ids) for ids in branch_edge_ids),
-        sign_seed=seed,
+        sign_seed=SignSeed(edge=hit_edge, side=side, sign=seed_sign),
     )
     diags = validate_divide(divide)
     if diags:
@@ -455,21 +361,14 @@ def ingest_polyline(
 
 
 def _resolve_seed(
-    segs: list[_Seg],
-    n_crossings: int,
-    edges: list[EdgeDef],
-    edge_pieces: dict[str, list[tuple[int, Optional[Fraction], Optional[Fraction]]]],
-    r2: Fraction,
-    seed_point: IntPoint,
-    seed_sign: int,
-) -> SignSeed:
-    w: Vec = (Fraction(seed_point[0]), Fraction(seed_point[1]))
+    segs: list[_Seg], n_crossings: int, r2: int, w: IntPoint
+) -> tuple[int, Fraction, str]:
+    """(segment, parameter, side of the witness) of the first clean ray hit."""
     if _norm2(w) >= r2:
         raise DivideError("witness point must lie strictly inside the disc")
     for seg in segs:
-        d = seg.d
         u = _sub(w, seg.a)
-        if _cross(d, u) == 0 and 0 <= _dot(u, d) <= _norm2(d) and _norm2(w) < r2:
+        if _cross(seg.d, u) == 0 and 0 <= _dot(u, seg.d) <= _norm2(seg.d):
             raise DivideError("witness point on a curve")
 
     # Crossings plus a bound on the polyline vertices inside the disc.
@@ -483,20 +382,12 @@ def _resolve_seed(
             "witness face could not be anchored: no ray from the witness meets the divide"
         )
     k, t = hit
-    hit_edge = next(
-        e
-        for e in edges
-        if any(
-            seg_idx == k and (plo is None or plo < t) and (phi is None or t < phi)
-            for seg_idx, plo, phi in edge_pieces[e.id]
-        )
-    )
     seg = segs[k]
     side = "left" if _cross(seg.d, _sub(w, seg.a)) > 0 else "right"
-    return SignSeed(edge=hit_edge.id, side=side, sign=seed_sign)
+    return k, t, side
 
 
-def _ray_directions(segs: list[_Seg], r2: Fraction, w: Vec, n_bad: int) -> Iterator[Vec]:
+def _ray_directions(segs: list[_Seg], r2: int, w: IntPoint, n_bad: int) -> Iterator[Vec]:
     """Ray directions to try from the witness w, in order.
 
     The two vertical directions come first.  Then come n_bad + 1 rays aimed
@@ -512,7 +403,7 @@ def _ray_directions(segs: list[_Seg], r2: Fraction, w: Vec, n_bad: int) -> Itera
         if _cross(d, _sub(w, seg.a)) == 0:
             continue
         # the point of the segment nearest the centre
-        t = min(max(-_dot(seg.a, d) / _norm2(d), Fraction(0)), Fraction(1))
+        t = min(max(Fraction(-_dot(seg.a, d), _norm2(d)), Fraction(0)), Fraction(1))
         if _norm2(seg.at(t)) >= r2:
             continue  # the segment misses the open disc
         step = (1 - t) / 2 if t < 1 else -t / 2
@@ -524,13 +415,14 @@ def _ray_directions(segs: list[_Seg], r2: Fraction, w: Vec, n_bad: int) -> Itera
 
 
 def _first_hit(
-    segs: list[_Seg], r2: Fraction, w: Vec, v: Vec
+    segs: list[_Seg], r2: int, w: IntPoint, v: Vec
 ) -> Optional[tuple[int, Fraction]]:
     """First point where the ray w + s*v, s > 0, meets the divide inside the disc.
 
-    Returns (segment index, parameter t) when that point lies strictly inside
-    one segment.  Returns None when the ray leaves the disc without meeting
-    the divide, or when its first contact is a crossing or a polyline vertex.
+    The direction v has Fraction coordinates.  Returns (segment index,
+    parameter t) when that point lies strictly inside one segment.  Returns
+    None when the ray leaves the disc without meeting the divide, or when its
+    first contact is a crossing or a polyline vertex.
     """
     contacts: list[tuple[Fraction, int, Optional[Fraction]]] = []
     for k, seg in enumerate(segs):
