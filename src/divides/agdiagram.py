@@ -152,9 +152,11 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
     """Vertices whose double point or region closure meets an outer face.
 
     A saddle is exposed when one of its quadrants is an outer-adjacent face;
-    a region vertex when its closure shares an edge or a double point with
-    an outer-adjacent face.  O(V + E): each dart is looked at a bounded
-    number of times, through the face-across-the-edge index of the faces.
+    a region vertex when its closure shares a double point with an
+    outer-adjacent face.  Sharing an edge needs no clause of its own: a
+    bounded region never touches a terminal, so both ends of an edge it
+    shares with an outer face are double points of both.  O(V + E): each
+    dart is looked at a bounded number of times.
     """
     faces = signed.faces
     outer = set(faces.outer_indices)
@@ -170,17 +172,8 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
             quads = {faces.face_of_dart(origin, s) for s in range(DOUBLE_POINT_DEGREE)}
             if quads & outer:
                 exposed.add(pos)
-        else:
-            face = faces.faces[origin]
-            hit = False
-            for v, s in face.darts():
-                if faces.face_across(v, s) in outer:
-                    hit = True
-                    break
-            if not hit and set(face.vertices()) & outer_vertices:
-                hit = True
-            if hit:
-                exposed.add(pos)
+        elif set(faces.faces[origin].vertices()) & outer_vertices:
+            exposed.add(pos)
     return frozenset(exposed)
 
 

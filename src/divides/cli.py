@@ -187,7 +187,7 @@ def cmd_corpus_run(args) -> int:
             print(f"  {entry.name}: {p}", file=sys.stderr)
     for name, path in custom:
         t0 = time.perf_counter()
-        divide, diags = parse_divide(Path(path).read_text())
+        divide, diags = parse_divide(_read(path).decode("utf-8", errors="replace"))
         if divide is None:
             ok = False
             for d in diags:

@@ -252,26 +252,21 @@ class Face:
 class FaceSet:
     """Faces of the complement, as orbits of the next-at-face permutation.
 
-    ``dart_face`` maps each dart (vertex, slot) to the face it bounds, and
-    ``across`` maps it to the face on the other side of its edge: the face of
-    its twin, the dart at the edge's other end.  Both are built once here.
+    ``dart_face`` maps each dart (vertex, slot) to the face it bounds; it is
+    built once here.
     """
 
-    def __init__(self, faces: tuple[Face, ...], twin: dict[End, End]):
+    def __init__(self, faces: tuple[Face, ...]):
         self.faces = faces
         self.dart_face: dict[End, int] = {}
         for f in faces:
             for d in f.darts():
                 self.dart_face[d] = f.index
-        self.across = {d: self.dart_face[t] for d, t in twin.items()}
         self.region_indices = tuple(f.index for f in faces if f.is_region)
         self.outer_indices = tuple(f.index for f in faces if f.outer)
 
     def face_of_dart(self, vertex: str, slot: int) -> int:
         return self.dart_face[(vertex, slot)]
-
-    def face_across(self, vertex: str, slot: int) -> int:
-        return self.across[(vertex, slot)]
 
 
 def trace_faces(divide: Divide) -> FaceSet:
@@ -340,7 +335,7 @@ def trace_faces(divide: Divide) -> FaceSet:
             "rotation system not planar-consistent: Euler relation fails "
             f"(V={n_v}, E={n_e}, F={len(faces)}); offending orbit {faces[0].items}"
         )
-    return FaceSet(tuple(faces), twin)
+    return FaceSet(tuple(faces))
 
 
 def edge_side_faces(divide: Divide, faces: FaceSet, edge: EdgeDef) -> tuple[int, int]:

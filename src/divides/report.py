@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import adapted as adapted_mod
 from . import agdiagram as ag_mod
@@ -243,67 +243,55 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def _ag_edges(result: PipelineResult) -> list[tuple[str, str, int]]:
+    labels = [v.label for v in result.ag.vertices]
+    return sorted((labels[e.u], labels[e.v], e.multiplicity) for e in result.ag.edges)
+
+
+# Expected fact -> its value in a pipeline result.
+_FACTS: dict[str, Callable[[PipelineResult], object]] = {
+    "d": lambda res: res.inv.d,
+    "r": lambda res: res.inv.r,
+    "mu": lambda res: res.inv.mu,
+    "n_regions": lambda res: res.inv.n_regions,
+    "genus": lambda res: res.inv.genus,
+    "boundary_components": lambda res: res.inv.boundary_components,
+    "census": lambda res: res.ag.census(),
+    "ag_edges": _ag_edges,
+    "depths": lambda res: {
+        v.label: res.depths.depth[i] for i, v in enumerate(res.ag.vertices)
+    },
+    "region_signs": lambda res: tuple(
+        res.signed.sign[f] for f in res.signed.faces.region_indices
+    ),
+    "euler_arrow_count": lambda res: len(res.quiver.arrows),
+    "diagram_depth": lambda res: res.depths.diagram_depth,
+}
+
+# Facts listed in any order, as lists or tuples; compared as sorted tuples.
+_UNORDERED = {"ag_edges"}
+
+_VERDICTS: tuple[tuple[Callable[[PipelineResult], bool], str], ...] = (
+    (lambda res: res.suite.passed, "identity suite failed"),
+    (lambda res: res.adapted_verdict.passed, "adapted-family variation check failed"),
+    (lambda res: res.certificate.passed, "exceptional certificate failed"),
+    (lambda res: all(c.passed for c in res.cones), "depth-1 cone check failed"),
+)
+
+
 def check_entry(entry: CorpusEntry) -> list[str]:
     """Certify a corpus entry: pipeline verdicts plus expected-fact matches."""
-    problems: list[str] = []
     try:
         result = run_pipeline(entry.divide)
     except DivideError as exc:
         return [f"pipeline failed: {exc}"]
-    if not result.suite.passed:
-        problems.append("identity suite failed")
-    if not result.adapted_verdict.passed:
-        problems.append("adapted-family variation check failed")
-    if not result.certificate.passed:
-        problems.append("exceptional certificate failed")
-    if any(not c.passed for c in result.cones):
-        problems.append("depth-1 cone check failed")
-
-    exp = entry.expected
-    inv = result.inv
-    got = {
-        "d": inv.d,
-        "r": inv.r,
-        "mu": inv.mu,
-        "n_regions": inv.n_regions,
-        "genus": inv.genus,
-        "boundary_components": inv.boundary_components,
-        "census": result.ag.census(),
-    }
-    for key, want in exp.items():
-        if key in got:
-            if got[key] != want:
-                problems.append(f"{key}: expected {want}, got {got[key]}")
-        elif key == "ag_edges":
-            labels = [v.label for v in result.ag.vertices]
-            have = sorted(
-                (labels[e.u], labels[e.v], e.multiplicity) for e in result.ag.edges
-            )
-            if have != sorted(tuple(e) for e in want):
-                problems.append(f"ag_edges: expected {sorted(want)}, got {have}")
-        elif key == "depths":
-            have_depths = {
-                v.label: result.depths.depth[i]
-                for i, v in enumerate(result.ag.vertices)
-            }
-            if have_depths != want:
-                problems.append(f"depths: expected {want}, got {have_depths}")
-        elif key == "region_signs":
-            have_signs = tuple(
-                result.signed.sign[f] for f in result.signed.faces.region_indices
-            )
-            if have_signs != want:
-                problems.append(f"region_signs: expected {want}, got {have_signs}")
-        elif key == "euler_arrow_count":
-            if len(result.quiver.arrows) != want:
-                problems.append(
-                    f"euler_arrow_count: expected {want}, got {len(result.quiver.arrows)}"
-                )
-        elif key == "diagram_depth":
-            if result.depths.diagram_depth != want:
-                problems.append(
-                    f"diagram_depth: expected {want}, got {result.depths.diagram_depth}"
-                )
-        else:
+    problems = [message for passed, message in _VERDICTS if not passed(result)]
+    for key, want in entry.expected.items():
+        if key not in _FACTS:
             problems.append(f"unknown expected fact '{key}'")
+            continue
+        have = _FACTS[key](result)
+        if have != (sorted(map(tuple, want)) if key in _UNORDERED else want):
+            shown = sorted(want) if key in _UNORDERED else want
+            problems.append(f"{key}: expected {shown}, got {have}")
     return problems

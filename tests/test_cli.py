@@ -125,6 +125,23 @@ def test_corpus_run_bad_custom_entry(capsys, monkeypatch, tmp_path):
     assert "broken.json" in out
 
 
+def test_corpus_run_non_utf8_custom_entry(capsys, monkeypatch, tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{\"name\": \"caf\xe9\"")
+    monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(tmp_path))
+    code, out, err = _run(capsys, "corpus-run")
+    assert code == 1
+    assert "latin1.json" in out and "fail" in out
+    assert "latin1.json: not valid JSON" in err
+
+
+def test_corpus_run_unreadable_custom_entry(capsys, monkeypatch, tmp_path):
+    (tmp_path / "folder.json").mkdir()
+    monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(tmp_path))
+    code, _, err = _run(capsys, "corpus-run")
+    assert code == 3
+    assert "cannot read" in err and "folder.json" in err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -4,10 +4,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from divides import DivideError, assign_signs, ingest_polyline, trace_faces
+from divides import DivideError, assign_signs, gen_a, ingest_polyline, trace_faces
 from divides.core import seed_face_index
+from divides.corpus import A4_SNAKE_POLYLINE
 from divides.geometry import QuadPoint, compare_circle_points, sign_quad, sign_quad2
+from divides.report import run_pipeline
 
 
 F = Fraction
@@ -183,3 +186,86 @@ def test_witness_whose_vertical_ray_hits_a_crossing():
 )
 def test_witness_whose_vertical_ray_meets_a_polyline_vertex(branches, witness, reference):
     _assert_same_face(branches, witness, reference)
+
+
+def _ingest_spec(spec, **kwargs):
+    branches = [(b["points"], b["closed"]) for b in spec["branches"]]
+    return ingest_polyline(
+        branches, spec["disc_radius"], spec["seed_point"], spec["seed_sign"], **kwargs
+    )
+
+
+def test_a4_snake_polyline_is_a4():
+    snake = run_pipeline(_ingest_spec(A4_SNAKE_POLYLINE, name="a4-snake"))
+    a4 = run_pipeline(gen_a(4).divide)
+    assert (snake.inv.d, snake.inv.r, snake.inv.mu) == (2, 1, 4)
+    assert snake.inv == a4.inv
+    assert snake.ag.census() == a4.ag.census()
+    assert snake.cpo.coefficients == a4.cpo.coefficients == (1, -1, 1, -1, 1)
+    assert snake.cpo.order == a4.cpo.order == 10
+    assert snake.all_passed
+
+
+RADIUS = 8
+_INNER = st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(
+    lambda p: p[0] ** 2 + p[1] ** 2 < RADIUS ** 2
+)
+_OUTER = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+    lambda p: p[0] ** 2 + p[1] ** 2 > RADIUS ** 2
+)
+_OPEN = st.builds(
+    lambda start, inner, end: [start, *inner, end],
+    _OUTER, st.lists(_INNER, min_size=1, max_size=3, unique=True), _OUTER,
+)
+
+
+def _bends(points):
+    """Whether the polyline turns at one of its vertices."""
+    return any(
+        (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0])
+        for a, b, c in zip(points, points[1:], points[2:])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_OPEN, min_size=2, max_size=3).filter(lambda bs: any(map(_bends, bs))),
+       _INNER, st.sampled_from((1, -1)))
+def test_random_bent_polylines_ingest_to_consistent_divides(points, witness, sign):
+    """Counts and every verdict but lefschetz_zero hold on any accepted input.
+
+    lefschetz_zero (trace(M_desc) = 1) is A'Campo's theorem for divides of
+    singularities; a valid divide of another kind can fail it, e.g. the
+    three polylines of ``LEFSCHETZ_COUNTEREXAMPLE``."""
+    try:
+        divide = ingest_polyline([(p, False) for p in points], RADIUS, witness, sign)
+    except DivideError:
+        reject()
+    result = run_pipeline(divide)
+    faces = result.signed.faces
+    d, r = len(divide.double_points), len(divide.branches)
+    n_v = d + len(divide.terminals)
+    n_e = len(divide.edges) + len(divide.terminals)
+    assert n_v - n_e + len(faces.faces) == 1
+    assert len(faces.region_indices) == d - r + 1
+    assert len(result.lattice.i_mat) == 2 * d - r + 1
+    failed = [c.key for c in result.suite.checks if not c.passed]
+    assert failed in ([], ["lefschetz_zero"])
+    assert result.adapted_verdict.passed
+    assert result.certificate.passed
+    assert all(c.passed for c in result.cones)
+
+
+LEFSCHETZ_COUNTEREXAMPLE = [
+    [(-13, -8), (1, 0), (0, 9)],
+    [(14, 9), (-6, -6)],
+    [(-12, -3), (2, -3), (1, -1), (6, 1), (11, -8)],
+]
+
+
+def test_valid_divide_may_fail_lefschetz_zero():
+    divide = ingest_polyline([(p, False) for p in LEFSCHETZ_COUNTEREXAMPLE], RADIUS, (0, 1), -1)
+    result = run_pipeline(divide)
+    assert (result.inv.d, result.inv.r) == (2, 3)
+    assert sum(result.pair.m_desc[i][i] for i in range(result.inv.mu)) == 2
+    (check,) = [c for c in result.suite.checks if c.key == "lefschetz_zero"]
+    assert not check.passed

@@ -105,18 +105,26 @@ def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_face_across_agrees_with_edge_side_faces(case):
+    """The face across each edge end is the face of the dart at the edge's
+    other end; found by scanning the face cycles, it is the side face that
+    ``edge_side_faces`` reads from the dart index."""
     divide = _divide(case)
     faces = trace_faces(divide)
+
+    def scanned(dart):
+        (index,) = [f.index for f in faces.faces if dart in f.darts()]
+        return index
+
     seen = set()
     for e in divide.edges:
         left, right = edge_side_faces(divide, faces, e)
         (u, su), (v, sv) = e.ends
-        assert faces.face_across(u, su) == right
-        assert faces.face_across(v, sv) == left
+        assert scanned((v, sv)) == right
+        assert scanned((u, su)) == left
         seen.update(e.ends)
     darts = {(v, s) for v in divide.double_points for s in range(DOUBLE_POINT_DEGREE)}
     darts |= {(t, 0) for t in divide.terminals}
-    assert seen == darts == set(faces.across)
+    assert seen == darts == set(faces.dart_face)
 
 
 def _exposure_by_scans(signed, ag):
