@@ -2,12 +2,14 @@
 
 From a divide (a combinatorial map or exact integer polylines) this package
 derives the AG diagram with depth labels, the Milnor lattice (intersection
-form, Seifert matrix, monodromy, variation), the adapted family of relative
-classes, and the Euler-characteristic quiver certifying the exceptional
-collection pattern, all in exact integer arithmetic.
+form I, the upper unipotent Seifert matrix S with I = -S + S^T, and the
+monodromy M = S^{-1} S^T as a product of transvections), the adapted family
+of relative classes (the columns of S, whose variations are -e_j), and the
+Euler-characteristic quiver certifying the exceptional collection pattern,
+all in exact integer arithmetic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .adapted import (
     AdaptedFamily,
@@ -49,7 +51,6 @@ from .fileio import divide_to_text, parse_divide
 from .geometry import ingest_polyline
 from .lattice import (
     MilnorLattice,
-    MonodromyPair,
     char_poly_and_order,
     identity_suite,
     intersection_matrix,
@@ -73,7 +74,6 @@ __all__ = [
     "EulerQuiver",
     "FaceSet",
     "MilnorLattice",
-    "MonodromyPair",
     "SignSeed",
     "SignedDivide",
     "adapted_vectors",

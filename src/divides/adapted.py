@@ -1,9 +1,10 @@
 """Adapted families, the variation iteration, Euler quivers, depth-1 cones.
 
 A relative class is recorded as its integer intersection vector against the
-vanishing-cycle basis.  The variation of such a class is computed by the
-twist-by-twist iteration (last basis twist first), never by the Seifert
-route, so the two are independent checks of each other.
+vanishing-cycle basis.  The adapted family is the columns of the Seifert
+matrix S, since var = PL_SIGN * S^{-1} for plane curves.  The variation of a
+class is computed by the twist-by-twist iteration (last basis twist first),
+never by the Seifert route, so the two are independent checks of each other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import intmat
 from .agdiagram import AGDiagram, DepthLabels
 from .core import DivideError
 from .intmat import Mat
-from .lattice import MilnorLattice
+from .lattice import PL_SIGN, MilnorLattice
 
 Vec = tuple[int, ...]
 
@@ -27,25 +28,21 @@ class AdaptedFamily:
     vectors: tuple[Vec, ...]
 
 
-def adapted_vectors(i_mat: Mat) -> AdaptedFamily:
-    """The adapted family forced by the three intersection clauses.
+def adapted_vectors(s_mat: Mat) -> AdaptedFamily:
+    """The adapted family: a_j is column j of the Seifert matrix S.
 
     a_j meets V_j once positively, meets every earlier cycle with the
-    multiplicity of the intersection form, and misses all later cycles.
+    multiplicity of the intersection form, a_j[m] = I[j][m] for m < j, and
+    misses all later cycles.
     """
-    return AdaptedFamily(vectors=tuple(adapted_vector(i_mat, j) for j in range(len(i_mat))))
+    return AdaptedFamily(vectors=intmat.transpose(s_mat))
 
 
-def adapted_vector(i_mat: Mat, j: int) -> Vec:
-    """The j-th vector of ``adapted_vectors``: (I[j][0..j-1], 1, 0, ..., 0)."""
-    return tuple(i_mat[j][:j]) + (1,) + (0,) * (len(i_mat) - j - 1)
-
-
-def pl_variation(vector: Sequence[int], i_mat: Mat, pl_sign: int = -1) -> Vec:
+def pl_variation(vector: Sequence[int], i_mat: Mat) -> Vec:
     """Variation image of a relative class, in the vanishing-cycle basis.
 
     Maintains x = K + sum c_m V_m through the twists applied in descending
-    basis order; each twist k sends x to x + pl_sign * (x . V_k) V_k with
+    basis order; each twist k sends x to x + PL_SIGN * (x . V_k) V_k with
     x . V_k = vector[k] + sum_m c_m I[m][k].  Returns the final c.
     """
     mu = len(i_mat)
@@ -54,22 +51,8 @@ def pl_variation(vector: Sequence[int], i_mat: Mat, pl_sign: int = -1) -> Vec:
     c = [0] * mu
     for k in range(mu - 1, -1, -1):
         pairing = vector[k] + sum(c[m] * i_mat[m][k] for m in range(mu))
-        c[k] += pl_sign * pairing
+        c[k] += PL_SIGN * pairing
     return tuple(c)
-
-
-def variation_matrix(i_mat: Mat, pl_sign: int = -1) -> Mat:
-    """Matrix of pl_variation on intersection vectors (columns = images of e_j).
-
-    Upper triangular with diagonal pl_sign, hence unimodular.
-    """
-    mu = len(i_mat)
-    cols = [pl_variation(unit(mu, j), i_mat, pl_sign) for j in range(mu)]
-    return intmat.freeze([[cols[j][i] for j in range(mu)] for i in range(mu)])
-
-
-def unit(mu: int, j: int) -> Vec:
-    return tuple(1 if i == j else 0 for i in range(mu))
 
 
 @dataclass(frozen=True)
@@ -82,16 +65,14 @@ class AdaptedVerdict:
         return all(self.passes)
 
 
-def verify_adapted(
-    family: AdaptedFamily, i_mat: Mat, pl_sign: int = -1
-) -> AdaptedVerdict:
-    """Check var(a_j) = pl_sign * e_j for every j, by the iteration itself."""
+def verify_adapted(family: AdaptedFamily, i_mat: Mat) -> AdaptedVerdict:
+    """Check var(a_j) = PL_SIGN * e_j for every j, by the iteration itself."""
     mu = len(i_mat)
     passes = []
     first_failure = None
     for j, vec in enumerate(family.vectors):
-        got = pl_variation(vec, i_mat, pl_sign)
-        want = tuple(pl_sign if i == j else 0 for i in range(mu))
+        got = pl_variation(vec, i_mat)
+        want = tuple(PL_SIGN if i == j else 0 for i in range(mu))
         ok = got == want
         passes.append(ok)
         if not ok and first_failure is None:
@@ -121,25 +102,17 @@ GRADING_NOTE = (
 def euler_matrix(lattice: MilnorLattice) -> EulerQuiver:
     """Euler characteristics of the pairwise monodromy cohomology groups.
 
-    E[i][j] = sigma * S[j][i], with the global sign sigma in {+1, -1} fixed
-    so that E[i][i] = +1.  Arrows run from lower to higher order index at
-    every nonzero strictly-upper entry.
+    E = 2 Id - S: unit diagonal, E[i][j] = I[i][j] above it and zero below,
+    so sigma = +1.  Arrows run from lower to higher order index at every
+    nonzero strictly-upper entry.
     """
     s = lattice.s_mat
     mu = lattice.mu
-    sigma = 1 if s[0][0] > 0 else -1
-    e_rows = [[sigma * s[j][i] for j in range(mu)] for i in range(mu)]
-    e_mat = intmat.freeze(e_rows)
-    if any(e_mat[i][i] != 1 for i in range(mu)):
-        raise DivideError("Euler matrix diagonal cannot be normalized to +1")
-    arrows = []
-    for i in range(mu):
-        for j in range(i + 1, mu):
-            if e_mat[i][j] != 0:
-                arrows.append((i, j, abs(e_mat[i][j])))
-    return EulerQuiver(
-        e_mat=e_mat, arrows=tuple(arrows), sigma=sigma, grading_note=GRADING_NOTE
+    e_mat = intmat.freeze([[2 * (i == j) - s[i][j] for j in range(mu)] for i in range(mu)])
+    arrows = tuple(
+        (i, j, abs(e_mat[i][j])) for i in range(mu) for j in range(i + 1, mu) if e_mat[i][j]
     )
+    return EulerQuiver(e_mat=e_mat, arrows=arrows, sigma=1, grading_note=GRADING_NOTE)
 
 
 @dataclass(frozen=True)
@@ -195,7 +168,7 @@ class Depth1Cone:
     partner: int  # order position of the chosen depth-0 neighbor
     a_prime: Vec
     a_partner: Vec
-    variation_a_prime: Vec  # pl_sign*(e_vertex) - pl_sign*(e_partner)
+    variation_a_prime: Vec  # PL_SIGN * (e_vertex - e_partner)
     variation_partner: Vec
     total_variation: Vec
     components: tuple[Vec, ...]
@@ -208,11 +181,11 @@ def depth1_cone(
     lattice: MilnorLattice,
     vertex: int,
 ) -> Depth1Cone:
-    """Two-component class whose variation is pl_sign * V_vertex.
+    """Two-component class whose variation is PL_SIGN * V_vertex.
 
-    The partner is the smallest-index depth-0 neighbor; a_prime solves
-    var(a_prime) = pl_sign*(e_vertex - e_partner) by inverting the
-    descending twist iteration (``_solve_variation``), and the result is
+    The partner is the smallest-index depth-0 neighbor.  a_prime is
+    a_vertex - a_partner, the difference of two columns of S, so by
+    linearity var(a_prime) = PL_SIGN * (e_vertex - e_partner); the result is
     checked by running ``pl_variation`` on it.
     """
     mu = lattice.mu
@@ -230,17 +203,17 @@ def depth1_cone(
         )
     partner = min(partners)
 
-    sign = lattice.pl_sign
-    target = tuple(
-        sign if i == vertex else (-sign if i == partner else 0) for i in range(mu)
-    )
-    a_prime = _solve_variation(lattice.i_mat, sign, target)
-    a_partner = adapted_vector(lattice.i_mat, partner)
+    s = lattice.s_mat
+    a_prime = tuple(row[vertex] - row[partner] for row in s)
+    a_partner = tuple(row[partner] for row in s)
 
-    var_prime = pl_variation(a_prime, lattice.i_mat, sign)
-    var_partner = pl_variation(a_partner, lattice.i_mat, sign)
+    target = tuple(
+        PL_SIGN if i == vertex else (-PL_SIGN if i == partner else 0) for i in range(mu)
+    )
+    var_prime = pl_variation(a_prime, lattice.i_mat)
+    var_partner = pl_variation(a_partner, lattice.i_mat)
     total = tuple(x + y for x, y in zip(var_prime, var_partner))
-    want_total = tuple(sign if i == vertex else 0 for i in range(mu))
+    want_total = tuple(PL_SIGN if i == vertex else 0 for i in range(mu))
     return Depth1Cone(
         vertex=vertex,
         partner=partner,
@@ -251,20 +224,4 @@ def depth1_cone(
         total_variation=total,
         components=(a_prime, a_partner),
         passed=(var_prime == target and total == want_total),
-    )
-
-
-def _solve_variation(i_mat: Mat, pl_sign: int, target: Vec) -> Vec:
-    """Solve pl_variation(a) = target, for pl_sign = +1 or -1.
-
-    Twist k of the descending iteration leaves the coefficient
-    c[k] = pl_sign * (a[k] + sum_{m>k} c[m] I[m][k]), later twists never
-    change it, and c must end equal to target, so
-    a[k] = pl_sign * target[k] - sum_{m>k} target[m] I[m][k]: integral, with
-    no division, in O(mu * nnz(target)).
-    """
-    support = [m for m, x in enumerate(target) if x]
-    return tuple(
-        pl_sign * target[k] - sum(target[m] * i_mat[m][k] for m in support if m > k)
-        for k in range(len(i_mat))
     )

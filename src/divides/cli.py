@@ -144,6 +144,7 @@ def cmd_report(args) -> int:
         f"identity={'pass' if result.suite.passed else 'fail'} "
         f"adapted={'pass' if result.adapted_verdict.passed else 'fail'} "
         f"certificate={'pass' if result.certificate.passed else 'fail'} "
+        f"cones={'pass' if all(c.passed for c in result.cones) else 'fail'} "
         f"overall={status}"
     )
     return EXIT_OK if result.all_passed else EXIT_SUITE_FAIL

@@ -378,9 +378,6 @@ class SignedDivide:
         self.faces = faces
         self.sign = sign
 
-    def region_signs(self) -> dict[int, int]:
-        return {i: self.sign[i] for i in self.faces.region_indices}
-
 
 def seed_face_index(divide: Divide, faces: FaceSet) -> int:
     seed = divide.sign_seed

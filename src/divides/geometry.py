@@ -301,6 +301,15 @@ def ingest_polyline(
     clips: list[QuadPoint] = []
     for b_idx, (first, count, closed) in enumerate(spans):
         if not closed:
+            # A one-segment branch has both ends outside the disc.  Its line
+            # can cut the circle, cross(a, d)^2 < r^2 |d|^2, while the point
+            # of the line nearest the centre, t = -a.d / |d|^2, is off the
+            # segment; then the segment misses the disc.
+            a, d = segs[first].a, segs[first].d
+            if count == 1 and _cross(a, d) ** 2 < r2 * _norm2(d) and not (
+                0 < -_dot(a, d) < _norm2(d)
+            ):
+                raise DivideError(f"open polyline {b_idx} does not meet the disc")
             ends += [(b_idx, False), (b_idx, True)]
             last = segs[first + count - 1]
             clips += [_terminal(segs[first], r2, False), _terminal(last, r2, True)]

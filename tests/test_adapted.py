@@ -13,24 +13,23 @@ from divides import (
     quiver_dot,
     verify_adapted,
 )
-from divides.adapted import AdaptedFamily, EulerQuiver, _solve_variation, variation_matrix
+from divides.adapted import AdaptedFamily, EulerQuiver
 from divides.core import DivideError
 from divides.report import run_pipeline
 from conftest import generic_chords, pipeline
 
 
 def test_adapted_vectors_examples():
-    assert adapted_vectors(pipeline("a1").lattice.i_mat).vectors == ((1,),)
-    assert adapted_vectors(pipeline("a2").lattice.i_mat).vectors == ((1, 0), (1, 1))
-    e6 = adapted_vectors(pipeline("e6").lattice.i_mat)
+    assert adapted_vectors(pipeline("a1").lattice.s_mat).vectors == ((1,),)
+    assert adapted_vectors(pipeline("a2").lattice.s_mat).vectors == ((1, 0), (1, 1))
+    e6 = adapted_vectors(pipeline("e6").lattice.s_mat)
     assert e6.vectors[5] == (1, 1, 1, 1, 1, 1)
 
 
 def test_adapted_clauses(corpus_names):
     for name in corpus_names:
-        i_mat = pipeline(name).lattice.i_mat
-        fam = adapted_vectors(i_mat)
-        mu = len(i_mat)
+        lat = pipeline(name).lattice
+        i_mat, fam, mu = lat.i_mat, adapted_vectors(lat.s_mat), lat.mu
         for j, vec in enumerate(fam.vectors):
             assert vec[j] == 1
             assert all(vec[i] == 0 for i in range(j + 1, mu))
@@ -54,17 +53,19 @@ def test_pl_variation_perturbed_fails():
 
 def test_verify_adapted_corpus(corpus_names):
     for name in corpus_names:
-        i_mat = pipeline(name).lattice.i_mat
-        assert verify_adapted(adapted_vectors(i_mat), i_mat).passed, name
+        lat = pipeline(name).lattice
+        assert verify_adapted(adapted_vectors(lat.s_mat), lat.i_mat).passed, name
 
 
-def test_variation_matrix_triangular(corpus_names):
+def test_variation_matrix_triangular():
+    # column j of the variation matrix is the variation of the unit vector e_j
     for name in ("a3", "e6", "depth1"):
         i_mat = pipeline(name).lattice.i_mat
-        w = variation_matrix(i_mat)
-        mu = len(w)
-        assert all(w[i][i] == -1 for i in range(mu))
-        assert all(w[i][j] == 0 for i in range(mu) for j in range(i))
+        mu = len(i_mat)
+        for j in range(mu):
+            col = pl_variation(tuple(int(i == j) for i in range(mu)), i_mat)
+            assert col[j] == -1
+            assert all(col[i] == 0 for i in range(j + 1, mu))
 
 
 def test_euler_matrix_e6():
@@ -139,7 +140,7 @@ def test_depth1_cone_corpus():
     assert len(cone.components) == r.depths.depth[v] + 1 == 2
     assert cone.passed
     # the cone class solves a' = a_v - a_partner
-    fam = adapted_vectors(r.lattice.i_mat)
+    fam = adapted_vectors(r.lattice.s_mat)
     a_v, a_w = fam.vectors[v], fam.vectors[cone.partner]
     assert cone.a_prime == tuple(x - y for x, y in zip(a_v, a_w))
 
@@ -169,30 +170,19 @@ def test_pl_variation_linearity_explicit():
     assert pl_variation(ab, i_mat) == tuple(x + y for x, y in zip(va, vb))
 
 
-def _back_substitution(w, target):
-    """Solve w a = target for an upper triangular w with unit diagonal."""
-    mu = len(w)
-    a = [0] * mu
-    for i in range(mu - 1, -1, -1):
-        a[i] = (target[i] - sum(w[i][j] * a[j] for j in range(i + 1, mu))) * w[i][i]
-    return tuple(a)
-
-
 @pytest.mark.parametrize("k, seed", [(4, 0), (5, 1), (6, 2), (7, 0)])
-@pytest.mark.parametrize("sign", [-1, 1])
-def test_solve_variation_on_random_targets(k, seed, sign):
-    i_mat = run_pipeline(generic_chords(k, seed)).lattice.i_mat
-    w = variation_matrix(i_mat, sign)
-    mu = len(i_mat)
-    rng = random.Random(f"{k}:{seed}:{sign}")
+def test_variation_inverts_seifert_on_random_vectors(k, seed):
+    # var = -S^{-1}: the variation of S x is -x
+    lat = run_pipeline(generic_chords(k, seed)).lattice
+    s, mu = lat.s_mat, lat.mu
+    rng = random.Random(f"{k}:{seed}")
     for n in range(40):
-        target = tuple(
+        x = tuple(
             rng.randint(-3, 3) if rng.random() < (0.1 if n % 2 else 0.6) else 0
             for _ in range(mu)
         )
-        a = _solve_variation(i_mat, sign, target)
-        assert pl_variation(a, i_mat, sign) == target
-        assert a == _back_substitution(w, target)
+        sx = tuple(sum(a * b for a, b in zip(row, x)) for row in s)
+        assert pl_variation(sx, lat.i_mat) == tuple(-v for v in x)
 
 
 @pytest.mark.parametrize("k, seed", [(5, 0), (7, 1)])
@@ -201,7 +191,7 @@ def test_depth1_cones_on_chords(k, seed):
     depth1 = [p for p, d in enumerate(r.depths.depth) if d == 1]
     assert depth1 and [c.vertex for c in r.cones] == depth1
     assert all(c.passed for c in r.cones)
-    fam = adapted_vectors(r.lattice.i_mat)
+    fam = adapted_vectors(r.lattice.s_mat)
     for c in r.cones:
         assert c.a_partner == fam.vectors[c.partner]
         assert c.a_prime == tuple(

@@ -82,14 +82,31 @@ def test_report_depth1_has_cone(tmp_path, capsys):
     path = tmp_path / "d1.json"
     path.write_text(divide_to_text(gen_depth1().divide))
     out_json = tmp_path / "report.json"
-    code, _, _ = _run(capsys, "report", str(path), "--json", str(out_json))
+    code, out, _ = _run(capsys, "report", str(path), "--json", str(out_json))
     assert code == 0
+    assert "cones=pass overall=pass" in out
     report = json.loads(out_json.read_text())
     cones = report["depth1_cones"]
     assert len(cones) == 1
     assert cones[0]["vertex"] == "v0_6"
     assert cones[0]["verdict"] == "pass"
     assert len(cones[0]["components"]) == 2
+
+
+def test_report_summary_names_a_failed_cone(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from divides import adapted, gen_depth1
+
+    real = adapted.depth1_cone
+    monkeypatch.setattr(
+        adapted, "depth1_cone", lambda *a: dataclasses.replace(real(*a), passed=False)
+    )
+    path = tmp_path / "d1.json"
+    path.write_text(divide_to_text(gen_depth1().divide))
+    code, out, _ = _run(capsys, "report", str(path))
+    assert code == 1
+    assert "identity=pass adapted=pass certificate=pass cones=fail overall=fail" in out
 
 
 def test_generate_families(capsys):

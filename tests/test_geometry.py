@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from divides import DivideError, assign_signs, gen_a, ingest_polyline, trace_faces
+from divides import (
+    DivideError,
+    assign_signs,
+    divide_to_text,
+    gen_a,
+    ingest_polyline,
+    parse_divide,
+    trace_faces,
+)
 from divides.core import seed_face_index
 from divides.corpus import A4_SNAKE_POLYLINE
 from divides.geometry import QuadPoint, compare_circle_points, sign_quad, sign_quad2
@@ -124,6 +132,24 @@ def test_ingest_rejects_disconnected():
         )
 
 
+MISSES_DISC = ([(13, -13), (9, 1)], False)  # its line cuts the circle of radius 9
+CROSSING_CHORDS = [([(-10, -1), (10, 1)], False), ([(-1, -10), (1, 10)], False)]
+
+
+@pytest.mark.parametrize(
+    "branches, index",
+    [
+        ([MISSES_DISC], 0),
+        ([MISSES_DISC, *CROSSING_CHORDS], 0),
+        ([*CROSSING_CHORDS, MISSES_DISC], 2),
+    ],
+    ids=["alone", "before two chords", "after two chords"],
+)
+def test_ingest_rejects_segment_missing_disc(branches, index):
+    with pytest.raises(DivideError, match=f"^open polyline {index} does not meet the disc$"):
+        ingest_polyline(branches, 9, (3, 5), -1)
+
+
 def test_ingest_euler_on_chords():
     """Chord arrangements satisfy V - E + F = 2 on the sphere compactification,
     i.e. traced faces number E - V + 1."""
@@ -231,7 +257,8 @@ def _bends(points):
 @given(st.lists(_OPEN, min_size=2, max_size=3).filter(lambda bs: any(map(_bends, bs))),
        _INNER, st.sampled_from((1, -1)))
 def test_random_bent_polylines_ingest_to_consistent_divides(points, witness, sign):
-    """Counts and every verdict but lefschetz_zero hold on any accepted input.
+    """Counts, a byte-identical file round trip, and every verdict but
+    lefschetz_zero hold on any accepted input.
 
     lefschetz_zero (trace(M_desc) = 1) is A'Campo's theorem for divides of
     singularities; a valid divide of another kind can fail it, e.g. the
@@ -240,6 +267,9 @@ def test_random_bent_polylines_ingest_to_consistent_divides(points, witness, sig
         divide = ingest_polyline([(p, False) for p in points], RADIUS, witness, sign)
     except DivideError:
         reject()
+    text = divide_to_text(divide)
+    again, _diags = parse_divide(text)
+    assert again == divide and divide_to_text(again) == text
     result = run_pipeline(divide)
     faces = result.signed.faces
     d, r = len(divide.double_points), len(divide.branches)
@@ -266,6 +296,6 @@ def test_valid_divide_may_fail_lefschetz_zero():
     divide = ingest_polyline([(p, False) for p in LEFSCHETZ_COUNTEREXAMPLE], RADIUS, (0, 1), -1)
     result = run_pipeline(divide)
     assert (result.inv.d, result.inv.r) == (2, 3)
-    assert sum(result.pair.m_desc[i][i] for i in range(result.inv.mu)) == 2
+    assert sum(result.m_desc[i][i] for i in range(result.inv.mu)) == 2
     (check,) = [c for c in result.suite.checks if c.key == "lefschetz_zero"]
     assert not check.passed

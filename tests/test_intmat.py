@@ -11,7 +11,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from divides import gen_a, intmat, monodromy, seifert_matrix, transvection
-from divides.lattice import pl_sign_for_dim
 from conftest import pipeline
 
 SMALL = st.integers(-6, 6)
@@ -98,7 +97,7 @@ def test_charpoly_needs_several_primes(m):
 
 def test_coefficient_bound_holds():
     for name in ("a12", "e6", "depth1"):
-        m = pipeline(name).pair.m_desc
+        m = pipeline(name).m_desc
         bound = intmat.coefficient_bound(m)
         assert all(abs(c) <= bound for c in intmat.charpoly(m))
 
@@ -134,24 +133,6 @@ def test_mul_matches_definition():
     assert intmat.mul(a, b) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(square(SPARSE, max_n=7))
-def test_unipotent_inverse(m):
-    n = len(m)
-    s = intmat.freeze(
-        [[1 if i == j else (m[i][j] if j < i else 0) for j in range(n)] for i in range(n)]
-    )
-    inv = intmat.inverse_unipotent_lower(s)
-    assert intmat.mul(inv, s) == intmat.identity(n)
-    assert intmat.mul(s, inv) == intmat.identity(n)
-
-
-def test_unipotent_inverse_rejects_other_matrices():
-    for bad in (((2,),), ((1, 1), (0, 1)), ((1, 0), (0, -1))):
-        with pytest.raises(ValueError):
-            intmat.inverse_unipotent_lower(bad)
-
-
 def antisymmetric(n_max=7):
     return st.integers(1, n_max).flatmap(
         lambda n: st.lists(SPARSE, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
@@ -170,30 +151,26 @@ def _antisym(n, xs):
     return intmat.freeze(rows)
 
 
-def _transvection_products(i_mat, dim_n=2):
-    sign = pl_sign_for_dim(dim_n)
-    mu = len(i_mat)
-    desc = asc = intmat.identity(mu)
-    for k in range(mu):
-        t = transvection(i_mat, k, sign)
-        desc = intmat.mul(desc, t)
-        asc = intmat.mul(t, asc)
-    return desc, asc
+def _transvection_product(i_mat):
+    m = intmat.identity(len(i_mat))
+    for k in range(len(i_mat)):
+        m = intmat.mul(m, transvection(i_mat, k))
+    return m
 
 
 @settings(max_examples=60, deadline=None)
-@given(antisymmetric(), st.sampled_from([2, 4]))
-def test_monodromy_is_the_product_of_transvections(i_mat, dim_n):
-    pair = monodromy(i_mat, dim_n)
-    assert (pair.m_desc, pair.m_asc) == _transvection_products(i_mat, dim_n)
-    s = sympy.Matrix(seifert_matrix(i_mat, dim_n))
-    assert sympy.Matrix(pair.rho_s) == s.inv().T * s
+@given(antisymmetric())
+def test_monodromy_is_the_product_of_transvections(i_mat):
+    m = monodromy(i_mat)
+    assert m == _transvection_product(i_mat)
+    s = sympy.Matrix(seifert_matrix(i_mat))
+    assert sympy.Matrix(m) == s.inv() * s.T
 
 
 def test_monodromy_on_corpus_is_the_product_of_transvections(corpus_names):
     for name in corpus_names:
         r = pipeline(name)
-        assert (r.pair.m_desc, r.pair.m_asc) == _transvection_products(r.lattice.i_mat)
+        assert r.m_desc == _transvection_product(r.lattice.i_mat)
 
 
 def brieskorn_pham_order(a: int, b: int) -> int:
@@ -241,7 +218,7 @@ def test_order_of_conjugated_permutation(perm, moves, negate):
     n = len(perm)
     p = intmat.freeze([[int(perm[j] == i) for j in range(n)] for i in range(n)])
     if negate:
-        p = intmat.neg(p)
+        p = tuple(tuple(-x for x in row) for row in p)
     u = u_inv = intmat.identity(n)
     for i, j, c in moves:
         if i == j:
