@@ -3,8 +3,10 @@
 A relative class is recorded as its integer intersection vector against the
 vanishing-cycle basis.  The adapted family is the columns of the Seifert
 matrix S, since var = PL_SIGN * S^{-1} for plane curves.  The variation of a
-class is computed by the twist-by-twist iteration (last basis twist first),
-never by the Seifert route, so the two are independent checks of each other.
+class is computed by the twist-by-twist iteration (last basis twist first)
+over the nonzeros of each column of I, read from I itself and never by the
+Seifert route, so the two are independent checks of each other.  Each class
+costs O(mu + nnz(I)).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import intmat
 from .agdiagram import AGDiagram, DepthLabels
 from .core import DivideError
 from .intmat import Mat
-from .lattice import PL_SIGN, MilnorLattice
+from .lattice import PL_SIGN, Columns, MilnorLattice, column_nonzeros
 
 Vec = tuple[int, ...]
 
@@ -43,14 +45,21 @@ def pl_variation(vector: Sequence[int], i_mat: Mat) -> Vec:
 
     Maintains x = K + sum c_m V_m through the twists applied in descending
     basis order; each twist k sends x to x + PL_SIGN * (x . V_k) V_k with
-    x . V_k = vector[k] + sum_m c_m I[m][k].  Returns the final c.
+    x . V_k = vector[k] + sum_m c_m I[m][k], a sum over the nonzeros of
+    column k of I.  Returns the final c.
     """
-    mu = len(i_mat)
+    return _variation(vector, column_nonzeros(i_mat))
+
+
+def _variation(vector: Sequence[int], columns: Columns) -> Vec:
+    mu = len(columns)
     if len(vector) != mu:
         raise DivideError(f"intersection vector has length {len(vector)}, expected {mu}")
     c = [0] * mu
     for k in range(mu - 1, -1, -1):
-        pairing = vector[k] + sum(c[m] * i_mat[m][k] for m in range(mu))
+        pairing = vector[k]
+        for m, x in columns[k]:
+            pairing += c[m] * x
         c[k] += PL_SIGN * pairing
     return tuple(c)
 
@@ -66,13 +75,17 @@ class AdaptedVerdict:
 
 
 def verify_adapted(family: AdaptedFamily, i_mat: Mat) -> AdaptedVerdict:
-    """Check var(a_j) = PL_SIGN * e_j for every j, by the iteration itself."""
+    """Check var(a_j) = PL_SIGN * e_j for every j, by the iteration itself.
+
+    The nonzeros of the columns of I are collected once for the family.
+    """
     mu = len(i_mat)
+    columns = column_nonzeros(i_mat)
     passes = []
     first_failure = None
     for j, vec in enumerate(family.vectors):
-        got = pl_variation(vec, i_mat)
-        want = tuple(PL_SIGN if i == j else 0 for i in range(mu))
+        got = _variation(vec, columns)
+        want = (0,) * j + (PL_SIGN,) + (0,) * (mu - 1 - j)
         ok = got == want
         passes.append(ok)
         if not ok and first_failure is None:
@@ -132,17 +145,10 @@ def exceptional_certificate(quiver: EulerQuiver, ag: AGDiagram) -> CertificateVe
     violations = []
     for i in range(mu):
         for j in range(mu):
-            if i == j:
-                expected = 1
-                got = e[i][j]
-            elif i > j:
-                expected = 0
-                got = e[i][j]
-            else:
-                expected = ag.multiplicity(i, j)
-                got = abs(e[i][j])
-            if got != expected:
-                violations.append((i, j, expected, e[i][j]))
+            x = e[i][j]
+            expected = 1 if i == j else (0 if i > j else ag.multiplicity(i, j))
+            if (abs(x) if i < j else x) != expected:
+                violations.append((i, j, expected, x))
     return CertificateVerdict(passed=not violations, violations=tuple(violations))
 
 
@@ -198,22 +204,19 @@ def depth1_cone(
         )
     partners = [w for w in ag.neighbors(vertex) if depths.depth[w] == 0]
     if not partners:
-        raise DivideError(
-            f"vertex {ag.vertices[vertex].label} has no depth-0 neighbor"
-        )
+        raise DivideError(f"vertex {ag.vertices[vertex].label} has no depth-0 neighbor")
     partner = min(partners)
 
     s = lattice.s_mat
     a_prime = tuple(row[vertex] - row[partner] for row in s)
     a_partner = tuple(row[partner] for row in s)
 
-    target = tuple(
-        PL_SIGN if i == vertex else (-PL_SIGN if i == partner else 0) for i in range(mu)
-    )
-    var_prime = pl_variation(a_prime, lattice.i_mat)
-    var_partner = pl_variation(a_partner, lattice.i_mat)
+    target = tuple(PL_SIGN * ((i == vertex) - (i == partner)) for i in range(mu))
+    columns = column_nonzeros(lattice.i_mat)
+    var_prime = _variation(a_prime, columns)
+    var_partner = _variation(a_partner, columns)
     total = tuple(x + y for x, y in zip(var_prime, var_partner))
-    want_total = tuple(PL_SIGN if i == vertex else 0 for i in range(mu))
+    want_total = tuple(PL_SIGN * (i == vertex) for i in range(mu))
     return Depth1Cone(
         vertex=vertex,
         partner=partner,

@@ -156,13 +156,11 @@ def cmd_generate(args) -> int:
             print("error: family 'a' needs a positive n", file=sys.stderr)
             return EXIT_INVALID
         entry = gen_a(args.n)
-    elif args.family == "e6":
-        entry = gen_e6()
-    elif args.family == "depth1":
-        entry = gen_depth1()
-    else:
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
+    elif args.n is not None:
+        print(f"error: family {args.family!r} takes no index", file=sys.stderr)
         return EXIT_INVALID
+    else:
+        entry = gen_e6() if args.family == "e6" else gen_depth1()
     sys.stdout.write(divide_to_text(entry.divide))
     return EXIT_OK
 

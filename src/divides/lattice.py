@@ -83,19 +83,27 @@ def transvection(i_mat: Mat, k: int) -> Mat:
     return intmat.freeze(rows)
 
 
+Columns = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def column_nonzeros(i_mat: Mat) -> Columns:
+    """For each column k of I, the pairs (m, I[m][k]) with I[m][k] != 0."""
+    return tuple(tuple((m, x) for m, x in enumerate(col) if x) for col in zip(*i_mat))
+
+
 def monodromy(i_mat: Mat) -> Mat:
     """The monodromy T_1 T_2 ... T_mu: the twist of the last basis vector
     acts first, the composition the variation iteration follows."""
     mu = len(i_mat)
     m = [[int(i == j) for j in range(mu)] for i in range(mu)]
-    for k in range(mu):
-        # T_k = Id + e_k c_k^T with c_k[j] = PL_SIGN * I[j][k], nonzeros only;
+    for k, col in enumerate(column_nonzeros(i_mat)):
+        # T_k = Id + e_k c_k^T with c_k[j] = PL_SIGN * I[j][k];
         # M <- M T_k = M + (M e_k) c_k^T.
-        c = [(j, PL_SIGN * i_mat[j][k]) for j in range(mu) if i_mat[j][k]]
         for row in m:
             v = row[k]
             if v:
-                for j, x in c:
+                v *= PL_SIGN
+                for j, x in col:
                     row[j] += v * x
     return intmat.freeze(m)
 

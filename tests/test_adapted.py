@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divides import (
     adapted_vectors,
@@ -16,7 +18,9 @@ from divides import (
 from divides.adapted import AdaptedFamily, EulerQuiver
 from divides.core import DivideError
 from divides.report import run_pipeline
-from conftest import generic_chords, pipeline
+from divides import intmat
+from divides.lattice import PL_SIGN
+from conftest import CORPUS_NAMES, generic_chords, pipeline
 
 
 def test_adapted_vectors_examples():
@@ -197,3 +201,53 @@ def test_depth1_cones_on_chords(k, seed):
         assert c.a_prime == tuple(
             x - y for x, y in zip(fam.vectors[c.vertex], fam.vectors[c.partner])
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(name):
+    if name.startswith("chords"):
+        return run_pipeline(generic_chords(int(name[6:]), 0)).lattice
+    return pipeline(name).lattice
+
+
+@pytest.mark.parametrize("name", ["a5", "chords5"])
+def test_verify_adapted_reads_the_intersection_matrix_it_is_given(name):
+    # S stays the clean one; every antisymmetric one-unit change of I moves
+    # -S^{-1}, so the iteration on the corrupted I must reject the family.
+    lat = _lattice(name)
+    family = adapted_vectors(lat.s_mat)
+    assert verify_adapted(family, lat.i_mat).passed
+    for m in range(lat.mu):
+        for k in range(m):
+            rows = [list(row) for row in lat.i_mat]
+            rows[m][k] += 1
+            rows[k][m] -= 1
+            assert not verify_adapted(family, intmat.freeze(rows)).passed, (m, k)
+
+
+def _dense_variation(vector, i_mat):
+    """The iteration with the full sum over every m: O(mu^2) per class."""
+    mu = len(i_mat)
+    c = [0] * mu
+    for k in range(mu - 1, -1, -1):
+        pairing = vector[k] + sum(c[m] * i_mat[m][k] for m in range(mu))
+        c[k] += PL_SIGN * pairing
+    return tuple(c)
+
+
+VARIATION_LATTICES = CORPUS_NAMES + [f"chords{k}" for k in range(3, 8)]
+
+
+@st.composite
+def lattice_and_vector(draw):
+    i_mat = _lattice(draw(st.sampled_from(VARIATION_LATTICES))).i_mat
+    mu = len(i_mat)
+    vector = draw(st.lists(st.integers(-5, 5) | st.integers(), min_size=mu, max_size=mu))
+    return i_mat, tuple(vector)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_and_vector())
+def test_pl_variation_matches_dense_iteration(case):
+    i_mat, vector = case
+    assert pl_variation(vector, i_mat) == _dense_variation(vector, i_mat)

@@ -118,6 +118,13 @@ def test_generate_families(capsys):
     assert code == 2  # missing n
 
 
+@pytest.mark.parametrize("family", ["e6", "depth1"])
+def test_generate_rejects_an_unused_index(capsys, family):
+    code, out, err = _run(capsys, "generate", family, "5")
+    assert code == 2 and out == ""
+    assert f"error: family '{family}' takes no index" in err
+
+
 def test_corpus_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(tmp_path))  # empty custom dir
     code, out, _ = _run(capsys, "corpus-run")

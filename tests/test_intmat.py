@@ -52,12 +52,6 @@ def test_charpoly_matches_sympy(m):
 
 
 @settings(max_examples=80, deadline=None)
-@given(ANY_SQUARE)
-def test_det_matches_sympy(m):
-    assert intmat.det(m) == int(sympy.Matrix(m).det())
-
-
-@settings(max_examples=80, deadline=None)
 @given(ANY_RECT)
 def test_rank_matches_sympy(m):
     assert intmat.rank(m) == sympy.Matrix(m).rank()
@@ -73,16 +67,42 @@ def test_rank_of_low_rank_products(a, b):
     assert intmat.rank(prod) == sympy.Matrix(prod).rank()
 
 
+@st.composite
+def sparse_antisymmetric(draw, entries):
+    """Antisymmetric matrices of size 10-30 with at most 4n nonzero pairs."""
+    n = draw(st.integers(10, 30))
+    rows = [[0] * n for _ in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), entries)
+    for i, j, x in draw(st.lists(pairs, max_size=4 * n)):
+        if i != j:
+            rows[i][j], rows[j][i] = x, -x
+    return intmat.freeze(rows)
+
+
+NEAR_1E20 = st.tuples(st.integers(-1000, 1000), st.sampled_from((1, -1))).map(
+    lambda d: d[1] * (10**20 + d[0])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_antisymmetric(st.integers(-3, 3)))
+def test_rank_of_sparse_antisymmetric_matches_sympy(m):
+    assert intmat.rank(m) == sympy.Matrix(m).rank()
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_antisymmetric(NEAR_1E20))
+def test_rank_of_sparse_antisymmetric_with_huge_entries_matches_sympy(m):
+    assert intmat.rank(m) == sympy.Matrix(m).rank()
+
+
 def test_zero_pivots_and_empty():
     swap = ((0, 1), (1, 0))
-    assert intmat.det(swap) == -1
     assert intmat.rank(swap) == 2
     assert intmat.charpoly(swap) == (1, 0, -1)
     hollow = ((0, 0, 1), (0, 0, 0), (1, 0, 0))
-    assert intmat.det(hollow) == 0
     assert intmat.rank(hollow) == 2
     assert intmat.charpoly(hollow) == sympy_charpoly(hollow)
-    assert intmat.det(()) == 1
     assert intmat.rank(()) == 0
     assert intmat.charpoly(()) == (1,)
 
