@@ -212,9 +212,8 @@ def depth1_cone(
     a_partner = tuple(row[partner] for row in s)
 
     target = tuple(PL_SIGN * ((i == vertex) - (i == partner)) for i in range(mu))
-    columns = column_nonzeros(lattice.i_mat)
-    var_prime = _variation(a_prime, columns)
-    var_partner = _variation(a_partner, columns)
+    var_prime = _variation(a_prime, lattice.columns)
+    var_partner = _variation(a_partner, lattice.columns)
     total = tuple(x + y for x, y in zip(var_prime, var_partner))
     want_total = tuple(PL_SIGN * (i == vertex) for i in range(mu))
     return Depth1Cone(

@@ -139,13 +139,16 @@ def cmd_report(args) -> int:
         labels = [v.label for v in result.ag.vertices]
         _write(args.dot_quiver, quiver_dot(result.quiver, labels))
     status = "pass" if result.all_passed else "fail"
+    # With the report on stdout, the summary goes to stderr so that stdout
+    # holds exactly the report.
     print(
         f"{divide.name}: mu={result.inv.mu} depth={result.depths.diagram_depth} "
         f"identity={'pass' if result.suite.passed else 'fail'} "
         f"adapted={'pass' if result.adapted_verdict.passed else 'fail'} "
         f"certificate={'pass' if result.certificate.passed else 'fail'} "
         f"cones={'pass' if all(c.passed for c in result.cones) else 'fail'} "
-        f"overall={status}"
+        f"overall={status}",
+        file=sys.stderr if args.json == "-" else sys.stdout,
     )
     return EXIT_OK if result.all_passed else EXIT_SUITE_FAIL
 

@@ -12,6 +12,7 @@ diagnostics, never an exception.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .core import Divide, DivideError, EdgeDef, SignSeed, validate_divide
@@ -211,4 +212,28 @@ def divide_to_text(divide: Divide) -> str:
             "sign": _SIGN_TEXT[divide.sign_seed.sign],
         },
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj) + "\n"
+
+
+def json_text(value: Any, pad: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2)``, nested at ``pad``, for str,
+    int, bool, None, lists, tuples and dicts with str keys; anything else (a
+    float, a non-str key, a set) raises TypeError rather than be written."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:  # exact ints, bools excluded: one pass
+            items = map(int.__repr__, value)
+        else:
+            items = [json_text(x, inner) for x in value]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]" if value else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}" if value else "{}"
+    raise TypeError(f"{type(value).__name__} is not written as JSON")

@@ -11,6 +11,7 @@ Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intmat
 from .agdiagram import AGDiagram
@@ -60,6 +61,11 @@ class MilnorLattice:
     @property
     def mu(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """``column_nonzeros(i_mat)``, built once per lattice."""
+        return column_nonzeros(self.i_mat)
 
 
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:

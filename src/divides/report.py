@@ -1,13 +1,14 @@
 """Full pipeline over a divide and the consolidated machine-readable report.
 
 The report is a deterministic JSON document: same divide and tool version,
-same bytes.  All numbers are exact integers.
+same bytes.  All numbers are exact integers.  Its text is exactly what
+``json.dumps(report, indent=2) + "\n"`` gives: ASCII only, with non-ASCII
+text escaped; floats are refused, never written.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +26,7 @@ from .core import (
     trace_faces,
 )
 from .corpus import CorpusEntry
+from .fileio import json_text
 from .intmat import Mat
 
 TOOL_NAME = "divides"
@@ -231,7 +233,9 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report's text: the bytes of ``json.dumps(report, indent=2) + "\\n"``,
+    ASCII only; a float or a non-str key raises TypeError."""
+    return json_text(report) + "\n"
 
 
 def _ag_edges(result: PipelineResult) -> list[tuple[str, str, int]]:

@@ -203,6 +203,28 @@ def test_depth1_cones_on_chords(k, seed):
         )
 
 
+def test_column_index_is_built_once_per_lattice_not_per_cone(monkeypatch):
+    from divides import adapted, lattice
+
+    build = lattice.column_nonzeros
+    calls = []
+
+    def counted(i_mat):
+        calls.append(len(i_mat))
+        return build(i_mat)
+
+    monkeypatch.setattr(lattice, "column_nonzeros", counted)
+    monkeypatch.setattr(adapted, "column_nonzeros", counted)
+    counts = []
+    for k in (5, 12):
+        calls.clear()
+        cones = run_pipeline(generic_chords(k, 0)).cones
+        counts.append((len(cones), len(calls)))
+    (few, calls_few), (many, calls_many) = counts
+    assert 0 < few < many == 41
+    assert calls_few == calls_many <= 3
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice(name):
     if name.startswith("chords"):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from divides import divide_to_text, gen_a, gen_e6
+from divides import divide_to_text, gen_a, gen_depth1, gen_e6
 from divides.cli import main
 
 
@@ -217,6 +217,18 @@ def test_value_options_take_dash_tokens(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "report", str(path), "--dot", "-x.dot")
     assert code == 2
     assert "ambiguous option" in err
+
+
+def test_report_to_stdout_is_exactly_the_report(tmp_path, capsys):
+    path = tmp_path / "depth1.json"
+    path.write_text(divide_to_text(gen_depth1().divide))
+    code, out, err = _run(capsys, "report", str(path), "--json", "-")
+    assert code == 0
+    code, _, _ = _run(capsys, "report", str(path), "--json", str(tmp_path / "r.json"))
+    assert code == 0
+    assert out.encode() == (tmp_path / "r.json").read_bytes()
+    assert json.loads(out)["invariants"]["mu"] == 10
+    assert err.startswith("depth1: mu=10 ") and err.rstrip().endswith("overall=pass")
 
 
 def test_mu_zero_rejected_alike_by_validate_and_report(tmp_path, capsys):

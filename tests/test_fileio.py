@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divides import divide_to_text, gen_a, gen_e6, parse_divide
+from divides.fileio import json_text
 from conftest import entry
 
 
@@ -221,3 +223,49 @@ def test_parse_text_errors_are_diagnostics(text, message):
     d, diags = parse_divide(text)
     assert d is None
     assert any(m.startswith(message) for m in diags)
+
+
+# Text with control characters, non-ASCII letters and lone surrogates.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_INT = st.integers(-(10**30), 10**30)
+_SCALAR = st.none() | st.booleans() | _INT | _TEXT
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(_INT | st.booleans(), max_size=6)  # int lists with bools mixed in
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_VALUE)
+def test_json_text_matches_json_dumps_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], [True, 1, False, 0], [1, -2]],
+)
+def test_json_text_empty_nested_and_int_lists(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [1, 2.0], {"a": float("nan")}, {1: "x"}, {"a": {None: 1}}, {1, 2}, [frozenset()], b"x", object()],
+)
+def test_json_text_refuses_what_it_would_not_write_alike(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def test_divide_to_text_is_json_dumps_indent_2(corpus_names):
+    divides = [entry(name).divide for name in corpus_names]
+    divides.append(dataclasses.replace(gen_e6().divide, name="e\u0336\u00e9 \t\"\\ \U0001d4d4"))
+    for d in divides:
+        text = divide_to_text(d)
+        assert text.isascii()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
