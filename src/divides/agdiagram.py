@@ -10,24 +10,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import (
-    DOUBLE_POINT_DEGREE,
-    DivideError,
-    SignedDivide,
-    edge_side_faces,
-)
+from .core import DOUBLE_POINT_DEGREE, DivideError, SignedDivide
 
 
-@dataclass(frozen=True)
-class AGVertex:
+class AGVertex(NamedTuple):
     label: str
     vtype: str  # "-", "0", "+"
     origin: tuple[str, object]  # ("double_point", id) | ("region", face index)
 
 
-@dataclass(frozen=True)
-class AGEdge:
+class AGEdge(NamedTuple):
     u: int  # position in the total order, u < v
     v: int
     multiplicity: int
@@ -84,68 +78,58 @@ class AGDiagram:
         return self._position[label]
 
 
-def _region_positions(signed: SignedDivide) -> dict[int, tuple[str, int]]:
-    """face index -> (type char, index within its sign block, 1-based)."""
-    counters = {"-": 0, "+": 0}
-    out = {}
-    for f_idx in signed.faces.region_indices:
-        t = "-" if signed.sign[f_idx] == -1 else "+"
-        counters[t] += 1
-        out[f_idx] = (t, counters[t])
-    return out
-
-
 def build_ag(signed: SignedDivide) -> AGDiagram:
     """The AG diagram of a signed divide.
 
     Edges join a saddle to a signed region once per quadrant of the double
     point lying in that region, and a plus region to a minus region once per
-    shared divide edge; unbounded faces contribute nothing.
+    shared divide edge; unbounded faces contribute nothing.  Minus regions
+    come before saddles and saddles before plus regions, so each pair is
+    ordered by the types of its ends.
     """
     divide = signed.divide
-    faces = signed.faces
-    region_info = _region_positions(signed)
+    dart_face = signed.faces.dart_face
+    sign = signed.sign
+    regions = signed.faces.region_indices
+    minus = [f for f in regions if sign[f] == -1]
+    plus = [f for f in regions if sign[f] == 1]
 
-    minus = [(f, i) for f, (t, i) in sorted(region_info.items()) if t == "-"]
-    plus = [(f, i) for f, (t, i) in sorted(region_info.items()) if t == "+"]
-    minus.sort(key=lambda fi: fi[1])
-    plus.sort(key=lambda fi: fi[1])
-
-    vertices: list[AGVertex] = []
-    pos_of_region: dict[int, int] = {}
-    for f_idx, i in minus:
-        pos_of_region[f_idx] = len(vertices)
-        vertices.append(AGVertex(label=f"v-_{i}", vtype="-", origin=("region", f_idx)))
-    pos_of_dp: dict[str, int] = {}
-    for i, dp in enumerate(divide.double_points, start=1):
-        pos_of_dp[dp] = len(vertices)
-        vertices.append(AGVertex(label=f"v0_{i}", vtype="0", origin=("double_point", dp)))
-    for f_idx, i in plus:
-        pos_of_region[f_idx] = len(vertices)
-        vertices.append(AGVertex(label=f"v+_{i}", vtype="+", origin=("region", f_idx)))
+    vertices = [AGVertex(f"v-_{i}", "-", ("region", f)) for i, f in enumerate(minus, 1)]
+    vertices += [AGVertex(f"v0_{i}", "0", ("double_point", dp))
+                 for i, dp in enumerate(divide.double_points, 1)]
+    vertices += [AGVertex(f"v+_{i}", "+", ("region", f)) for i, f in enumerate(plus, 1)]
+    n_before_plus = len(minus) + len(divide.double_points)
+    pos_of_region = {f: i for i, f in enumerate(minus)}
+    pos_of_region.update((f, n_before_plus + i) for i, f in enumerate(plus))
 
     counts: dict[tuple[int, int], int] = {}
-    for dp in divide.double_points:
+    for pos, dp in enumerate(divide.double_points, len(minus)):
         for slot in range(DOUBLE_POINT_DEGREE):
-            f_idx = faces.face_of_dart(dp, slot)
-            if f_idx in pos_of_region:
-                key = tuple(sorted((pos_of_dp[dp], pos_of_region[f_idx])))
+            f = dart_face[(dp, slot)]
+            if f in pos_of_region:
+                key = (pos_of_region[f], pos) if sign[f] == -1 else (pos, pos_of_region[f])
                 counts[key] = counts.get(key, 0) + 1
+    same_type = False
     for e in divide.edges:
-        a, b = edge_side_faces(divide, faces, e)
+        a, b = dart_face[e.ends[0]], dart_face[e.ends[1]]
         if a in pos_of_region and b in pos_of_region:
-            key = tuple(sorted((pos_of_region[a], pos_of_region[b])))
+            pa, pb = pos_of_region[a], pos_of_region[b]
+            same_type = same_type or sign[a] == sign[b]
+            key = (pa, pb) if pa < pb else (pb, pa)
             counts[key] = counts.get(key, 0) + 1
 
-    edges = []
-    for (u, v), m in sorted(counts.items()):
-        if vertices[u].vtype == vertices[v].vtype:
-            raise DivideError(
-                f"AG edge between same-type vertices {vertices[u].label}, "
-                f"{vertices[v].label}"
-            )
-        edges.append(AGEdge(u=u, v=v, multiplicity=m))
-    return AGDiagram(vertices=tuple(vertices), edges=tuple(edges))
+    edges = sorted(counts.items())
+    if same_type:
+        for (u, v), _m in edges:
+            if vertices[u].vtype == vertices[v].vtype:
+                raise DivideError(
+                    f"AG edge between same-type vertices {vertices[u].label}, "
+                    f"{vertices[v].label}"
+                )
+    return AGDiagram(
+        vertices=tuple(vertices),
+        edges=tuple(AGEdge(u, v, m) for (u, v), m in edges),
+    )
 
 
 def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:

@@ -117,6 +117,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    to_stdout = [args.json, args.dot_ag, args.dot_quiver].count("-")
+    if to_stdout > 1:
+        print("error: at most one of --json, --dot-ag and --dot-quiver may be '-'",
+              file=sys.stderr)
+        return EXIT_INVALID
     data = _read(args.path)
     divide, diags = parse_divide(data.decode("utf-8", errors="replace"))
     if divide is None:
@@ -139,8 +144,8 @@ def cmd_report(args) -> int:
         labels = [v.label for v in result.ag.vertices]
         _write(args.dot_quiver, quiver_dot(result.quiver, labels))
     status = "pass" if result.all_passed else "fail"
-    # With the report on stdout, the summary goes to stderr so that stdout
-    # holds exactly the report.
+    # With a document on stdout, the summary goes to stderr so that stdout
+    # holds exactly that document.
     print(
         f"{divide.name}: mu={result.inv.mu} depth={result.depths.diagram_depth} "
         f"identity={'pass' if result.suite.passed else 'fail'} "
@@ -148,7 +153,7 @@ def cmd_report(args) -> int:
         f"certificate={'pass' if result.certificate.passed else 'fail'} "
         f"cones={'pass' if all(c.passed for c in result.cones) else 'fail'} "
         f"overall={status}",
-        file=sys.stderr if args.json == "-" else sys.stdout,
+        file=sys.stderr if to_stdout else sys.stdout,
     )
     return EXIT_OK if result.all_passed else EXIT_SUITE_FAIL
 

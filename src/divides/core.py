@@ -48,6 +48,14 @@ class SignSeed:
 
 @dataclass(frozen=True)
 class Divide:
+    """A divide as a combinatorial map.
+
+    It is validated once: ``diagnostics`` holds ``validate_divide``'s result
+    from its first read on, and parsing, polyline ingestion and
+    ``trace_faces`` all read it.  A divide built with ``dataclasses.replace``
+    is a new object and is validated again.
+    """
+
     name: str
     double_points: tuple[str, ...]
     terminals: tuple[str, ...]
@@ -59,6 +67,11 @@ class Divide:
     def edge_index(self) -> dict[str, EdgeDef]:
         """Edge by id, built on first use; a repeated id keeps its last edge."""
         return {e.id: e for e in self.edges}
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        """``validate_divide(self)``, computed on first read; empty when valid."""
+        return tuple(validate_divide(self))
 
 
 def _end_maps(divide: Divide) -> dict[End, End]:
@@ -132,7 +145,8 @@ def branch_kinds(divide: Divide) -> dict[int, str]:
 def validate_divide(divide: Divide) -> list[str]:
     """All structural diagnostics for a divide; empty list means valid.
 
-    A valid divide has at least one double point, so that mu >= 1.
+    A valid divide has at least one double point, so that mu >= 1.  Each call
+    recomputes them; ``Divide.diagnostics`` keeps one call's result.
     """
     diags: list[str] = []
     dps = list(divide.double_points)
@@ -276,10 +290,13 @@ def trace_faces(divide: Divide) -> FaceSet:
     clockwise at the head vertex.  Between cyclically consecutive terminals
     a virtual boundary arc is inserted, so every face incident to the disc
     boundary carries at least one arc and is flagged outer.
+
+    An invalid divide raises DivideError with its ``diagnostics``; they were
+    computed once for the divide, when it was parsed or ingested, and are not
+    computed again here.
     """
-    diags = validate_divide(divide)
-    if diags:
-        raise DivideError(*diags)
+    if divide.diagnostics:
+        raise DivideError(*divide.diagnostics)
     if not divide.terminals:
         raise DivideError(
             "divide with no terminals: outer face undetermined "

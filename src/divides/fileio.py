@@ -15,7 +15,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
-from .core import Divide, DivideError, EdgeDef, SignSeed, validate_divide
+from .core import Divide, DivideError, EdgeDef, SignSeed
 
 _SIGNS = {"+": 1, "-": -1}
 _SIGN_TEXT = {1: "+", -1: "-"}
@@ -115,7 +115,7 @@ def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
         branches=tuple(tuple(b) for b in branches),
         sign_seed=SignSeed(edge=seed_obj["edge"], side=seed_obj["side"], sign=sign),
     )
-    diags.extend(validate_divide(divide))
+    diags.extend(divide.diagnostics)
     return None if diags else divide
 
 

@@ -1,12 +1,18 @@
 """Exact-geometry ingestion of integer polylines into combinatorial divides.
 
 Points stay integer pairs.  Each pair of segments is decided with integer
-cross products; a ``Fraction`` is built only for a real crossing, its point
-(which names and orders it) and its parameter along each segment.  The rotation
-at a crossing follows from the signs of the two segment directions.  Disc
-boundary crossings are quadratic irrationals, kept as integer ``QuadPoint``s;
-their angular order is decided exactly with sign computations in
-Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
+cross products.  A crossing is the point (px/den, py/den), named by its
+reduced integer triple (px, py, den), and a crossing's parameter along a
+segment is ns/den.  Crossings, and the crossings along each segment, are
+ordered by the integer keys floor(n * 2**S / den) with 2**S > den**2 for
+every den: two distinct fractions with denominators below 2**(S/2) differ by
+more than 2**-S, so their keys differ and keep their order.  ``Fraction``s
+appear only where the witness ray is cast and its hit placed among the
+crossings of its branch.  The rotation at a crossing follows from the signs
+of the two segment directions.  Disc boundary crossings are quadratic
+irrationals, kept as integer ``QuadPoint``s; their angular order is decided
+exactly with sign computations in Q(sqrt(D1), sqrt(D2)).  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional, Union
 
-from .core import Divide, DivideError, EdgeDef, SignSeed, validate_divide
+from .core import Divide, DivideError, EdgeDef, SignSeed
 
 Rational = Union[int, Fraction]
 Vec = tuple[Rational, Rational]
@@ -42,6 +49,21 @@ def _norm2(a: Vec) -> Rational:
 
 def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
+
+
+def order_shift(max_den: int) -> int:
+    """A shift S with 2**S > max_den**2, for ``order_key``."""
+    return 2 * max_den.bit_length()
+
+
+def order_key(n: int, den: int, shift: int) -> int:
+    """floor(n * 2**shift / den) for den > 0.
+
+    Sorting fractions n/den by this key sorts them as ``Fraction``s when
+    2**shift > den**2 for all of them: distinct ones differ by at least
+    1/(den1*den2) > 2**-shift, so their scaled values are more than 1 apart.
+    """
+    return (n << shift) // den
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +263,9 @@ def ingest_polyline(
                 raise DivideError("tangency or overlapping segments")
 
     # Pairwise intersections, decided in integers: with w = a2 - a1 the
-    # lines meet at a1 + (ns/den) d1 = a2 + (nt/den) d2, den > 0.
-    crossings: dict[tuple[Fraction, Fraction], list[tuple[int, Fraction, int, Fraction]]] = {}
+    # lines meet at a1 + (ns/den) d1 = a2 + (nt/den) d2, den > 0.  The point
+    # is (px/den, py/den), keyed by its reduced triple.
+    crossings: dict[tuple[int, int, int], list[tuple[int, int, int, int, int]]] = {}
     for i, s1 in enumerate(segs):
         _first, count, closed = spans[s1.branch]
         (ax, ay), d1 = s1.a, s1.d
@@ -277,21 +300,28 @@ def ingest_polyline(
                 raise DivideError("intersection on the disc boundary")
             if ns in (0, den) or nt in (0, den):
                 raise DivideError("intersection at a polyline vertex")
-            p = (Fraction(px, den), Fraction(py, den))
-            crossings.setdefault(p, []).append((i, Fraction(ns, den), j, Fraction(nt, den)))
+            g = gcd(px, py, den)
+            crossings.setdefault((px // g, py // g, den // g), []).append(
+                (i, ns, j, nt, den))
 
-    for p, recs in crossings.items():
+    for (px, py, den), recs in crossings.items():
         if len(recs) > 1:
-            raise DivideError(f"triple point at ({p[0]}, {p[1]})")
+            raise DivideError(f"triple point at ({Fraction(px, den)}, {Fraction(py, den)})")
 
-    # Events per segment: (parameter, crossing id, slot of the outgoing end).
-    points_sorted = sorted(crossings)
-    seg_events: list[list[tuple[Fraction, str, int]]] = [[] for _ in segs]
+    # Events per segment: (order key of the parameter, numerator, denominator,
+    # crossing id, slot of the outgoing end).  No denominator, reduced or not,
+    # exceeds the largest raw one, so one shift serves every key.
+    shift = order_shift(max((recs[0][4] for recs in crossings.values()), default=1))
+    points_sorted = sorted(
+        crossings,
+        key=lambda p: (order_key(p[0], p[2], shift), order_key(p[1], p[2], shift)),
+    )
+    seg_events: list[list[tuple[int, int, int, str, int]]] = [[] for _ in segs]
     for k, p in enumerate(points_sorted):
-        ((i, s, j, t),) = crossings[p]
+        ((i, s, j, t, den),) = crossings[p]
         out_i, out_j = _out_slots(segs[i].d, segs[j].d)
-        seg_events[i].append((s, f"x{k}", out_i))
-        seg_events[j].append((t, f"x{k}", out_j))
+        seg_events[i].append((order_key(s, den, shift), s, den, f"x{k}", out_i))
+        seg_events[j].append((order_key(t, den, shift), t, den, f"x{k}", out_j))
     for events in seg_events:
         events.sort()
 
@@ -326,12 +356,12 @@ def ingest_polyline(
     # next stop's incoming end.
     edges: list[EdgeDef] = []
     branch_edge_ids: list[list[str]] = []
-    branch_stops: list[list[tuple[int, Fraction]]] = []  # (segment, t) per crossing
+    branch_stops: list[list[tuple[int, int, int]]] = []  # (segment, ns, den) per crossing
     for b_idx, (first, count, closed) in enumerate(spans):
-        events = [(k, t, vid, slot) for k in range(first, first + count)
-                  for t, vid, slot in seg_events[k]]
-        outs = [(vid, slot) for _k, _t, vid, slot in events]
-        ins = [(vid, (slot + 2) % 4) for _k, _t, vid, slot in events]
+        events = [(k, n, den, vid, slot) for k in range(first, first + count)
+                  for _key, n, den, vid, slot in seg_events[k]]
+        outs = [(vid, slot) for _k, _n, _den, vid, slot in events]
+        ins = [(vid, (slot + 2) % 4) for _k, _n, _den, vid, slot in events]
         if closed:
             if not events:
                 raise DivideError(
@@ -346,13 +376,16 @@ def ingest_polyline(
             ids.append(f"e{len(edges)}")
             edges.append(EdgeDef(id=ids[-1], ends=(out_end, in_end)))
         branch_edge_ids.append(ids)
-        branch_stops.append([(k, t) for k, t, _vid, _slot in events])
+        branch_stops.append([(k, n, den) for k, n, den, _vid, _slot in events])
 
-    # Seed: locate the witness face by exact ray casting.
+    # Seed: locate the witness face by exact ray casting.  The stops before
+    # the hit are found by bisection, with a Fraction for each stop it reads.
     k, t, side = _resolve_seed(segs, len(crossings), r2, seed_point)
     b_idx = segs[k].branch
     ids = branch_edge_ids[b_idx]
-    before = bisect_left(branch_stops[b_idx], (k, t))
+    before = bisect_left(
+        branch_stops[b_idx], (k, t), key=lambda stop: (stop[0], Fraction(stop[1], stop[2]))
+    )
     hit_edge = ids[(before - 1) % len(ids)] if spans[b_idx][2] else ids[before]
 
     divide = Divide(
@@ -363,9 +396,8 @@ def ingest_polyline(
         branches=tuple(tuple(ids) for ids in branch_edge_ids),
         sign_seed=SignSeed(edge=hit_edge, side=side, sign=seed_sign),
     )
-    diags = validate_divide(divide)
-    if diags:
-        raise DivideError(*diags)
+    if divide.diagnostics:
+        raise DivideError(*divide.diagnostics)
     return divide
 
 

@@ -264,14 +264,16 @@ def _cyclotomic(k: int, primes: list[int], degree: int) -> list[int]:
 
 
 def _power(m: Mat, e: int) -> Mat:
-    result = identity(len(m))
-    while e:
+    """m**e for e >= 1 by binary powering from the first factor: e.bit_length()
+    - 1 squarings and e.bit_count() - 1 further products."""
+    result = None
+    while True:
         if e & 1:
-            result = mul(result, m)
+            result = m if result is None else mul(result, m)
         e >>= 1
-        if e:
-            m = mul(m, m)
-    return result
+        if not e:
+            return result
+        m = mul(m, m)
 
 
 def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:

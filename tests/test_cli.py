@@ -231,6 +231,34 @@ def test_report_to_stdout_is_exactly_the_report(tmp_path, capsys):
     assert err.startswith("depth1: mu=10 ") and err.rstrip().endswith("overall=pass")
 
 
+@pytest.mark.parametrize("option", ["--dot-ag", "--dot-quiver"])
+def test_dot_to_stdout_is_exactly_the_dot(tmp_path, capsys, option):
+    path = tmp_path / "e6.json"
+    path.write_text(divide_to_text(gen_e6().divide))
+    code, out, err = _run(capsys, "report", str(path), option, "-")
+    assert code == 0
+    code, _, _ = _run(capsys, "report", str(path), option, str(tmp_path / "g.dot"))
+    assert code == 0
+    assert out.encode() == (tmp_path / "g.dot").read_bytes()
+    assert out.endswith("}\n")
+    assert err.startswith("e6: mu=6 ") and err.rstrip().endswith("overall=pass")
+
+
+@pytest.mark.parametrize(
+    "dashes",
+    [("--json", "--dot-ag"), ("--json", "--dot-quiver"), ("--dot-ag", "--dot-quiver"),
+     ("--json", "--dot-ag", "--dot-quiver")],
+)
+def test_two_documents_on_stdout_are_refused(tmp_path, capsys, dashes):
+    path = tmp_path / "e6.json"
+    path.write_text(divide_to_text(gen_e6().divide))
+    argv = [tok for option in dashes for tok in (option, "-")]
+    code, out, err = _run(capsys, "report", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_mu_zero_rejected_alike_by_validate_and_report(tmp_path, capsys):
     chord = {
         "name": "chord",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -18,7 +19,11 @@ from divides import (
     trace_faces,
     validate_divide,
 )
-from conftest import entry, pipeline
+from divides import core
+from divides.corpus import builtin_entries
+from divides.fileio import divide_to_text, parse_divide
+from divides.report import run_pipeline
+from conftest import chord_polylines, entry, pipeline
 
 
 def test_a1_structure():
@@ -68,6 +73,62 @@ def test_disconnected_rejected():
         sign_seed=a.sign_seed,
     )
     assert any("disconnected graph" in m for m in validate_divide(broken))
+
+
+def _polyline_text(k: int, seed: int) -> str:
+    kwargs = chord_polylines(k, seed)
+    return json.dumps({
+        "name": kwargs["name"],
+        "mode": "polyline",
+        "branches": [{"points": [list(p) for p in points], "closed": closed}
+                     for points, closed in kwargs["branches"]],
+        "disc_radius": kwargs["disc_radius"],
+        "sign_seed": {"point": list(kwargs["seed_point"]),
+                      "sign": "+" if kwargs["seed_sign"] == 1 else "-"},
+    })
+
+
+@pytest.mark.parametrize("text", [divide_to_text(gen_e6().divide), _polyline_text(5, 0)],
+                         ids=["map", "polyline"])
+def test_a_divide_is_validated_once_from_parse_to_report(monkeypatch, text):
+    calls = []
+    real = core.validate_divide
+
+    def counting(divide):
+        calls.append(divide.name)
+        return real(divide)
+
+    monkeypatch.setattr(core, "validate_divide", counting)
+    divide, diags = parse_divide(text)
+    assert divide is not None and diags == []
+    assert run_pipeline(divide).all_passed
+    assert len(calls) == 1
+
+
+def _broken_divides() -> list[Divide]:
+    d = gen_a(1).divide
+    e0 = d.edges[0]
+    return [
+        dataclasses.replace(d, edges=d.edges[:-1], branches=(d.branches[0], d.branches[1][:-1])),
+        dataclasses.replace(d, edges=d.edges + (EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0))),)),
+        dataclasses.replace(d, sign_seed=SignSeed(edge="nope", side="left", sign=-1)),
+        dataclasses.replace(d, double_points=()),
+    ]
+
+
+@pytest.mark.parametrize("broken", _broken_divides(), ids=["degree", "slot", "seed", "mu0"])
+def test_trace_faces_rejects_a_hand_built_invalid_divide(broken):
+    want = validate_divide(broken)
+    assert want
+    with pytest.raises(DivideError) as info:
+        trace_faces(broken)
+    assert info.value.diagnostics == want
+
+
+def test_diagnostics_are_validate_divide():
+    for divide in [e.divide for e in builtin_entries(12)] + _broken_divides():
+        assert divide.diagnostics == tuple(validate_divide(divide))
+        assert divide.diagnostics is divide.diagnostics  # kept, not recomputed
 
 
 def test_malformed_seed_rejected():

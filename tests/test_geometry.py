@@ -15,10 +15,18 @@ from divides import (
     parse_divide,
     trace_faces,
 )
-from divides.core import seed_face_index
+from divides.core import seed_face_index, validate_divide
 from divides.corpus import A4_SNAKE_POLYLINE
-from divides.geometry import QuadPoint, compare_circle_points, sign_quad, sign_quad2
+from divides.geometry import (
+    QuadPoint,
+    compare_circle_points,
+    order_key,
+    order_shift,
+    sign_quad,
+    sign_quad2,
+)
 from divides.report import run_pipeline
+from conftest import chord_polylines
 
 
 F = Fraction
@@ -270,6 +278,7 @@ def test_random_bent_polylines_ingest_to_consistent_divides(points, witness, sig
     text = divide_to_text(divide)
     again, _diags = parse_divide(text)
     assert again == divide and divide_to_text(again) == text
+    assert divide.diagnostics == again.diagnostics == tuple(validate_divide(divide)) == ()
     result = run_pipeline(divide)
     faces = result.signed.faces
     d, r = len(divide.double_points), len(divide.branches)
@@ -299,3 +308,92 @@ def test_valid_divide_may_fail_lefschetz_zero():
     assert sum(result.m_desc[i][i] for i in range(result.inv.mu)) == 2
     (check,) = [c for c in result.suite.checks if c.key == "lefschetz_zero"]
     assert not check.passed
+
+
+# Fractions n/den with den < 2**80: plain draws, each value again with a
+# common factor, and its neighbours n/den +- 1/(den*m), closer to it than
+# 1/den**2 when m > den.
+_DEN = st.integers(1, 2 ** 80 - 1)
+_FRACTION = st.tuples(st.integers(-(2 ** 90), 2 ** 90), _DEN)
+
+
+@st.composite
+def _fraction_lists(draw):
+    base = draw(st.lists(_FRACTION, min_size=1, max_size=12))
+    out = list(base)
+    for n, den in base:
+        factor = draw(st.integers(1, (2 ** 80 - 1) // den))
+        out.append((n * factor, den * factor))  # equal, in another form
+        m = draw(st.integers(1, (2 ** 80 - 1) // den))
+        if m > 1:
+            out += [(n * m + 1, den * m), (n * m - 1, den * m)]
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fraction_lists())
+def test_integer_order_keys_sort_like_fractions(fracs):
+    shift = order_shift(max(den for _n, den in fracs))
+    by_key = sorted(fracs, key=lambda f: order_key(f[0], f[1], shift))
+    assert by_key == sorted(fracs, key=lambda f: Fraction(*f))
+
+
+def test_order_keys_separate_the_closest_neighbours():
+    # a/b < c/d with b*c - a*d = 1 differ by 1/(b*d), about 2**-160
+    b, d = 2 ** 80 - 1, 2 ** 80 - 3
+    c = pow(b, -1, d)
+    a = (b * c - 1) // d
+    assert b * c - a * d == 1
+    shift = order_shift(b)
+    assert order_key(a, b, shift) < order_key(c, d, shift)
+    assert order_key(-c, d, shift) < order_key(-a, b, shift)
+
+
+def _crossing_names_along_branches(divide) -> list[list[str]]:
+    """The crossing ids met along each branch, in the branch's direction."""
+    edges = divide.edge_index
+    return [[edges[eid].ends[1][0] for eid in branch[:-1]] for branch in divide.branches]
+
+
+def _reference_names_along_chords(chords, radius) -> list[list[str]]:
+    """The same, for straight chords, from crossing points sorted as Fractions."""
+    hits = []  # (point, chord, parameter) twice per crossing
+    for i, (a, b) in enumerate(chords):
+        for j in range(i + 1, len(chords)):
+            c, e = chords[j]
+            d1 = (F(b[0] - a[0]), F(b[1] - a[1]))
+            d2 = (F(e[0] - c[0]), F(e[1] - c[1]))
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            w = (c[0] - a[0], c[1] - a[1])
+            s = (w[0] * d2[1] - w[1] * d2[0]) / den
+            t = (w[0] * d1[1] - w[1] * d1[0]) / den
+            p = (a[0] + s * d1[0], a[1] + s * d1[1])
+            if 0 < s < 1 and 0 < t < 1 and p[0] ** 2 + p[1] ** 2 < radius ** 2:
+                hits += [(p, i, s), (p, j, t)]
+    name = {p: f"x{k}" for k, p in enumerate(sorted({p for p, _i, _s in hits}))}
+    return [[name[p] for p, i, _s in sorted(hits, key=lambda h: h[2]) if i == chord]
+            for chord in range(len(chords))]
+
+
+def test_crossings_on_one_vertical_line_are_named_by_y():
+    # The downward vertical chord meets the other two at (0, 71/41) and
+    # (0, 109/39); they cross each other at (1700/1801, 4031/1801).  So x0
+    # and x1 lie on x = 0, named by y alone, and the chord meets x1 first.
+    chords = [
+        ([(0, 20), (0, -20)], False),
+        ([(-20, -9), (21, 13)], False),
+        ([(-19, 14), (20, -9)], False),
+    ]
+    d = ingest_polyline(chords, 15, (3, 0), 1)
+    got = _crossing_names_along_branches(d)
+    assert got == _reference_names_along_chords([p for p, _closed in chords], 15)
+    assert got == [["x1", "x0"], ["x0", "x2"], ["x1", "x2"]]
+
+
+@pytest.mark.parametrize("k, seed", [(6, 0), (8, 1), (12, 2)])
+def test_crossing_names_match_a_fraction_sort(k, seed):
+    kwargs = chord_polylines(k, seed)
+    d = ingest_polyline(**kwargs)
+    chords = [p for p, _closed in kwargs["branches"]]
+    assert _crossing_names_along_branches(d) == _reference_names_along_chords(
+        chords, kwargs["disc_radius"])

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from divides import gen_a, intmat, monodromy, seifert_matrix, transvection
-from conftest import pipeline
+from conftest import generic_chords, pipeline
 
 SMALL = st.integers(-6, 6)
 SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
@@ -211,6 +211,26 @@ def test_order_of_a_n_is_brieskorn_pham():
         result = run_pipeline(gen_a(n).divide)
         assert result.cpo.order == brieskorn_pham_order(n + 1, 2), n
     assert brieskorn_pham_order(33, 2) == 66
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 6, 33, 66])
+def test_power_starts_from_the_first_factor(monkeypatch, e):
+    from divides.report import run_pipeline
+
+    m = run_pipeline(generic_chords(6, 0)).m_desc
+    want = m
+    for _ in range(e - 1):
+        want = intmat.mul(want, m)
+    calls = []
+    real_mul = intmat.mul
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(intmat, "mul", counting_mul)
+    assert intmat._power(m, e) == want
+    assert len(calls) == e.bit_length() - 1 + e.bit_count() - 1
 
 
 def test_infinite_orders_are_none():
