@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import random
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from divides import DivideError, builtin_entries, gen_a, gen_depth1, gen_e6, ingest_polyline
+from divides import (
+    DivideError,
+    EdgeDef,
+    builtin_entries,
+    gen_a,
+    gen_depth1,
+    gen_e6,
+    ingest_polyline,
+)
 from divides.report import run_pipeline
 
 # No example database, so test runs write no .hypothesis/ directory into the
@@ -80,3 +89,16 @@ def chord_polylines(k: int, seed: int) -> dict:
 def generic_chords(k: int, seed: int):
     """The divide of ``chord_polylines(k, seed)``."""
     return ingest_polyline(**chord_polylines(k, seed))
+
+
+def a1_mirrored_at_c1():
+    """A_1 with the rotation at its double point ``c1`` mirrored: slot s
+    becomes (0, 3, 2, 1)[s].  Every slot is still used once, so the divide
+    validates, but its orbits do not close up into the faces of a disc."""
+    a1 = gen_a(1).divide
+    mirror = (0, 3, 2, 1)
+    edges = tuple(
+        EdgeDef(e.id, tuple((v, mirror[s]) if v == "c1" else (v, s) for v, s in e.ends))
+        for e in a1.edges
+    )
+    return dataclasses.replace(a1, edges=edges)

@@ -7,6 +7,8 @@ import pytest
 from divides import divide_to_text, gen_a, gen_depth1, gen_e6
 from divides.cli import main
 
+from conftest import a1_mirrored_at_c1
+
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -30,6 +32,15 @@ def test_validate_corrupted_slot(tmp_path, capsys):
     code, _, err = _run(capsys, "validate", str(path))
     assert code == 2
     assert "slot used twice" in err
+
+
+def test_validate_rejects_a_map_failing_the_euler_relation(tmp_path, capsys):
+    path = tmp_path / "mirrored.json"
+    path.write_text(divide_to_text(a1_mirrored_at_c1()))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid: rotation system not planar-consistent: Euler relation fails")
 
 
 def test_validate_missing_file(capsys):

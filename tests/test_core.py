@@ -23,7 +23,7 @@ from divides import core
 from divides.corpus import builtin_entries
 from divides.fileio import divide_to_text, parse_divide
 from divides.report import run_pipeline
-from conftest import chord_polylines, entry, pipeline
+from conftest import a1_mirrored_at_c1, chord_polylines, entry, pipeline
 
 
 def test_a1_structure():
@@ -245,6 +245,18 @@ def test_trace_rejects_no_terminals():
     )
     with pytest.raises(DivideError, match="no terminals"):
         trace_faces(d)
+
+
+def test_euler_relation_diagnostic():
+    d = a1_mirrored_at_c1()
+    assert validate_divide(d) == []
+    with pytest.raises(DivideError) as info:
+        trace_faces(d)
+    assert info.value.diagnostics == [
+        "rotation system not planar-consistent: Euler relation fails (V=5, E=8, F=2); "
+        "offending orbit (('dart', 'c1', 0), ('arc', 'tR', 'tA'), ('dart', 'tA', 0), "
+        "('dart', 'c1', 2), ('arc', 'tL', 'tB'), ('dart', 'tB', 0))"
+    ]
 
 
 def test_region_shape_warnings_clean_on_corpus():
