@@ -42,7 +42,6 @@ from .core import (
     SignedDivide,
     assign_signs,
     invariants,
-    region_shape_warnings,
     trace_faces,
     validate_divide,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "parse_divide",
     "pl_variation",
     "quiver_dot",
-    "region_shape_warnings",
     "reorder_within_types",
     "run_pipeline",
     "seifert_matrix",

@@ -88,7 +88,7 @@ def build_ag(signed: SignedDivide) -> AGDiagram:
     ordered by the types of its ends.
     """
     divide = signed.divide
-    dart_face = signed.faces.dart_face
+    face_of = signed.faces.face_of
     sign = signed.sign
     regions = signed.faces.region_indices
     minus = [f for f in regions if sign[f] == -1]
@@ -103,15 +103,15 @@ def build_ag(signed: SignedDivide) -> AGDiagram:
     pos_of_region.update((f, n_before_plus + i) for i, f in enumerate(plus))
 
     counts: dict[tuple[int, int], int] = {}
-    for pos, dp in enumerate(divide.double_points, len(minus)):
-        for slot in range(DOUBLE_POINT_DEGREE):
-            f = dart_face[(dp, slot)]
-            if f in pos_of_region:
-                key = (pos_of_region[f], pos) if sign[f] == -1 else (pos, pos_of_region[f])
-                counts[key] = counts.get(key, 0) + 1
+    for x in range(DOUBLE_POINT_DEGREE * len(divide.double_points)):  # slot x % 4 of x // 4
+        f = face_of[x]
+        if f in pos_of_region:
+            pos = len(minus) + x // DOUBLE_POINT_DEGREE
+            key = (pos_of_region[f], pos) if sign[f] == -1 else (pos, pos_of_region[f])
+            counts[key] = counts.get(key, 0) + 1
     same_type = False
-    for e in divide.edges:
-        a, b = dart_face[e.ends[0]], dart_face[e.ends[1]]
+    for x, y in divide.edge_darts:
+        a, b = face_of[x], face_of[y]
         if a in pos_of_region and b in pos_of_region:
             pa, pb = pos_of_region[a], pos_of_region[b]
             same_type = same_type or sign[a] == sign[b]
@@ -139,24 +139,23 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
     a region vertex when its closure shares a double point with an
     outer-adjacent face.  Sharing an edge needs no clause of its own: a
     bounded region never touches a terminal, so both ends of an edge it
-    shares with an outer face are double points of both.  O(V + E): each
-    dart is looked at a bounded number of times.
+    shares with an outer face are double points of both.  So both rules ask
+    whether a double point, x // 4 of a dart x, is one that an outer face
+    passes through; a region's items are all such darts.  O(V + E).
     """
-    faces = signed.faces
-    outer = set(faces.outer_indices)
-
-    outer_vertices: set[str] = set()
-    for f_idx in outer:
-        outer_vertices.update(faces.faces[f_idx].vertices())
+    divide, faces = signed.divide, signed.faces
+    n_dart = DOUBLE_POINT_DEGREE * len(divide.double_points)
+    touched = {x // DOUBLE_POINT_DEGREE for f in faces.outer_indices
+               for x in faces.faces[f].items if x < n_dart}
 
     exposed = set()
     for pos, vx in enumerate(ag.vertices):
         kind, origin = vx.origin
         if kind == "double_point":
-            quads = {faces.face_of_dart(origin, s) for s in range(DOUBLE_POINT_DEGREE)}
-            if quads & outer:
-                exposed.add(pos)
-        elif set(faces.faces[origin].vertices()) & outer_vertices:
+            hit = divide.first_dart[origin] // DOUBLE_POINT_DEGREE in touched
+        else:
+            hit = any(x // DOUBLE_POINT_DEGREE in touched for x in faces.faces[origin].items)
+        if hit:
             exposed.add(pos)
     return frozenset(exposed)
 

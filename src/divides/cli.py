@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .agdiagram import to_dot
 from .adapted import quiver_dot
-from .core import DivideError, assign_signs, region_shape_warnings, trace_faces
+from .core import DivideError, assign_signs, trace_faces
 from .corpus import builtin_entries, gen_a, gen_depth1, gen_e6
 from .fileio import divide_to_text, parse_divide
 from .report import (
@@ -104,14 +104,11 @@ def cmd_validate(args) -> int:
             print(f"invalid: {d}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        faces = trace_faces(divide)
-        assign_signs(divide, faces)
+        assign_signs(divide, trace_faces(divide))
     except DivideError as exc:
         for d in exc.diagnostics:
             print(f"invalid: {d}", file=sys.stderr)
         return EXIT_INVALID
-    for w in region_shape_warnings(divide, faces):
-        print(f"warning: {w}", file=sys.stderr)
     print(f"{divide.name}: valid divide")
     return EXIT_OK
 

@@ -5,6 +5,12 @@ with an explicit counterclockwise rotation system, 1-valent terminals in
 counterclockwise order along the disc boundary, and a checkerboard sign
 seed.  Faces of the complement are recovered by orbit tracing, with a
 virtual boundary arc inserted between cyclically consecutive terminals.
+
+Every end of the map has one integer number.  With d double points and t
+terminals, slot s of double point i is dart 4i + s, terminal j is dart
+4d + j, and the virtual arc from terminal j to the next terminal is item
+4d + t + j.  Dart x < 4d belongs to double point x // 4, and its opposite
+slot, where the strand through it continues, is dart x ^ 2.
 """
 
 from __future__ import annotations
@@ -73,73 +79,49 @@ class Divide:
         """``validate_divide(self)``, computed on first read; empty when valid."""
         return tuple(validate_divide(self))
 
+    @cached_property
+    def first_dart(self) -> dict[str, int]:
+        """Vertex id -> its slot-0 dart (4i for double point i, 4d + j for
+        terminal j); a repeated id keeps its first number."""
+        first: dict[str, int] = {}
+        for i, v in enumerate(self.double_points):
+            first.setdefault(v, DOUBLE_POINT_DEGREE * i)
+        n_dart = DOUBLE_POINT_DEGREE * len(self.double_points)
+        for j, t in enumerate(self.terminals):
+            first.setdefault(t, n_dart + j)
+        return first
 
-def _end_maps(divide: Divide) -> dict[End, End]:
-    """Map each used (vertex, slot) end to the opposite end of its edge."""
-    twin: dict[End, End] = {}
-    for e in divide.edges:
-        a, b = e.ends
-        twin[a] = b
-        twin[b] = a
-    return twin
+    @cached_property
+    def edge_darts(self) -> tuple[tuple[int, int], ...]:
+        """The darts of each edge's two ends, in ``edges`` order; read only
+        once the divide is known to be valid."""
+        first = self.first_dart
+        ends = (e.ends for e in self.edges)
+        return tuple((first[u] + su, first[v] + sv) for (u, su), (v, sv) in ends)
 
 
-def _strand_components(divide: Divide) -> list[set[str]]:
-    """Edge components under strand continuation (opposite slots pair up).
+def _dart_orbits(twin: list[int], n_dart: int, flips: tuple[int, ...]) -> list[list[int]]:
+    """Orbits of the darts under the edge involution x -> twin[x] and, at a
+    double point (x < n_dart), the slot changes x -> x ^ k for k in ``flips``.
 
-    At a transversal double point the two local branches occupy opposite
-    slots, so slot s continues into slot (s+2) mod 4; terminals end a strand.
+    With flips (1, 2, 3) an orbit is a connected component of the graph; with
+    (2,) it is a strand, since a branch crossing a double point continues
+    into the opposite slot and ends at a terminal.
     """
-    adj: dict[str, set[str]] = {e.id: set() for e in divide.edges}
-    end_edge: dict[End, str] = {}
-    for e in divide.edges:
-        for end in e.ends:
-            end_edge[end] = e.id
-    dps = set(divide.double_points)
-    for (v, s), eid in end_edge.items():
-        if v in dps:
-            other = end_edge.get((v, (s + 2) % DOUBLE_POINT_DEGREE))
-            if other is not None:
-                adj[eid].add(other)
-                adj[other].add(eid)
-    seen: set[str] = set()
-    comps = []
-    for e in divide.edges:
-        if e.id in seen:
+    seen = [False] * len(twin)
+    orbits = []
+    for start in range(len(twin)):
+        if seen[start]:
             continue
-        comp = set()
-        stack = [e.id]
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def branch_kinds(divide: Divide) -> dict[int, str]:
-    """Kind ("interval" or "circle") for each declared branch, by index."""
-    terminal_set = set(divide.terminals)
-    edges = divide.edge_index
-    kinds = {}
-    for i, branch in enumerate(divide.branches):
-        n_term = 0
-        for eid in branch:
-            for v, _ in edges[eid].ends:
-                if v in terminal_set:
-                    n_term += 1
-        if n_term == 2:
-            kinds[i] = "interval"
-        elif n_term == 0:
-            kinds[i] = "circle"
-        else:
-            raise DivideError(
-                f"branch {i} touches {n_term} terminal ends (expected 0 or 2)"
-            )
-    return kinds
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # the orbit grows while it is read
+            for y in [twin[x]] + [x ^ k for k in flips if x < n_dart]:
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbits.append(orbit)
+    return orbits
 
 
 def validate_divide(divide: Divide) -> list[str]:
@@ -155,79 +137,65 @@ def validate_divide(divide: Divide) -> list[str]:
         diags.append("duplicate ids among double points")
     if len(set(terms)) != len(terms):
         diags.append("duplicate ids among terminals")
-    dp_set = set(dps)
-    if dp_set & set(terms):
+    if set(dps) & set(terms):
         diags.append("duplicate ids: vertex appears as both double point and terminal")
     edge_ids = [e.id for e in divide.edges]
     if len(set(edge_ids)) != len(edge_ids):
         diags.append("duplicate ids among edges")
 
-    vertices = dp_set | set(terms)
-    used: dict[End, str] = {}
+    first = divide.first_dart
+    n_dart = DOUBLE_POINT_DEGREE * len(dps)
+    used: list[Optional[str]] = [None] * (n_dart + len(terms))  # edge id at each dart
     for e in divide.edges:
         if len(e.ends) != 2:
             diags.append(f"edge '{e.id}' does not have exactly two ends")
             continue
         for v, s in e.ends:
-            if v not in vertices:
+            if v not in first:
                 diags.append(f"edge '{e.id}' references unknown vertex '{v}'")
                 continue
-            deg = DOUBLE_POINT_DEGREE if v in dp_set else 1
+            deg = DOUBLE_POINT_DEGREE if first[v] < n_dart else 1
             if not (0 <= s < deg):
                 diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
                 continue
-            if (v, s) in used:
-                diags.append(f"slot used twice: ({v}, {s}) by '{used[(v, s)]}' and '{e.id}'")
+            x = first[v] + s
+            if used[x] is not None:
+                diags.append(f"slot used twice: ({v}, {s}) by '{used[x]}' and '{e.id}'")
             else:
-                used[(v, s)] = e.id
-    slots: dict[str, list[int]] = {}
-    for w, s in used:
-        slots.setdefault(w, []).append(s)
-    for v in dps:
-        have = sorted(slots.get(v, ()))
-        if have != list(range(DOUBLE_POINT_DEGREE)):
-            diags.append(f"degree mismatch at vertex '{v}': slots {have}")
-    for t in terms:
-        have = sorted(slots.get(t, ()))
-        if have != [0]:
-            diags.append(f"degree mismatch at vertex '{t}': slots {have}")
+                used[x] = e.id
+    for names, want in ((dps, list(range(DOUBLE_POINT_DEGREE))), (terms, [0])):
+        for v in names:
+            x = first[v]
+            deg = DOUBLE_POINT_DEGREE if x < n_dart else 1
+            have = [s for s in range(deg) if used[x + s] is not None]
+            if have != want:
+                diags.append(f"degree mismatch at vertex '{v}': slots {have}")
 
-    # Connectivity of the underlying graph.
+    # Connectivity of the underlying graph; from here on, with no diagnostic
+    # so far, every dart is the end of exactly one edge.
+    twin = [0] * len(used)
     if divide.edges and not diags:
-        adj: dict[str, set[str]] = {v: set() for v in vertices}
-        for e in divide.edges:
-            (u, _), (w, _) = e.ends
-            adj[u].add(w)
-            adj[w].add(u)
-        start = next(iter(vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != vertices:
+        for x, y in divide.edge_darts:
+            twin[x], twin[y] = y, x
+        if len(_dart_orbits(twin, n_dart, (1, 2, 3))) != 1:
             diags.append("disconnected graph")
         elif not dps:  # one chord: mu = 2d - r + 1 = 0
             diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
     elif not divide.edges:
         diags.append("divide has no edges")
 
-    # Branch partition must agree with strand continuation.
-    declared = sorted(sorted(b) for b in divide.branches)
+    # Branch partition must agree with strand continuation.  A strand is an
+    # orbit of two involutions, twin (no fixed point) and x -> x ^ 2 (fixed
+    # only at terminals), so it touches 0 or 2 terminal ends: each branch is
+    # then a circle or an interval.
     if sorted(eid for b in divide.branches for eid in b) != sorted(edge_ids):
         diags.append("branch partition invalid: does not partition the edge set")
     elif not diags:
-        computed = sorted(sorted(c) for c in _strand_components(divide))
+        declared = sorted(sorted(b) for b in divide.branches)
+        computed = sorted(sorted({used[x] for x in strand})
+                          for strand in _dart_orbits(twin, n_dart, (2,)))
         if declared != computed:
             diags.append("branch partition invalid: disagrees with strand continuation")
-        else:
-            try:
-                branch_kinds(divide)
-            except DivideError as exc:
-                diags.extend(exc.diagnostics)
 
     seed = divide.sign_seed
     if seed.side not in ("left", "right") or seed.sign not in (1, -1):
@@ -241,46 +209,40 @@ def validate_divide(divide: Divide) -> list[str]:
 # Face tracing
 
 
-Dart = tuple[str, str, int]  # ("dart", vertex, slot)
-Arc = tuple[str, str, str]  # ("arc", from terminal, to terminal)
-FaceItem = tuple  # Dart | Arc
-
-
 @dataclass(frozen=True)
 class Face:
     index: int
-    items: tuple[FaceItem, ...]
+    items: tuple[int, ...]  # darts and virtual arcs, numbered as in the module docstring
     outer: bool  # contains a virtual boundary arc
-
-    @property
-    def is_region(self) -> bool:
-        return not self.outer
-
-    def darts(self) -> list[tuple[str, int]]:
-        return [(it[1], it[2]) for it in self.items if it[0] == "dart"]
-
-    def vertices(self) -> list[str]:
-        return [it[1] for it in self.items if it[0] == "dart"]
 
 
 class FaceSet:
     """Faces of the complement, as orbits of the next-at-face permutation.
 
-    ``dart_face`` maps each dart (vertex, slot) to the face it bounds; it is
-    built once here.
+    Items are numbered once for the whole map: with d double points and t
+    terminals, dart 4i + s is slot s of double point i, dart 4d + j is
+    terminal j, and item 4d + t + j is the virtual arc after terminal j.
+    ``face_of[x]`` is the index of the face through item x; it is the one
+    way from an end of the map to its face.
     """
 
-    def __init__(self, faces: tuple[Face, ...]):
+    def __init__(self, faces: tuple[Face, ...], face_of: tuple[int, ...]):
         self.faces = faces
-        self.dart_face: dict[End, int] = {}
-        for f in faces:
-            for d in f.darts():
-                self.dart_face[d] = f.index
-        self.region_indices = tuple(f.index for f in faces if f.is_region)
+        self.face_of = face_of
+        self.region_indices = tuple(f.index for f in faces if not f.outer)
         self.outer_indices = tuple(f.index for f in faces if f.outer)
 
-    def face_of_dart(self, vertex: str, slot: int) -> int:
-        return self.dart_face[(vertex, slot)]
+
+def _item_tuple(divide: Divide, x: int) -> tuple:
+    """Item x as diagnostics print it: ("dart", vertex, slot) or ("arc", a, b)."""
+    n_dart = DOUBLE_POINT_DEGREE * len(divide.double_points)
+    terms = divide.terminals
+    if x < n_dart:
+        return ("dart", divide.double_points[x // DOUBLE_POINT_DEGREE], x % DOUBLE_POINT_DEGREE)
+    if x < n_dart + len(terms):
+        return ("dart", terms[x - n_dart], 0)
+    j = x - n_dart - len(terms)
+    return ("arc", terms[j], terms[(j + 1) % len(terms)])
 
 
 def trace_faces(divide: Divide) -> FaceSet:
@@ -289,7 +251,8 @@ def trace_faces(divide: Divide) -> FaceSet:
     The next-at-face rule: cross the edge, then take the next half-edge
     clockwise at the head vertex.  Between cyclically consecutive terminals
     a virtual boundary arc is inserted, so every face incident to the disc
-    boundary carries at least one arc and is flagged outer.
+    boundary carries at least one arc and is flagged outer.  Faces are
+    traced in item order, so face 0 is the face through dart 0.
 
     An invalid divide raises DivideError with its ``diagnostics``; they were
     computed once for the divide, when it was parsed or ingested, and are not
@@ -302,85 +265,52 @@ def trace_faces(divide: Divide) -> FaceSet:
             "divide with no terminals: outer face undetermined "
             "(all-circle divides are not supported by face tracing)"
         )
-    twin = _end_maps(divide)
-    terms = divide.terminals
-    succ_term = {terms[i]: terms[(i + 1) % len(terms)] for i in range(len(terms))}
-    dp_set = set(divide.double_points)
+    n_dart = DOUBLE_POINT_DEGREE * len(divide.double_points)
+    n_term = len(divide.terminals)
+    first_arc = n_dart + n_term
 
-    def next_item(item: FaceItem) -> FaceItem:
-        if item[0] == "dart":
-            v, j = twin[(item[1], item[2])]
-            if v in dp_set:
-                return ("dart", v, (j - 1) % DOUBLE_POINT_DEGREE)
-            return ("arc", v, succ_term[v])
-        # arc (a -> b): continue out of terminal b along its unique edge
-        return ("dart", item[2], 0)
+    def turn(x: int) -> int:
+        """The item after arriving at dart x: the slot before it at a double
+        point, the arc after it at a terminal."""
+        if x < n_dart:
+            return x - 1 if x % DOUBLE_POINT_DEGREE else x + DOUBLE_POINT_DEGREE - 1
+        return x + n_term
 
-    items: list[FaceItem] = []
-    for v in divide.double_points:
-        for s in range(DOUBLE_POINT_DEGREE):
-            items.append(("dart", v, s))
-    for t in terms:
-        items.append(("dart", t, 0))
-    for t in terms:
-        items.append(("arc", t, succ_term[t]))
+    succ = [0] * (first_arc + n_term)
+    for x, y in divide.edge_darts:
+        succ[x], succ[y] = turn(y), turn(x)
+    for j in range(n_term):  # arc j (a -> b) continues out of terminal b
+        succ[first_arc + j] = n_dart + (j + 1) % n_term
 
-    visited: set[FaceItem] = set()
+    face_of = [-1] * len(succ)
     faces: list[Face] = []
-    for start in items:
-        if start in visited:
+    for start in range(len(succ)):
+        if face_of[start] >= 0:
             continue
+        index = len(faces)
         cycle = [start]
-        visited.add(start)
-        cur = next_item(start)
+        face_of[start] = index
+        cur = succ[start]
         while cur != start:
-            if cur in visited:
+            if face_of[cur] >= 0:
                 raise DivideError(
-                    f"rotation system not planar-consistent: orbit through {start} "
-                    f"re-enters {cur}"
+                    "rotation system not planar-consistent: orbit through "
+                    f"{_item_tuple(divide, start)} re-enters {_item_tuple(divide, cur)}"
                 )
             cycle.append(cur)
-            visited.add(cur)
-            cur = next_item(cur)
-        outer = any(it[0] == "arc" for it in cycle)
-        faces.append(Face(index=len(faces), items=tuple(cycle), outer=outer))
+            face_of[cur] = index
+            cur = succ[cur]
+        faces.append(Face(index=index, items=tuple(cycle), outer=max(cycle) >= first_arc))
 
-    n_v = len(divide.double_points) + len(terms)
-    n_e = len(divide.edges) + len(terms)  # virtual arcs count as edges
+    n_v = len(divide.double_points) + n_term
+    n_e = len(divide.edges) + n_term  # virtual arcs count as edges
     if n_v - n_e + len(faces) != 1:
+        orbit = tuple(_item_tuple(divide, x) for x in faces[0].items)
         raise DivideError(
             "rotation system not planar-consistent: Euler relation fails "
-            f"(V={n_v}, E={n_e}, F={len(faces)}); offending orbit {faces[0].items}"
+            f"(V={n_v}, E={n_e}, F={len(faces)}); offending orbit {orbit}"
         )
-    return FaceSet(tuple(faces))
-
-
-def edge_side_faces(divide: Divide, faces: FaceSet, edge: EdgeDef) -> tuple[int, int]:
-    """(left face, right face) of an edge, relative to its declared orientation."""
-    (u, su), (v, sv) = edge.ends
-    return faces.face_of_dart(u, su), faces.face_of_dart(v, sv)
-
-
-def region_shape_warnings(divide: Divide, faces: FaceSet) -> list[str]:
-    """Report regions whose closure revisits a vertex outside the standard
-    figure-eight pattern (opposite corners of a double point it crosses)."""
-    warnings = []
-    for f in faces.faces:
-        if not f.is_region:
-            continue
-        slots_at: dict[str, list[int]] = {}
-        for v, s in f.darts():
-            slots_at.setdefault(v, []).append(s)
-        for v, slots in sorted(slots_at.items()):
-            if len(slots) == 1:
-                continue
-            if len(slots) == 2 and (slots[0] - slots[1]) % DOUBLE_POINT_DEGREE == 2:
-                continue  # figure-eight: opposite corners
-            warnings.append(
-                f"region face {f.index} is not simply enclosed: revisits "
-                f"vertex '{v}' at corners {sorted(slots)}"
-            )
-    return warnings
+    return FaceSet(tuple(faces), tuple(face_of))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +327,12 @@ class SignedDivide:
 
 
 def seed_face_index(divide: Divide, faces: FaceSet) -> int:
+    """The seed edge's left face is the face of its first end's dart, its
+    right face that of its second end's dart."""
     seed = divide.sign_seed
-    edge = divide.edge_index[seed.edge]
-    left, right = edge_side_faces(divide, faces, edge)
-    return left if seed.side == "left" else right
+    left, right = divide.edge_index[seed.edge].ends
+    v, s = left if seed.side == "left" else right
+    return faces.face_of[divide.first_dart[v] + s]
 
 
 def assign_signs(divide: Divide, faces: FaceSet) -> SignedDivide:
@@ -411,8 +343,9 @@ def assign_signs(divide: Divide, faces: FaceSet) -> SignedDivide:
     sign[start] = divide.sign_seed.sign
     queue = [start]
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for e in divide.edges:
-        a, b = edge_side_faces(divide, faces, e)
+    face_of = faces.face_of
+    for x, y in divide.edge_darts:
+        a, b = face_of[x], face_of[y]
         adj[a].append(b)
         adj[b].append(a)
     while queue:
@@ -449,13 +382,15 @@ def invariants(signed: SignedDivide) -> DivideInvariants:
 
     mu = 2d - r + 1; the fiber is a genus d-r+1 surface with r boundary
     components, so chi = 1 - mu; the traced region count must equal d-r+1.
+    A valid divide's branches are intervals with two terminal ends each and
+    circles with none, so it has a circle exactly when 2r differs from the
+    number of terminals.
     """
     divide = signed.divide
-    kinds = branch_kinds(divide)
-    if any(k == "circle" for k in kinds.values()):
-        raise DivideError("surface invariants undefined for circle components")
     d = len(divide.double_points)
     r = len(divide.branches)
+    if 2 * r != len(divide.terminals):
+        raise DivideError("surface invariants undefined for circle components")
     mu = 2 * d - r + 1
     n_regions = len(signed.faces.region_indices)
     if n_regions != d - r + 1:

@@ -22,7 +22,6 @@ from .core import (
     SignedDivide,
     assign_signs,
     invariants,
-    region_shape_warnings,
     trace_faces,
 )
 from .corpus import CorpusEntry
@@ -54,7 +53,6 @@ class PipelineResult:
     quiver: adapted_mod.EulerQuiver
     certificate: adapted_mod.CertificateVerdict
     cones: tuple[adapted_mod.Depth1Cone, ...]
-    warnings: tuple[str, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -73,7 +71,6 @@ def run_pipeline(
     faces = trace_faces(divide)
     signed = assign_signs(divide, faces)
     inv = invariants(signed)
-    warnings = tuple(region_shape_warnings(divide, faces))
 
     ag = ag_mod.build_ag(signed)
     if reorder:
@@ -113,7 +110,6 @@ def run_pipeline(
         quiver=quiver,
         certificate=cert,
         cones=tuple(cones),
-        warnings=warnings,
     )
 
 
@@ -217,7 +213,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             }
             for c in result.cones
         ],
-        "warnings": list(result.warnings),
+        "warnings": [],  # no check warns: a traced planar map has no bridge to warn of
         "calibration": {
             "dim_n": lattice_mod.DIM_N,
             "pl_sign": lattice_mod.PL_SIGN,

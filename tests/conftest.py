@@ -102,3 +102,12 @@ def a1_mirrored_at_c1():
         for e in a1.edges
     )
     return dataclasses.replace(a1, edges=edges)
+
+
+def dart_numbers(divide) -> dict:
+    """(vertex, slot) -> dart, by the numbering the faces use: slot s of double
+    point i is dart 4i + s and terminal j is dart 4d + j, d double points."""
+    darts = {(v, s): 4 * i + s for i, v in enumerate(divide.double_points) for s in range(4)}
+    n_dart = 4 * len(divide.double_points)
+    darts.update(((t, 0), n_dart + j) for j, t in enumerate(divide.terminals))
+    return darts

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from divides import (
     Divide,
@@ -15,7 +17,6 @@ from divides import (
     gen_e6,
     ingest_polyline,
     invariants,
-    region_shape_warnings,
     trace_faces,
     validate_divide,
 )
@@ -23,7 +24,15 @@ from divides import core
 from divides.corpus import builtin_entries
 from divides.fileio import divide_to_text, parse_divide
 from divides.report import run_pipeline
-from conftest import a1_mirrored_at_c1, chord_polylines, entry, pipeline
+from conftest import (
+    CORPUS_NAMES,
+    a1_mirrored_at_c1,
+    chord_polylines,
+    dart_numbers,
+    entry,
+    generic_chords,
+    pipeline,
+)
 
 
 def test_a1_structure():
@@ -52,6 +61,17 @@ def test_slot_used_twice_rejected():
     broken = dataclasses.replace(d, edges=d.edges + (clash,))
     diags = validate_divide(broken)
     assert any("slot used twice" in m for m in diags)
+
+
+def test_terminal_slot_out_of_range_rejected():
+    d = gen_a(1).divide
+    (_tl, c1_end) = d.edges[0].ends
+    moved = EdgeDef(id=d.edges[0].id, ends=(("tL", 1), c1_end))
+    broken = dataclasses.replace(d, edges=(moved,) + d.edges[1:])
+    assert validate_divide(broken) == [
+        "edge 'l0': slot 1 out of range at vertex 'tL'",
+        "degree mismatch at vertex 'tL': slots []",
+    ]
 
 
 def test_disconnected_rejected():
@@ -163,22 +183,26 @@ def test_trace_is_bijection_on_darts_and_arcs():
         d = entry(name).divide
         fs = trace_faces(d)
         items = [it for f in fs.faces for it in f.items]
-        assert len(items) == len(set(items))
-        n_darts = sum(1 for it in items if it[0] == "dart")
-        n_arcs = sum(1 for it in items if it[0] == "arc")
-        assert n_darts == 4 * len(d.double_points) + len(d.terminals)
-        assert n_arcs == len(d.terminals)
+        n_darts = 4 * len(d.double_points) + len(d.terminals)
+        n_arcs = len(d.terminals)
+        assert sorted(items) == list(range(n_darts + n_arcs))
+        for f in fs.faces:
+            assert f.outer == any(it >= n_darts for it in f.items)
+            # the arc after terminal j leads out of terminal j + 1
+            for it, nxt in zip(f.items, f.items[1:] + f.items[:1]):
+                if it >= n_darts:
+                    assert nxt == n_darts - n_arcs + (it - n_darts + 1) % n_arcs
 
 
 def test_signs_a1_alternate():
     d = gen_a(1).divide
     sd = assign_signs(d, trace_faces(d))
     assert sorted(sd.sign) == [-1, -1, 1, 1]
-    # every edge separates opposite signs
-    from divides.core import edge_side_faces
-
+    # every edge separates opposite signs; its side faces found by a scan
+    dart = dart_numbers(d)
+    face = {it: f.index for f in sd.faces.faces for it in f.items}
     for e in d.edges:
-        a, b = edge_side_faces(d, sd.faces, e)
+        a, b = (face[dart[end]] for end in e.ends)
         assert sd.sign[a] == -sd.sign[b]
 
 
@@ -259,7 +283,34 @@ def test_euler_relation_diagnostic():
     ]
 
 
-def test_region_shape_warnings_clean_on_corpus():
-    for name in ("a1", "a6", "e6", "depth1"):
-        d = entry(name).divide
-        assert region_shape_warnings(d, trace_faces(d)) == []
+_SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
+def test_traced_maps_have_no_bridge(case, data):
+    """With the slots of up to two double points permuted, a divide that
+    still validates and traces has no edge with one face on both sides, and
+    each of its branches touches 0 or 2 terminal ends."""
+    d = entry(case).divide if isinstance(case, str) else generic_chords(*case)
+    moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
+                                      st.sampled_from(_SLOT_PERMUTATIONS), max_size=2))
+    edges = tuple(
+        EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
+        for e in d.edges
+    )
+    d = dataclasses.replace(d, edges=edges)
+    if d.diagnostics:
+        reject()
+    try:
+        faces = trace_faces(d)
+    except DivideError:
+        reject()
+    dart = dart_numbers(d)
+    face = {it: f.index for f in faces.faces for it in f.items}
+    for e in d.edges:
+        assert face[dart[e.ends[0]]] != face[dart[e.ends[1]]]
+    terminals = set(d.terminals)
+    for branch in d.branches:
+        ends = [v for eid in branch for v, _ in d.edge_index[eid].ends if v in terminals]
+        assert len(ends) in (0, 2)

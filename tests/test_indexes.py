@@ -18,9 +18,7 @@ from divides import (
     trace_faces,
 )
 from divides.agdiagram import AGEdge, AGVertex
-from divides.core import DOUBLE_POINT_DEGREE, edge_side_faces
-
-from conftest import CORPUS_NAMES, entry, generic_chords
+from conftest import CORPUS_NAMES, dart_numbers, entry, generic_chords
 
 CHORDS = [(k, seed) for k in (3, 4, 5, 6, 7) for seed in range(3)] + [(9, 0)]
 
@@ -105,45 +103,52 @@ def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_face_across_agrees_with_edge_side_faces(case):
-    """The face across each edge end is the face of the dart at the edge's
-    other end; found by scanning the face cycles, it is the side face that
-    ``edge_side_faces`` reads from the dart index."""
+    """The faces on the two sides of each edge, read from ``face_of`` at the
+    darts of its two ends, are the faces whose cycles a scan finds those
+    darts in; so is the face of each virtual arc."""
     divide = _divide(case)
     faces = trace_faces(divide)
+    dart = dart_numbers(divide)
 
-    def scanned(dart):
-        (index,) = [f.index for f in faces.faces if dart in f.darts()]
+    def scanned(item):
+        (index,) = [f.index for f in faces.faces if item in f.items]
         return index
 
     seen = set()
     for e in divide.edges:
-        left, right = edge_side_faces(divide, faces, e)
-        (u, su), (v, sv) = e.ends
-        assert scanned((v, sv)) == right
-        assert scanned((u, su)) == left
-        seen.update(e.ends)
-    darts = {(v, s) for v in divide.double_points for s in range(DOUBLE_POINT_DEGREE)}
-    darts |= {(t, 0) for t in divide.terminals}
-    assert seen == darts == set(faces.dart_face)
+        left, right = (dart[end] for end in e.ends)
+        assert faces.face_of[left] == scanned(left)
+        assert faces.face_of[right] == scanned(right)
+        seen.update((left, right))
+    assert divide.edge_darts == tuple(tuple(dart[end] for end in e.ends) for e in divide.edges)
+    assert seen == set(dart.values()) == set(range(len(dart)))
+    assert len(faces.face_of) == len(dart) + len(divide.terminals)
+    for arc in range(len(dart), len(faces.face_of)):
+        assert faces.face_of[arc] == scanned(arc)
 
 
 def _exposure_by_scans(signed, ag):
-    """The exposure rule with the face across each dart found by a scan."""
+    """The exposure rule by vertex names, with the face of each dart and the
+    face across each edge found by scans of the face cycles."""
     faces, edges = signed.faces, signed.divide.edges
+    dart = dart_numbers(signed.divide)
+    vertex = {x: v for (v, _s), x in dart.items()}
+    face = {it: f.index for f in faces.faces for it in f.items}
     outer = set(faces.outer_indices)
-    outer_vertices = {v for f in outer for v in faces.faces[f].vertices()}
+    outer_vertices = {vertex[x] for f in outer for x in faces.faces[f].items if x in vertex}
     exposed = set()
     for pos, vx in enumerate(ag.vertices):
         kind, origin = vx.origin
         if kind == "double_point":
-            hit = any(faces.face_of_dart(origin, s) in outer for s in range(4))
+            hit = any(face[dart[(origin, s)]] in outer for s in range(4))
         else:
-            face = faces.faces[origin]
+            items = faces.faces[origin].items
             across = [
-                faces.face_of_dart(*e.ends[1 - k])
-                for d in face.darts() for e in edges for k in (0, 1) if e.ends[k] == d
+                face[dart[e.ends[1 - k]]]
+                for e in edges for k in (0, 1) if dart[e.ends[k]] in items
             ]
-            hit = bool(outer & set(across)) or bool(outer_vertices & set(face.vertices()))
+            names = {vertex[x] for x in items if x in vertex}
+            hit = bool(outer & set(across)) or bool(outer_vertices & names)
         if hit:
             exposed.add(pos)
     return frozenset(exposed)
