@@ -213,7 +213,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             }
             for c in result.cones
         ],
-        "warnings": [],  # no check warns: a traced planar map has no bridge to warn of
+        "warnings": [],  # kept in the schema; a traced (planar) map has nothing to warn of
         "calibration": {
             "dim_n": lattice_mod.DIM_N,
             "pl_sign": lattice_mod.PL_SIGN,

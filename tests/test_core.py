@@ -183,15 +183,16 @@ def test_trace_is_bijection_on_darts_and_arcs():
         d = entry(name).divide
         fs = trace_faces(d)
         items = [it for f in fs.faces for it in f.items]
-        n_darts = 4 * len(d.double_points) + len(d.terminals)
-        n_arcs = len(d.terminals)
-        assert sorted(items) == list(range(n_darts + n_arcs))
+        n_terms = len(d.terminals)
+        n_darts = 4 * len(d.double_points) + n_terms
+        assert sorted(items) == list(range(n_darts + n_terms))
         for f in fs.faces:
             assert f.outer == any(it >= n_darts for it in f.items)
-            # the arc after terminal j leads out of terminal j + 1
+            # the arc after terminal j, item n_darts + j, leads out of terminal j + 1
             for it, nxt in zip(f.items, f.items[1:] + f.items[:1]):
                 if it >= n_darts:
-                    assert nxt == n_darts - n_arcs + (it - n_darts + 1) % n_arcs
+                    j = it - n_darts
+                    assert nxt == n_darts - n_terms + (j + 1) % n_terms
 
 
 def test_signs_a1_alternate():

@@ -18,6 +18,7 @@ from divides import (
     trace_faces,
 )
 from divides.agdiagram import AGEdge, AGVertex
+
 from conftest import CORPUS_NAMES, dart_numbers, entry, generic_chords
 
 CHORDS = [(k, seed) for k in (3, 4, 5, 6, 7) for seed in range(3)] + [(9, 0)]
