@@ -9,7 +9,8 @@ face-trace order for regions).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .core import DOUBLE_POINT_DEGREE, DivideError, SignedDivide
@@ -31,31 +32,35 @@ class AGEdge(NamedTuple):
 class AGDiagram:
     """Vertices in the total order and edges between their positions.
 
-    The adjacency, multiplicity and label indexes are built once, when the
-    diagram is constructed, so each query is a dictionary lookup.
+    The adjacency, multiplicity and label indexes are each built once, on
+    their first query, so each later query is a dictionary lookup and an
+    index that is never queried is never built.
     """
 
     vertices: tuple[AGVertex, ...]
     edges: tuple[AGEdge, ...]
-    _adjacent: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _multiplicity: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _adjacent(self) -> dict[int, tuple[int, ...]]:
         adjacent: dict[int, list[int]] = {}
-        multiplicity: dict[tuple[int, int], int] = {}
         for e in self.edges:
             adjacent.setdefault(e.u, []).append(e.v)
             adjacent.setdefault(e.v, []).append(e.u)
+        return {p: tuple(sorted(ns)) for p, ns in adjacent.items()}
+
+    @cached_property
+    def _multiplicity(self) -> dict[tuple[int, int], int]:
+        multiplicity: dict[tuple[int, int], int] = {}
+        for e in self.edges:
             multiplicity.setdefault((e.u, e.v), e.multiplicity)
+        return multiplicity
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
         position: dict[str, int] = {}
         for i, vx in enumerate(self.vertices):
             position.setdefault(vx.label, i)
-        # frozen: the indexes are set once, here
-        sorted_adjacent = {p: tuple(sorted(ns)) for p, ns in adjacent.items()}
-        object.__setattr__(self, "_adjacent", sorted_adjacent)
-        object.__setattr__(self, "_multiplicity", multiplicity)
-        object.__setattr__(self, "_position", position)
+        return position
 
     @property
     def mu(self) -> int:
@@ -102,12 +107,15 @@ def build_ag(signed: SignedDivide) -> AGDiagram:
     pos_of_region = {f: i for i, f in enumerate(minus)}
     pos_of_region.update((f, n_before_plus + i) for i, f in enumerate(plus))
 
-    counts: dict[tuple[int, int], int] = {}
+    # An edge u < v is counted under the one int u * mu + v (v < mu), whose
+    # order is that of the pair (u, v).
+    mu = len(vertices)
+    counts: dict[int, int] = {}
     for x in range(DOUBLE_POINT_DEGREE * len(divide.double_points)):  # slot x % 4 of x // 4
         f = face_of[x]
         if f in pos_of_region:
             pos = len(minus) + x // DOUBLE_POINT_DEGREE
-            key = (pos_of_region[f], pos) if sign[f] == -1 else (pos, pos_of_region[f])
+            key = pos_of_region[f] * mu + pos if sign[f] == -1 else pos * mu + pos_of_region[f]
             counts[key] = counts.get(key, 0) + 1
     same_type = False
     for x, y in divide.edge_darts:
@@ -115,21 +123,18 @@ def build_ag(signed: SignedDivide) -> AGDiagram:
         if a in pos_of_region and b in pos_of_region:
             pa, pb = pos_of_region[a], pos_of_region[b]
             same_type = same_type or sign[a] == sign[b]
-            key = (pa, pb) if pa < pb else (pb, pa)
+            key = pa * mu + pb if pa < pb else pb * mu + pa
             counts[key] = counts.get(key, 0) + 1
 
-    edges = sorted(counts.items())
+    edges = tuple(AGEdge(key // mu, key % mu, counts[key]) for key in sorted(counts))
     if same_type:
-        for (u, v), _m in edges:
+        for u, v, _m in edges:
             if vertices[u].vtype == vertices[v].vtype:
                 raise DivideError(
                     f"AG edge between same-type vertices {vertices[u].label}, "
                     f"{vertices[v].label}"
                 )
-    return AGDiagram(
-        vertices=tuple(vertices),
-        edges=tuple(AGEdge(u, v, m) for (u, v), m in edges),
-    )
+    return AGDiagram(vertices=tuple(vertices), edges=edges)
 
 
 def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
@@ -169,10 +174,12 @@ class DepthLabels:
 def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
     """Depth = graph distance to the exposed set (the peeling recursion).
 
-    One breadth-first search over the diagram's adjacency index: O(V + E).
+    One breadth-first search over the diagram's adjacency index, read in
+    place rather than copied per vertex as ``neighbors`` returns it: O(V + E).
     """
     if not exposed:
         raise DivideError("depth undefined: exposed set is empty")
+    adjacent = ag._adjacent
     depth = [-1] * ag.mu
     queue = deque()
     for pos in sorted(exposed):
@@ -180,7 +187,7 @@ def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
         queue.append(pos)
     while queue:
         cur = queue.popleft()
-        for nxt in ag.neighbors(cur):
+        for nxt in adjacent.get(cur, ()):
             if depth[nxt] == -1:
                 depth[nxt] = depth[cur] + 1
                 queue.append(nxt)

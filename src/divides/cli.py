@@ -7,6 +7,7 @@ failed, 2 invalid input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -214,7 +215,10 @@ def cmd_corpus_run(args) -> int:
     return EXIT_OK if all_ok else EXIT_SUITE_FAIL
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves it as it
+    was: each ``parse_args`` call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="divides",
         description="Divides of plane curve singularities: diagrams, lattices, "
@@ -248,10 +252,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("corpus-run", help="run the pipeline over all built-ins")
     p.set_defaults(func=cmd_corpus_run)
+    return parser
 
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_option_values(argv))
+        args = _parser().parse_args(_join_option_values(argv))
     except SystemExit as exc:
         if exc.code == 0:  # --help and --version have printed what was asked
             raise

@@ -116,10 +116,16 @@ def _dart_orbits(twin: list[int], n_dart: int, flips: tuple[int, ...]) -> list[l
         seen[start] = True
         orbit = [start]
         for x in orbit:  # the orbit grows while it is read
-            for y in [twin[x]] + [x ^ k for k in flips if x < n_dart]:
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
+            y = twin[x]
+            if not seen[y]:
+                seen[y] = True
+                orbit.append(y)
+            if x < n_dart:
+                for k in flips:
+                    y = x ^ k
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
         orbits.append(orbit)
     return orbits
 

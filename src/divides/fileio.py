@@ -22,6 +22,7 @@ _SIGN_TEXT = {1: "+", -1: "-"}
 
 _MAP_KEYS = {"name", "mode", "double_points", "terminals", "edges", "branches", "sign_seed"}
 _POLY_KEYS = {"name", "mode", "branches", "disc_radius", "sign_seed"}
+_EDGE_KEYS = {"id", "ends"}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str, diags: list[str]) -> None:
@@ -54,7 +55,8 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
     if not isinstance(e, dict):
         diags.append(f"edge must be an object, got {type(e).__name__}")
         return None
-    _reject_unknown(e, {"id", "ends"}, f"edge {e.get('id')!r}", diags)
+    if not _EDGE_KEYS.issuperset(e):  # the place name is built only when it is printed
+        _reject_unknown(e, _EDGE_KEYS, f"edge {e.get('id')!r}", diags)
     eid, ends = e.get("id"), e.get("ends")
     if not isinstance(eid, str):
         diags.append(f"edge {eid!r}: id must be a string")

@@ -54,16 +54,24 @@ def corpus_names():
     return CORPUS_NAMES
 
 
+# Every (k, seed) the tests use is accepted on its first draw, and over k = 2
+# to 40 with seeds 0 to 9 no draw needed more than two; a defect that makes
+# every ingestion fail ends the draws here instead of looping forever.
+CHORD_DRAWS = 20
+
+
 def chord_polylines(k: int, seed: int) -> dict:
     """The ``ingest_polyline`` arguments of k straight chords crossing pairwise.
 
     Chord i runs through a point near the centre in a direction near
     i * pi / k, so every pair crosses; a draw is kept only when it ingests
     with all k(k-1)/2 crossings (no triple point, none outside the disc).
+    After ``CHORD_DRAWS`` rejected draws it raises, naming the last reason.
     """
     rng = random.Random(f"chords:{k}:{seed}")
     reach = 100 * k
-    while True:
+    last = ""
+    for _draw in range(CHORD_DRAWS):
         branches = []
         for i in range(k):
             theta = math.pi * (i + rng.uniform(0.25, 0.75)) / k
@@ -80,10 +88,16 @@ def chord_polylines(k: int, seed: int) -> dict:
         }
         try:
             divide = ingest_polyline(**kwargs)
-        except DivideError:
+        except DivideError as exc:
+            last = str(exc)
             continue
         if len(divide.double_points) == k * (k - 1) // 2:
             return kwargs
+        last = f"{len(divide.double_points)} crossings, not {k * (k - 1) // 2}"
+    raise RuntimeError(
+        f"chord_polylines(k={k}, seed={seed}): no draw of {CHORD_DRAWS} ingested "
+        f"with all crossings; last: {last}"
+    )
 
 
 def generic_chords(k: int, seed: int):

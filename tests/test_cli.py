@@ -295,3 +295,29 @@ def test_mu_zero_rejected_alike_by_validate_and_report(tmp_path, capsys):
         assert code_v == code_r == 2
         assert err_v == err_r
         assert "mu = 0" in err_v
+
+
+def test_back_to_back_calls_share_no_parsed_state(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; the values one call parses
+    never reach the next: ``--reorder`` does not accumulate and ``--json``
+    does not carry over.  --help and --version still exit 0."""
+    from divides import cli
+
+    path = tmp_path / "e6.json"
+    path.write_text(divide_to_text(gen_e6().divide))
+    seen = []
+    real = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda divide, reorder: seen.append(reorder) or real(divide, reorder))
+    assert _run(capsys, "report", str(path), "--reorder", "-:2,1", "--json", "-")[0] == 0
+    assert _run(capsys, "report", str(path), "--reorder", "0:3,1,2")[0] == 0
+    code, out, err = _run(capsys, "report", str(path))
+    assert code == 0
+    assert seen == [{"-": (2, 1)}, {"0": (3, 1, 2)}, None]
+    assert out.startswith("e6: mu=6 ") and len(out.splitlines()) == 1 and err == ""
+    assert cli._parser() is cli._parser()
+    for flag in ("--help", "--version"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+    assert "usage: divides" in capsys.readouterr().out

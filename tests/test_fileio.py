@@ -36,6 +36,17 @@ def test_parse_rejects_unknown_keys():
     assert any("unknown key 'extra'" in m for m in diags)
 
 
+def test_parse_names_unknown_keys_inside_edges():
+    obj = json.loads(divide_to_text(gen_a(2).divide))
+    ids = [e["id"] for e in obj["edges"]]
+    obj["edges"][0]["x"] = 1
+    obj["edges"][2].update(y=2, z=3)
+    d, diags = parse_divide(json.dumps(obj))
+    assert d is None
+    assert diags == [f"unknown key 'x' in edge {ids[0]!r}", f"unknown key 'y' in edge {ids[2]!r}",
+                     f"unknown key 'z' in edge {ids[2]!r}"]
+
+
 def test_parse_rejects_bad_mode():
     d, diags = parse_divide('{"mode": "magic"}')
     assert d is None and any("mode" in m for m in diags)

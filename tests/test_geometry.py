@@ -26,7 +26,8 @@ from divides.geometry import (
     sign_quad2,
 )
 from divides.report import run_pipeline
-from conftest import chord_polylines
+import conftest
+from conftest import CHORD_DRAWS, chord_polylines
 
 
 F = Fraction
@@ -397,3 +398,22 @@ def test_crossing_names_match_a_fraction_sort(k, seed):
     chords = [p for p, _closed in kwargs["branches"]]
     assert _crossing_names_along_branches(d) == _reference_names_along_chords(
         chords, kwargs["disc_radius"])
+
+
+def test_chord_draws_end_with_a_named_error(monkeypatch):
+    """When no draw ingests, ``chord_polylines`` stops after CHORD_DRAWS
+    draws and names k, the seed and the last diagnostic."""
+    calls = []
+
+    def refuse(**kwargs):
+        calls.append(kwargs)
+        raise DivideError(f"refused draw {len(calls)}")
+
+    monkeypatch.setattr(conftest, "ingest_polyline", refuse)
+    with pytest.raises(RuntimeError) as info:
+        chord_polylines(5, 3)
+    assert len(calls) == CHORD_DRAWS
+    assert str(info.value) == (
+        f"chord_polylines(k=5, seed=3): no draw of {CHORD_DRAWS} ingested with all "
+        f"crossings; last: refused draw {CHORD_DRAWS}"
+    )

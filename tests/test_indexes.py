@@ -1,14 +1,21 @@
-"""The indexes built once per FaceSet and AGDiagram agree with plain scans."""
+"""The indexes of FaceSet and AGDiagram, the orbit walk of validation and
+the int-keyed AG edge count agree with plain scans and references."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
 
+import dataclasses
+import itertools
+
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from divides import (
     AGDiagram,
+    DivideError,
+    EdgeDef,
     assign_signs,
     build_ag,
     depth_labels,
@@ -18,6 +25,7 @@ from divides import (
     trace_faces,
 )
 from divides.agdiagram import AGEdge, AGVertex
+from divides.core import _dart_orbits
 
 from conftest import CORPUS_NAMES, dart_numbers, entry, generic_chords
 
@@ -196,3 +204,118 @@ def test_depth_labels_match_bfs_on_large_diagrams(case):
         assert depth_labels(ag, frozenset({0})).diagram_depth > 1000
     else:
         assert depth_labels(ag, exposed).diagram_depth >= 2
+
+
+def _orbits_by_bfs(twin, n_dart, flips):
+    """The orbit partition by breadth-first search over an explicit
+    neighbour list of each dart."""
+    neighbours = [[twin[x]] + ([x ^ k for k in flips] if x < n_dart else [])
+                  for x in range(len(twin))]
+    seen, orbits = set(), []
+    for start in range(len(twin)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, queue = {start}, deque([start])
+        while queue:
+            for y in neighbours[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    orbit.add(y)
+                    queue.append(y)
+        orbits.append(orbit)
+    return orbits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 4), st.sampled_from([(1, 2, 3), (2,)]),
+       st.randoms(use_true_random=False))
+def test_dart_orbits_match_bfs_partition(d, half_t, flips, rng):
+    """On a random fixed-point-free involution over 4d darts at double
+    points and 2 * half_t terminal darts, ``_dart_orbits`` partitions the
+    darts as a plain BFS does, each orbit listed from its least dart."""
+    n_dart = 4 * d
+    darts = list(range(n_dart + 2 * half_t))
+    rng.shuffle(darts)
+    twin = [0] * len(darts)
+    for x, y in zip(darts[::2], darts[1::2]):
+        twin[x], twin[y] = y, x
+    got = _dart_orbits(twin, n_dart, flips)
+    assert [set(orbit) for orbit in got] == _orbits_by_bfs(twin, n_dart, flips)
+    assert sorted(x for orbit in got for x in orbit) == sorted(darts)
+    assert all(orbit[0] == min(orbit) for orbit in got)
+
+
+def _ag_edges_by_tuples(signed, ag):
+    """The AG edges counted under (u, v) tuple keys, from ``ag``'s vertex
+    positions and the face of each dart, sorted as tuples sort."""
+    divide, face_of = signed.divide, signed.faces.face_of
+    dart = dart_numbers(divide)
+    region_pos = {vx.origin[1]: p for p, vx in enumerate(ag.vertices) if vx.origin[0] == "region"}
+    saddle_pos = {vx.origin[1]: p for p, vx in enumerate(ag.vertices)
+                  if vx.origin[0] == "double_point"}
+    counts = {}
+    for (v, _s), x in dart.items():
+        if v in saddle_pos and face_of[x] in region_pos:
+            key = tuple(sorted((saddle_pos[v], region_pos[face_of[x]])))
+            counts[key] = counts.get(key, 0) + 1
+    for e in divide.edges:
+        a, b = (face_of[dart[end]] for end in e.ends)
+        if a in region_pos and b in region_pos:
+            key = tuple(sorted((region_pos[a], region_pos[b])))
+            counts[key] = counts.get(key, 0) + 1
+    return tuple(AGEdge(u, v, m) for (u, v), m in sorted(counts.items()))
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + [(k, 0) for k in range(3, 13)], ids=str)
+def test_build_ag_edges_match_a_tuple_keyed_count(case):
+    signed, ag = _signed_and_ag(case)
+    assert ag.edges == _ag_edges_by_tuples(signed, ag)
+
+
+_SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
+def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case, data):
+    """With the slots of up to two double points permuted, a divide that
+    still traces and signs gets the edges of the tuple-keyed count."""
+    d = _divide(case)
+    moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
+                                      st.sampled_from(_SLOT_PERMUTATIONS), max_size=2))
+    edges = tuple(
+        EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
+        for e in d.edges
+    )
+    d = dataclasses.replace(d, edges=edges)
+    if d.diagnostics:
+        reject()
+    try:
+        signed = assign_signs(d, trace_faces(d))
+    except DivideError:
+        reject()
+    ag = build_ag(signed)
+    assert ag.edges == _ag_edges_by_tuples(signed, ag)
+    assert all(ag.vertices[e.u].vtype != ag.vertices[e.v].vtype for e in ag.edges)
+
+
+@pytest.mark.parametrize("case", ["e6", "depth1", (12, 0)], ids=str)
+def test_screen_leaves_unqueried_ag_indexes_unbuilt(case):
+    """A screen (build_ag, exposure_set, depth_labels) builds the adjacency
+    index only; the multiplicity and label indexes wait for their first
+    query, which builds each once.  Built indexes do not enter equality."""
+    signed, ag = _signed_and_ag(case)
+    built = lambda: {name for name in ("_adjacent", "_multiplicity", "_position")
+                     if name in vars(ag)}
+    assert built() == set()
+    depth_labels(ag, exposure_set(signed, ag))
+    assert built() == {"_adjacent"}
+    ag.multiplicity(0, 1)
+    ag.position_by_label(ag.vertices[0].label)
+    assert built() == {"_adjacent", "_multiplicity", "_position"}
+    index = ag._multiplicity
+    ag.multiplicity(1, 0)
+    assert ag._multiplicity is index
+    fresh = AGDiagram(vertices=ag.vertices, edges=ag.edges)
+    assert fresh == ag and hash(fresh) == hash(ag)
