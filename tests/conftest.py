@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import tempfile
@@ -116,6 +117,19 @@ def a1_mirrored_at_c1():
         for e in a1.edges
     )
     return dataclasses.replace(a1, edges=edges)
+
+
+SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
+
+
+def with_slots_permuted(divide, moved: dict):
+    """The divide with slot s of each double point v in ``moved`` renamed
+    moved[v][s]; it may or may not still validate."""
+    edges = tuple(
+        EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
+        for e in divide.edges
+    )
+    return dataclasses.replace(divide, edges=edges)
 
 
 def dart_numbers(divide) -> dict:

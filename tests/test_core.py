@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 
 import pytest
@@ -26,12 +25,14 @@ from divides.fileio import divide_to_text, parse_divide
 from divides.report import run_pipeline
 from conftest import (
     CORPUS_NAMES,
+    SLOT_PERMUTATIONS,
     a1_mirrored_at_c1,
     chord_polylines,
     dart_numbers,
     entry,
     generic_chords,
     pipeline,
+    with_slots_permuted,
 )
 
 
@@ -284,9 +285,6 @@ def test_euler_relation_diagnostic():
     ]
 
 
-_SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
 def test_traced_maps_have_no_bridge(case, data):
@@ -295,12 +293,8 @@ def test_traced_maps_have_no_bridge(case, data):
     each of its branches touches 0 or 2 terminal ends."""
     d = entry(case).divide if isinstance(case, str) else generic_chords(*case)
     moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
-                                      st.sampled_from(_SLOT_PERMUTATIONS), max_size=2))
-    edges = tuple(
-        EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
-        for e in d.edges
-    )
-    d = dataclasses.replace(d, edges=edges)
+                                      st.sampled_from(SLOT_PERMUTATIONS), max_size=2))
+    d = with_slots_permuted(d, moved)
     if d.diagnostics:
         reject()
     try:

@@ -6,16 +6,12 @@ from __future__ import annotations
 import random
 from collections import deque
 
-import dataclasses
-import itertools
-
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from divides import (
     AGDiagram,
     DivideError,
-    EdgeDef,
     assign_signs,
     build_ag,
     depth_labels,
@@ -27,7 +23,14 @@ from divides import (
 from divides.agdiagram import AGEdge, AGVertex
 from divides.core import _dart_orbits
 
-from conftest import CORPUS_NAMES, dart_numbers, entry, generic_chords
+from conftest import (
+    CORPUS_NAMES,
+    SLOT_PERMUTATIONS,
+    dart_numbers,
+    entry,
+    generic_chords,
+    with_slots_permuted,
+)
 
 CHORDS = [(k, seed) for k in (3, 4, 5, 6, 7) for seed in range(3)] + [(9, 0)]
 
@@ -273,9 +276,6 @@ def test_build_ag_edges_match_a_tuple_keyed_count(case):
     assert ag.edges == _ag_edges_by_tuples(signed, ag)
 
 
-_SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
 def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case, data):
@@ -283,12 +283,8 @@ def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case,
     still traces and signs gets the edges of the tuple-keyed count."""
     d = _divide(case)
     moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
-                                      st.sampled_from(_SLOT_PERMUTATIONS), max_size=2))
-    edges = tuple(
-        EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
-        for e in d.edges
-    )
-    d = dataclasses.replace(d, edges=edges)
+                                      st.sampled_from(SLOT_PERMUTATIONS), max_size=2))
+    d = with_slots_permuted(d, moved)
     if d.diagnostics:
         reject()
     try:
