@@ -302,8 +302,10 @@ def test_screen_leaves_unqueried_ag_indexes_unbuilt(case):
     index only; the multiplicity and label indexes wait for their first
     query, which builds each once.  Built indexes do not enter equality."""
     signed, ag = _signed_and_ag(case)
-    built = lambda: {name for name in ("_adjacent", "_multiplicity", "_position")
-                     if name in vars(ag)}
+
+    def built():
+        return {name for name in ("_adjacent", "_multiplicity", "_position") if name in vars(ag)}
+
     assert built() == set()
     depth_labels(ag, exposure_set(signed, ag))
     assert built() == {"_adjacent"}
