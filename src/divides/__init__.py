@@ -3,21 +3,20 @@
 From a divide (a combinatorial map or exact integer polylines) this package
 derives the AG diagram with depth labels, the Milnor lattice (intersection
 form I, the upper unipotent Seifert matrix S with I = -S + S^T, and the
-monodromy M = S^{-1} S^T as a product of transvections), the adapted family
-of relative classes (the columns of S, whose variations are -e_j), and the
-Euler-characteristic quiver certifying the exceptional collection pattern,
-all in exact integer arithmetic.
+monodromy M = S^{-1} S^T as a product of transvections), the verdict that
+the columns of S are the adapted family of relative classes (their
+variations are -e_j), the Euler-characteristic quiver read from S with the
+certificate of the exceptional collection pattern, and the depth-1 cone
+classes, all in exact integer arithmetic.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .adapted import (
-    AdaptedFamily,
     Depth1Cone,
     EulerQuiver,
-    adapted_vectors,
     depth1_cone,
-    euler_matrix,
+    euler_quiver,
     exceptional_certificate,
     pl_variation,
     quiver_dot,
@@ -62,7 +61,6 @@ from .report import build_report, check_entry, run_pipeline
 
 __all__ = [
     "AGDiagram",
-    "AdaptedFamily",
     "CorpusEntry",
     "Depth1Cone",
     "DepthLabels",
@@ -75,7 +73,6 @@ __all__ = [
     "MilnorLattice",
     "SignSeed",
     "SignedDivide",
-    "adapted_vectors",
     "assign_signs",
     "build_ag",
     "build_report",
@@ -84,7 +81,7 @@ __all__ = [
     "depth1_cone",
     "depth_labels",
     "divide_to_text",
-    "euler_matrix",
+    "euler_quiver",
     "exceptional_certificate",
     "exposure_set",
     "gen_a",

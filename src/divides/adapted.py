@@ -1,12 +1,14 @@
-"""Adapted families, the variation iteration, Euler quivers, depth-1 cones.
+"""Variation checks on the columns of S, the Euler quiver, depth-1 cones.
 
 A relative class is recorded as its integer intersection vector against the
 vanishing-cycle basis.  The adapted family is the columns of the Seifert
-matrix S, since var = PL_SIGN * S^{-1} for plane curves.  The variation of a
-class is computed by the twist-by-twist iteration (last basis twist first)
-over the nonzeros of each column of I, read from I itself and never by the
-Seifert route, so the two are independent checks of each other.  Each class
-costs O(mu + nnz(I)).
+matrix S, since var = PL_SIGN * S^{-1} for plane curves; this module reads
+them from ``MilnorLattice.s_mat`` and returns verdicts on them, the Euler
+quiver and its exceptional certificate read from S, and the depth-1 cone
+classes.  The variation of a class is computed by the twist-by-twist
+iteration (last basis twist first) over the nonzeros of each column of I,
+read from I itself and never by the Seifert route, so the two are
+independent checks of each other.  Each class costs O(mu + nnz(I)).
 """
 
 from __future__ import annotations
@@ -14,30 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import intmat
 from .agdiagram import AGDiagram, DepthLabels
 from .core import DivideError
 from .intmat import Mat
 from .lattice import PL_SIGN, Columns, MilnorLattice, column_nonzeros
 
 Vec = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AdaptedFamily:
-    """Vectors a_j with a_j[m] = (j-th relative class) . V_m."""
-
-    vectors: tuple[Vec, ...]
-
-
-def adapted_vectors(s_mat: Mat) -> AdaptedFamily:
-    """The adapted family: a_j is column j of the Seifert matrix S.
-
-    a_j meets V_j once positively, meets every earlier cycle with the
-    multiplicity of the intersection form, a_j[m] = I[j][m] for m < j, and
-    misses all later cycles.
-    """
-    return AdaptedFamily(vectors=intmat.transpose(s_mat))
 
 
 def pl_variation(vector: Sequence[int], i_mat: Mat) -> Vec:
@@ -74,17 +58,19 @@ class AdaptedVerdict:
         return all(self.passes)
 
 
-def verify_adapted(family: AdaptedFamily, i_mat: Mat) -> AdaptedVerdict:
-    """Check var(a_j) = PL_SIGN * e_j for every j, by the iteration itself.
+def verify_adapted(lattice: MilnorLattice) -> AdaptedVerdict:
+    """Check var(a_j) = PL_SIGN * e_j for every column a_j of S, by the
+    iteration itself over the lattice's cached columns of I.
 
-    The nonzeros of the columns of I are collected once for the family.
+    a_j meets V_j once positively, meets every earlier cycle with the
+    multiplicity of the intersection form, a_j[m] = I[j][m] for m < j, and
+    misses all later cycles.
     """
-    mu = len(i_mat)
-    columns = column_nonzeros(i_mat)
+    mu = lattice.mu
     passes = []
     first_failure = None
-    for j, vec in enumerate(family.vectors):
-        got = _variation(vec, columns)
+    for j, vec in enumerate(zip(*lattice.s_mat)):
+        got = _variation(vec, lattice.columns)
         want = (0,) * j + (PL_SIGN,) + (0,) * (mu - 1 - j)
         ok = got == want
         passes.append(ok)
@@ -99,7 +85,6 @@ def verify_adapted(family: AdaptedFamily, i_mat: Mat) -> AdaptedVerdict:
 
 @dataclass(frozen=True)
 class EulerQuiver:
-    e_mat: Mat
     arrows: tuple[tuple[int, int, int], ...]  # (from, to, weight), from < to
     sigma: int
     grading_note: str
@@ -112,40 +97,40 @@ GRADING_NOTE = (
 )
 
 
-def euler_matrix(lattice: MilnorLattice) -> EulerQuiver:
-    """Euler characteristics of the pairwise monodromy cohomology groups.
+def euler_quiver(lattice: MilnorLattice) -> EulerQuiver:
+    """Quiver of the Euler characteristics of the pairwise monodromy
+    cohomology groups.
 
-    E = 2 Id - S: unit diagonal, E[i][j] = I[i][j] above it and zero below,
-    so sigma = +1.  Arrows run from lower to higher order index at every
-    nonzero strictly-upper entry.
+    Their matrix is E = 2 Id - S: unit diagonal, E[i][j] = -S[i][j] =
+    I[i][j] above it and zero below, so sigma = +1.  Arrows run from lower to
+    higher order index at every nonzero strictly-upper entry of S.
     """
-    s = lattice.s_mat
-    mu = lattice.mu
-    e_mat = intmat.freeze([[2 * (i == j) - s[i][j] for j in range(mu)] for i in range(mu)])
     arrows = tuple(
-        (i, j, abs(e_mat[i][j])) for i in range(mu) for j in range(i + 1, mu) if e_mat[i][j]
+        (i, j, abs(row[j]))
+        for i, row in enumerate(lattice.s_mat)
+        for j in range(i + 1, lattice.mu)
+        if row[j]
     )
-    return EulerQuiver(e_mat=e_mat, arrows=arrows, sigma=1, grading_note=GRADING_NOTE)
+    return EulerQuiver(arrows=arrows, sigma=1, grading_note=GRADING_NOTE)
 
 
 @dataclass(frozen=True)
 class CertificateVerdict:
     passed: bool
-    violations: tuple[tuple[int, int, int, int], ...]  # (i, j, expected, got)
+    violations: tuple[tuple[int, int, int, int], ...]  # (i, j, expected, E[i][j])
 
 
-def exceptional_certificate(quiver: EulerQuiver, ag: AGDiagram) -> CertificateVerdict:
+def exceptional_certificate(lattice: MilnorLattice, ag: AGDiagram) -> CertificateVerdict:
     """Certify the one-directional vanishing pattern against the AG diagram.
 
-    Passes iff E has unit diagonal, vanishes strictly below it, and the
-    magnitude of every strictly-upper entry equals the AG multiplicity.
+    Passes iff E = 2 Id - S has unit diagonal, vanishes strictly below it,
+    and the magnitude of every strictly-upper entry equals the AG
+    multiplicity.  Each entry of E is read from S where it is checked.
     """
-    e = quiver.e_mat
-    mu = len(e)
     violations = []
-    for i in range(mu):
-        for j in range(mu):
-            x = e[i][j]
+    for i, row in enumerate(lattice.s_mat):
+        for j, s in enumerate(row):
+            x = 2 * (i == j) - s
             expected = 1 if i == j else (0 if i > j else ag.multiplicity(i, j))
             if (abs(x) if i < j else x) != expected:
                 violations.append((i, j, expected, x))
@@ -172,12 +157,7 @@ def quiver_dot(quiver: EulerQuiver, labels: Sequence[str]) -> str:
 class Depth1Cone:
     vertex: int  # order position of the depth-1 vertex
     partner: int  # order position of the chosen depth-0 neighbor
-    a_prime: Vec
-    a_partner: Vec
-    variation_a_prime: Vec  # PL_SIGN * (e_vertex - e_partner)
-    variation_partner: Vec
-    total_variation: Vec
-    components: tuple[Vec, ...]
+    a_prime: Vec  # column vertex of S minus column partner
     passed: bool
 
 
@@ -187,12 +167,14 @@ def depth1_cone(
     lattice: MilnorLattice,
     vertex: int,
 ) -> Depth1Cone:
-    """Two-component class whose variation is PL_SIGN * V_vertex.
+    """Two-component class (a_prime, a_partner) whose variation is
+    PL_SIGN * V_vertex.
 
     The partner is the smallest-index depth-0 neighbor.  a_prime is
     a_vertex - a_partner, the difference of two columns of S, so by
-    linearity var(a_prime) = PL_SIGN * (e_vertex - e_partner); the result is
-    checked by running ``pl_variation`` on it.
+    linearity var(a_prime) = PL_SIGN * (e_vertex - e_partner); the cone
+    passes when the iteration gives that, and the variations of its two
+    components sum to PL_SIGN * e_vertex.
     """
     mu = lattice.mu
     if not (0 <= vertex < mu):
@@ -209,21 +191,14 @@ def depth1_cone(
 
     s = lattice.s_mat
     a_prime = tuple(row[vertex] - row[partner] for row in s)
-    a_partner = tuple(row[partner] for row in s)
-
-    target = tuple(PL_SIGN * ((i == vertex) - (i == partner)) for i in range(mu))
     var_prime = _variation(a_prime, lattice.columns)
-    var_partner = _variation(a_partner, lattice.columns)
+    var_partner = _variation(tuple(row[partner] for row in s), lattice.columns)
+    target = tuple(PL_SIGN * ((i == vertex) - (i == partner)) for i in range(mu))
     total = tuple(x + y for x, y in zip(var_prime, var_partner))
     want_total = tuple(PL_SIGN * (i == vertex) for i in range(mu))
     return Depth1Cone(
         vertex=vertex,
         partner=partner,
         a_prime=a_prime,
-        a_partner=a_partner,
-        variation_a_prime=var_prime,
-        variation_partner=var_partner,
-        total_variation=total,
-        components=(a_prime, a_partner),
         passed=(var_prime == target and total == want_total),
     )

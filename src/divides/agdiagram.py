@@ -32,9 +32,9 @@ class AGEdge(NamedTuple):
 class AGDiagram:
     """Vertices in the total order and edges between their positions.
 
-    The adjacency, multiplicity and label indexes are each built once, on
-    their first query, so each later query is a dictionary lookup and an
-    index that is never queried is never built.
+    The adjacency and multiplicity indexes are each built once, on their
+    first query, so each later query is a dictionary lookup and an index
+    that is never queried is never built.
     """
 
     vertices: tuple[AGVertex, ...]
@@ -55,13 +55,6 @@ class AGDiagram:
             multiplicity.setdefault((e.u, e.v), e.multiplicity)
         return multiplicity
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        position: dict[str, int] = {}
-        for i, vx in enumerate(self.vertices):
-            position.setdefault(vx.label, i)
-        return position
-
     @property
     def mu(self) -> int:
         return len(self.vertices)
@@ -78,9 +71,6 @@ class AGDiagram:
 
     def multiplicity(self, i: int, j: int) -> int:
         return self._multiplicity.get((min(i, j), max(i, j)), 0)
-
-    def position_by_label(self, label: str) -> int:
-        return self._position[label]
 
 
 def build_ag(signed: SignedDivide) -> AGDiagram:

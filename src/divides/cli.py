@@ -12,12 +12,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .agdiagram import to_dot
 from .adapted import quiver_dot
-from .core import DivideError, assign_signs, trace_faces
-from .corpus import builtin_entries, gen_a, gen_depth1, gen_e6
+from .core import Divide, DivideError, assign_signs, trace_faces
+from .corpus import CorpusEntry, builtin_entries, gen_a, gen_depth1, gen_e6
 from .fileio import divide_to_text, parse_divide
 from .report import (
     build_report,
@@ -97,19 +98,28 @@ def _join_option_values(argv: list[str]) -> list[str]:
     return out
 
 
-def cmd_validate(args) -> int:
-    data = _read(args.path)
+def _invalid(diagnostics) -> NoReturn:
+    for d in diagnostics:
+        print(f"invalid: {d}", file=sys.stderr)
+    raise SystemExit(EXIT_INVALID)
+
+
+def _load(path: str) -> tuple[bytes, Divide]:
+    """The bytes of a divide file and the divide they hold; a file that does
+    not parse prints its diagnostics and exits with EXIT_INVALID."""
+    data = _read(path)
     divide, diags = parse_divide(data.decode("utf-8", errors="replace"))
     if divide is None:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+        _invalid(diags)
+    return data, divide
+
+
+def cmd_validate(args) -> int:
+    _data, divide = _load(args.path)
     try:
         assign_signs(divide, trace_faces(divide))
     except DivideError as exc:
-        for d in exc.diagnostics:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+        _invalid(exc.diagnostics)
     print(f"{divide.name}: valid divide")
     return EXIT_OK
 
@@ -120,19 +130,12 @@ def cmd_report(args) -> int:
         print("error: at most one of --json, --dot-ag and --dot-quiver may be '-'",
               file=sys.stderr)
         return EXIT_INVALID
-    data = _read(args.path)
-    divide, diags = parse_divide(data.decode("utf-8", errors="replace"))
-    if divide is None:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+    data, divide = _load(args.path)
     reorder = _parse_reorders(args.reorder or [])
     try:
         result = run_pipeline(divide, reorder=reorder or None)
     except DivideError as exc:
-        for d in exc.diagnostics:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+        _invalid(exc.diagnostics)
     report = build_report(result, __version__, input_digest(data))
     if args.json:
         _write(args.json, report_json(report))
@@ -171,42 +174,33 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_file(path: Path) -> list[str]:
+    """The problems of a divide file: its parse diagnostics, or what
+    ``check_entry`` finds in the divide with no expected facts."""
+    divide, diags = parse_divide(_read(str(path)).decode("utf-8", errors="replace"))
+    if divide is None:
+        return list(diags)
+    return check_entry(CorpusEntry(path.name, divide, {}, {}))
+
+
 def cmd_corpus_run(args) -> int:
-    entries = builtin_entries(max_a=12)
+    checks = [(e.name, functools.partial(check_entry, e)) for e in builtin_entries(max_a=12)]
     custom_dir = os.environ.get(CORPUS_DIR_ENV)
-    custom: list[tuple[str, str]] = []
     if custom_dir and Path(custom_dir).is_dir():
         for path in sorted(Path(custom_dir).glob("*.json")):
-            custom.append((path.name, str(path)))
+            checks.append((path.name, functools.partial(_check_file, path)))
 
     all_ok = True
     rows: list[tuple[str, str, float]] = []
-    for entry in entries:
+    for name, check in checks:
         t0 = time.perf_counter()
-        problems = check_entry(entry)
+        problems = check()
         dt = (time.perf_counter() - t0) * 1000
         ok = not problems
         all_ok &= ok
-        rows.append((entry.name, "pass" if ok else "fail", dt))
-        for p in problems:
-            print(f"  {entry.name}: {p}", file=sys.stderr)
-    for name, path in custom:
-        t0 = time.perf_counter()
-        divide, diags = parse_divide(_read(path).decode("utf-8", errors="replace"))
-        if divide is None:
-            ok = False
-            for d in diags:
-                print(f"  {name}: {d}", file=sys.stderr)
-        else:
-            try:
-                result = run_pipeline(divide)
-                ok = result.all_passed
-            except DivideError as exc:
-                ok = False
-                print(f"  {name}: {exc}", file=sys.stderr)
-        dt = (time.perf_counter() - t0) * 1000
-        all_ok &= ok
         rows.append((name, "pass" if ok else "fail", dt))
+        for p in problems:
+            print(f"  {name}: {p}", file=sys.stderr)
 
     width = max(len(r[0]) for r in rows)
     for name, status, dt in rows:

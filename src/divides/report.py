@@ -48,7 +48,6 @@ class PipelineResult:
     m_desc: Mat
     suite: lattice_mod.IdentitySuite
     cpo: lattice_mod.CharPolyOrder
-    family: adapted_mod.AdaptedFamily
     adapted_verdict: adapted_mod.AdaptedVerdict
     quiver: adapted_mod.EulerQuiver
     certificate: adapted_mod.CertificateVerdict
@@ -85,10 +84,9 @@ def run_pipeline(
     suite = lattice_mod.identity_suite(lat, m_desc, inv.r)
     cpo = lattice_mod.char_poly_and_order(m_desc)
 
-    family = adapted_mod.adapted_vectors(lat.s_mat)
-    verdict = adapted_mod.verify_adapted(family, lat.i_mat)
-    quiver = adapted_mod.euler_matrix(lat)
-    cert = adapted_mod.exceptional_certificate(quiver, ag)
+    verdict = adapted_mod.verify_adapted(lat)
+    quiver = adapted_mod.euler_quiver(lat)
+    cert = adapted_mod.exceptional_certificate(lat, ag)
 
     cones = []
     for pos in range(ag.mu):
@@ -105,7 +103,6 @@ def run_pipeline(
         m_desc=m_desc,
         suite=suite,
         cpo=cpo,
-        family=family,
         adapted_verdict=verdict,
         quiver=quiver,
         certificate=cert,
@@ -175,7 +172,6 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             "max_power": REPORT_MAX_POWER,
         },
         "adapted": {
-            "vectors": [list(v) for v in result.family.vectors],
             "verdicts": [
                 "pass" if ok else "fail" for ok in result.adapted_verdict.passes
             ],
@@ -190,7 +186,6 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             ),
         },
         "euler": {
-            "matrix": _mat(result.quiver.e_mat),
             "arrows": [
                 [labels[i], labels[j], w] for (i, j, w) in result.quiver.arrows
             ],
@@ -206,18 +201,13 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
                 "vertex": labels[c.vertex],
                 "partner": labels[c.partner],
                 "a_prime": list(c.a_prime),
-                "components": [list(v) for v in c.components],
-                "variation_a_prime": list(c.variation_a_prime),
-                "total_variation": list(c.total_variation),
                 "verdict": "pass" if c.passed else "fail",
             }
             for c in result.cones
         ],
-        "warnings": [],  # kept in the schema; a traced (planar) map has nothing to warn of
         "calibration": {
             "dim_n": lattice_mod.DIM_N,
             "pl_sign": lattice_mod.PL_SIGN,
-            "euler_sign": result.quiver.grading_note,
         },
     }
     if depths.diagram_depth >= 2:

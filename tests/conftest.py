@@ -50,6 +50,11 @@ def pipeline(name: str):
 CORPUS_NAMES = [e.name for e in builtin_entries(12)]
 
 
+def position(ag, label: str) -> int:
+    """The order position of the first vertex of ``ag`` labelled ``label``."""
+    return next(p for p, vx in enumerate(ag.vertices) if vx.label == label)
+
+
 @pytest.fixture(scope="session")
 def corpus_names():
     return CORPUS_NAMES

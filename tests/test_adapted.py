@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 
@@ -7,34 +8,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divides import (
-    adapted_vectors,
+    MilnorLattice,
     depth1_cone,
-    euler_matrix,
     exceptional_certificate,
     pl_variation,
     quiver_dot,
     verify_adapted,
 )
-from divides.adapted import AdaptedFamily, EulerQuiver
 from divides.core import DivideError
 from divides.report import run_pipeline
 from divides import intmat
 from divides.lattice import PL_SIGN
-from conftest import CORPUS_NAMES, generic_chords, pipeline
+from conftest import CORPUS_NAMES, generic_chords, pipeline, position
+
+
+def _columns(lat):
+    """The adapted family: the columns of S."""
+    return tuple(zip(*lat.s_mat))
 
 
 def test_adapted_vectors_examples():
-    assert adapted_vectors(pipeline("a1").lattice.s_mat).vectors == ((1,),)
-    assert adapted_vectors(pipeline("a2").lattice.s_mat).vectors == ((1, 0), (1, 1))
-    e6 = adapted_vectors(pipeline("e6").lattice.s_mat)
-    assert e6.vectors[5] == (1, 1, 1, 1, 1, 1)
+    assert _columns(pipeline("a1").lattice) == ((1,),)
+    assert _columns(pipeline("a2").lattice) == ((1, 0), (1, 1))
+    assert _columns(pipeline("e6").lattice)[5] == (1, 1, 1, 1, 1, 1)
 
 
 def test_adapted_clauses(corpus_names):
     for name in corpus_names:
         lat = pipeline(name).lattice
-        i_mat, fam, mu = lat.i_mat, adapted_vectors(lat.s_mat), lat.mu
-        for j, vec in enumerate(fam.vectors):
+        i_mat, mu = lat.i_mat, lat.mu
+        for j, vec in enumerate(_columns(lat)):
             assert vec[j] == 1
             assert all(vec[i] == 0 for i in range(j + 1, mu))
             assert all(vec[i] == i_mat[j][i] for i in range(j))
@@ -48,17 +51,16 @@ def test_pl_variation_a2():
 
 
 def test_pl_variation_perturbed_fails():
-    i_mat = pipeline("a2").lattice.i_mat
-    fam = AdaptedFamily(vectors=((1, 0), (2, 1)))
-    verdict = verify_adapted(fam, i_mat)
+    # column 1 of S becomes (2, 1)
+    lat = dataclasses.replace(pipeline("a2").lattice, s_mat=((1, 2), (0, 1)))
+    verdict = verify_adapted(lat)
     assert not verdict.passed
     assert verdict.first_failure == (1, (-1, -1))
 
 
 def test_verify_adapted_corpus(corpus_names):
     for name in corpus_names:
-        lat = pipeline(name).lattice
-        assert verify_adapted(adapted_vectors(lat.s_mat), lat.i_mat).passed, name
+        assert verify_adapted(pipeline(name).lattice).passed, name
 
 
 def test_variation_matrix_triangular():
@@ -72,16 +74,21 @@ def test_variation_matrix_triangular():
             assert all(col[i] == 0 for i in range(j + 1, mu))
 
 
+def _euler(lat):
+    """E = 2 Id - S."""
+    return [[2 * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(lat.s_mat)]
+
+
 def test_euler_matrix_e6():
-    q = pipeline("e6").quiver
-    mu = 6
-    assert all(q.e_mat[i][i] == 1 for i in range(mu))
-    assert all(q.e_mat[i][j] == 0 for i in range(mu) for j in range(i))
-    uppers = [q.e_mat[i][j] for i in range(mu) for j in range(i + 1, mu)
-              if q.e_mat[i][j] != 0]
+    r = pipeline("e6")
+    e, mu = _euler(r.lattice), 6
+    assert all(e[i][i] == 1 for i in range(mu))
+    assert all(e[i][j] == 0 for i in range(mu) for j in range(i))
+    uppers = {(i, j): e[i][j] for i in range(mu) for j in range(i + 1, mu) if e[i][j] != 0}
     assert len(uppers) == 9
-    assert all(abs(x) == 1 for x in uppers)
-    assert q.sigma == 1
+    assert all(abs(x) == 1 for x in uppers.values())
+    assert [(i, j, abs(x)) for (i, j), x in uppers.items()] == list(r.quiver.arrows)
+    assert r.quiver.sigma == 1
 
 
 def test_euler_matrix_a4_arrows():
@@ -91,29 +98,24 @@ def test_euler_matrix_a4_arrows():
 
 
 def test_euler_matrix_a1():
-    assert pipeline("a1").quiver.e_mat == ((1,),)
+    assert _euler(pipeline("a1").lattice) == [[1]]
     assert pipeline("a1").quiver.arrows == ()
 
 
 def test_certificate_passes_corpus(corpus_names):
     for name in corpus_names:
         r = pipeline(name)
-        assert exceptional_certificate(r.quiver, r.ag).passed, name
+        assert exceptional_certificate(r.lattice, r.ag).passed, name
 
 
 def test_certificate_flags_lower_entry():
     r = pipeline("a3")
-    e = [list(row) for row in r.quiver.e_mat]
-    e[2][0] = 1
-    bad = EulerQuiver(
-        e_mat=tuple(tuple(row) for row in e),
-        arrows=r.quiver.arrows,
-        sigma=1,
-        grading_note="",
-    )
+    s = [list(row) for row in r.lattice.s_mat]
+    s[2][0] = -1  # E[2][0] = 1
+    bad = dataclasses.replace(r.lattice, s_mat=intmat.freeze(s))
     verdict = exceptional_certificate(bad, r.ag)
     assert not verdict.passed
-    assert (2, 0, 0, 1) in verdict.violations
+    assert verdict.violations == ((2, 0, 0, 1),)
 
 
 def test_quiver_dot_counts():
@@ -132,20 +134,17 @@ def test_depth1_cone_corpus():
     r = pipeline("depth1")
     assert len(r.cones) == 1
     cone = r.cones[0]
-    v = r.ag.position_by_label("v0_6")
+    v = position(r.ag, "v0_6")
     assert cone.vertex == v
     assert r.ag.vertices[cone.partner].vtype == "-"
     mu = r.ag.mu
     want_var = tuple(
         -1 if i == v else (1 if i == cone.partner else 0) for i in range(mu)
     )
-    assert cone.variation_a_prime == want_var
-    assert cone.total_variation == tuple(-1 if i == v else 0 for i in range(mu))
-    assert len(cone.components) == r.depths.depth[v] + 1 == 2
+    assert pl_variation(cone.a_prime, r.lattice.i_mat) == want_var
     assert cone.passed
     # the cone class solves a' = a_v - a_partner
-    fam = adapted_vectors(r.lattice.s_mat)
-    a_v, a_w = fam.vectors[v], fam.vectors[cone.partner]
+    a_v, a_w = (_columns(r.lattice)[p] for p in (v, cone.partner))
     assert cone.a_prime == tuple(x - y for x, y in zip(a_v, a_w))
 
 
@@ -156,12 +155,27 @@ def test_depth1_cone_rejects_depth0():
 
 
 def test_depth1_cone_sum_property():
+    # the two components a' and a_partner (column partner of S) add up to
+    # column v of S, whose variation is -e_v
     r = pipeline("depth1")
     cone = r.cones[0]
+    i_mat, mu = r.lattice.i_mat, r.lattice.mu
+    a_partner = _columns(r.lattice)[cone.partner]
     total = tuple(
-        x + y for x, y in zip(cone.variation_a_prime, cone.variation_partner)
+        x + y for x, y in zip(pl_variation(cone.a_prime, i_mat), pl_variation(a_partner, i_mat))
     )
-    assert total == cone.total_variation
+    assert total == tuple(-1 if i == cone.vertex else 0 for i in range(mu))
+    # moving the partner's column of S keeps the total and fails only
+    # var(a') = -(e_v - e_partner); moving both columns alike keeps a' and
+    # fails only the total
+    for moved in ((cone.partner,), (cone.vertex, cone.partner)):
+        s = [list(row) for row in r.lattice.s_mat]
+        for col in moved:
+            s[0][col] += 1
+        got = depth1_cone(r.ag, r.depths, dataclasses.replace(r.lattice, s_mat=intmat.freeze(s)),
+                          cone.vertex)
+        assert (got.a_prime == cone.a_prime) == (len(moved) == 2)
+        assert not got.passed, moved
 
 
 def test_pl_variation_linearity_explicit():
@@ -195,11 +209,10 @@ def test_depth1_cones_on_chords(k, seed):
     depth1 = [p for p, d in enumerate(r.depths.depth) if d == 1]
     assert depth1 and [c.vertex for c in r.cones] == depth1
     assert all(c.passed for c in r.cones)
-    fam = adapted_vectors(r.lattice.s_mat)
+    columns = _columns(r.lattice)
     for c in r.cones:
-        assert c.a_partner == fam.vectors[c.partner]
         assert c.a_prime == tuple(
-            x - y for x, y in zip(fam.vectors[c.vertex], fam.vectors[c.partner])
+            x - y for x, y in zip(columns[c.vertex], columns[c.partner])
         )
 
 
@@ -222,7 +235,8 @@ def test_column_index_is_built_once_per_lattice_not_per_cone(monkeypatch):
         counts.append((len(cones), len(calls)))
     (few, calls_few), (many, calls_many) = counts
     assert 0 < few < many == 41
-    assert calls_few == calls_many <= 3
+    # one for the monodromy, one for MilnorLattice.columns
+    assert calls_few == calls_many == 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,14 +251,14 @@ def test_verify_adapted_reads_the_intersection_matrix_it_is_given(name):
     # S stays the clean one; every antisymmetric one-unit change of I moves
     # -S^{-1}, so the iteration on the corrupted I must reject the family.
     lat = _lattice(name)
-    family = adapted_vectors(lat.s_mat)
-    assert verify_adapted(family, lat.i_mat).passed
+    assert verify_adapted(lat).passed
     for m in range(lat.mu):
         for k in range(m):
             rows = [list(row) for row in lat.i_mat]
             rows[m][k] += 1
             rows[k][m] -= 1
-            assert not verify_adapted(family, intmat.freeze(rows)).passed, (m, k)
+            bad = MilnorLattice(basis=lat.basis, i_mat=intmat.freeze(rows), s_mat=lat.s_mat)
+            assert not verify_adapted(bad).passed, (m, k)
 
 
 def _dense_variation(vector, i_mat):

@@ -8,7 +8,7 @@ from divides import (
     to_dot,
 )
 from divides.agdiagram import AGDiagram, AGEdge, AGVertex
-from conftest import entry, pipeline
+from conftest import entry, pipeline, position
 
 
 def _edge_labels(ag):
@@ -82,7 +82,7 @@ def test_exposure_a1():
 
 def test_exposure_depth1_all_but_center():
     r = pipeline("depth1")
-    center = r.ag.position_by_label("v0_6")
+    center = position(r.ag, "v0_6")
     assert r.exposed == frozenset(set(range(10)) - {center})
 
 
@@ -94,7 +94,7 @@ def test_depths_e6_zero():
 
 def test_depths_depth1():
     r = pipeline("depth1")
-    center = r.ag.position_by_label("v0_6")
+    center = position(r.ag, "v0_6")
     assert r.depths.depth[center] == 1
     assert sum(r.depths.depth) == 1
     assert r.depths.diagram_depth == 1

@@ -101,18 +101,22 @@ def test_report_depth1_has_cone(tmp_path, capsys):
     assert len(cones) == 1
     assert cones[0]["vertex"] == "v0_6"
     assert cones[0]["verdict"] == "pass"
-    assert len(cones[0]["components"]) == 2
+    assert len(cones[0]["a_prime"]) == report["invariants"]["mu"]
 
 
-def test_report_summary_names_a_failed_cone(tmp_path, capsys, monkeypatch):
+def _fail_every_cone(monkeypatch):
     import dataclasses
 
-    from divides import adapted, gen_depth1
+    from divides import adapted
 
     real = adapted.depth1_cone
     monkeypatch.setattr(
         adapted, "depth1_cone", lambda *a: dataclasses.replace(real(*a), passed=False)
     )
+
+
+def test_report_summary_names_a_failed_cone(tmp_path, capsys, monkeypatch):
+    _fail_every_cone(monkeypatch)
     path = tmp_path / "d1.json"
     path.write_text(divide_to_text(gen_depth1().divide))
     code, out, _ = _run(capsys, "report", str(path))
@@ -150,6 +154,18 @@ def test_corpus_run_custom_entry(capsys, monkeypatch, tmp_path):
     code, out, _ = _run(capsys, "corpus-run")
     assert code == 0
     assert "mine.json" in out
+
+
+def test_corpus_run_names_a_failed_verdict_of_a_custom_entry(capsys, monkeypatch, tmp_path):
+    _fail_every_cone(monkeypatch)
+    (tmp_path / "mine.json").write_text(divide_to_text(gen_depth1().divide))
+    monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(tmp_path))
+    code, out, err = _run(capsys, "corpus-run")
+    assert code == 1
+    assert "  mine.json: depth-1 cone check failed" in err.splitlines()
+    assert [line.split()[:2] for line in out.splitlines() if line.startswith("mine.json")] == [
+        ["mine.json", "fail"]
+    ]
 
 
 def test_corpus_run_bad_custom_entry(capsys, monkeypatch, tmp_path):

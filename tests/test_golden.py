@@ -65,6 +65,55 @@ def test_report_bytes_match_golden(name):
     assert report_text(text, reorder).encode() == want
 
 
+# Every key path of a schema v3 report, "[]" standing for the items of a list;
+# the depth-1 cone keys appear only where there is a cone.
+V3_KEYS = {
+    "tool", "tool.name", "tool.version", "input", "input.name", "input.digest",
+    "invariants", "invariants.d", "invariants.r", "invariants.mu", "invariants.n_regions",
+    "invariants.genus", "invariants.boundary_components", "invariants.euler_characteristic",
+    "ag", "ag.vertices", "ag.vertices[].label", "ag.vertices[].type", "ag.vertices[].depth",
+    "ag.vertices[].exposed", "ag.edges", "ag.census", "ag.diagram_depth",
+    "matrices", "matrices.I", "matrices.S", "matrices.M_desc",
+    "identity_suite", "identity_suite.passed", "identity_suite.checks",
+    "identity_suite.checks[].key", "identity_suite.checks[].description",
+    "identity_suite.checks[].verdict", "identity_suite.checks[].detail",
+    "char_poly", "char_poly.coefficients", "char_poly.order", "char_poly.max_power",
+    "adapted", "adapted.verdicts", "adapted.passed", "adapted.first_failure",
+    "euler", "euler.arrows", "euler.sigma", "euler.grading_note",
+    "certificate", "certificate.verdict", "certificate.violations",
+    "depth1_cones", "calibration", "calibration.dim_n", "calibration.pl_sign",
+}
+CONE_KEYS = {
+    "depth1_cones[].vertex", "depth1_cones[].partner", "depth1_cones[].a_prime",
+    "depth1_cones[].verdict",
+}
+# Schema v2 keys that restated S, a cone's a_prime or a verdict.
+V2_ONLY_KEYS = {
+    "adapted.vectors", "euler.matrix", "calibration.euler_sign", "warnings",
+    "depth1_cones[].components", "depth1_cones[].variation_a_prime",
+    "depth1_cones[].total_variation",
+}
+
+
+def _key_paths(value, prefix: str = "") -> set[str]:
+    if isinstance(value, dict):
+        out = set()
+        for key, item in value.items():
+            path = f"{prefix}.{key}" if prefix else key
+            out |= {path} | _key_paths(item, path)
+        return out
+    if isinstance(value, list):
+        return set().union(*(_key_paths(item, prefix + "[]") for item in value))
+    return set()
+
+
+@pytest.mark.parametrize("name, keys", [("depth1", V3_KEYS | CONE_KEYS), ("a4", V3_KEYS)])
+def test_report_has_exactly_the_schema_v3_keys(name, keys):
+    report = json.loads(report_text(*CASES[name]))
+    assert _key_paths(report) == keys
+    assert not _key_paths(report) & V2_ONLY_KEYS
+
+
 def test_every_golden_file_has_a_case():
     names = {p.name.removesuffix(".report.json") for p in GOLDEN.glob("*.report.json")}
     assert names == set(CASES)

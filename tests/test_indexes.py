@@ -70,11 +70,6 @@ def _assert_ag_indexes_match_scans(ag):
             a, b = min(i, j), max(i, j)
             scan = next((e.multiplicity for e in ag.edges if (e.u, e.v) == (a, b)), 0)
             assert ag.multiplicity(i, j) == scan
-    for vx in ag.vertices:
-        scan = next(p for p, w in enumerate(ag.vertices) if w.label == vx.label)
-        assert ag.position_by_label(vx.label) == scan
-    with pytest.raises(KeyError):
-        ag.position_by_label("no such label")
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -96,7 +91,7 @@ def test_ag_indexes_survive_a_reorder_that_moves_an_edge():
 
 def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
     # the queries answer as the scans did: neighbors ascending and once per
-    # edge, the first edge of a pair and the first vertex of a label win
+    # edge, the first edge of a pair wins
     kinds = [("a", "-"), ("b", "0"), ("a", "+"), ("c", "0")]
     vertices = tuple(
         AGVertex(label=label, vtype=t, origin=("region", i))
@@ -110,7 +105,6 @@ def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
     _assert_ag_indexes_match_scans(ag)
     assert ag.neighbors(0) == [1, 2, 3, 3]
     assert ag.multiplicity(3, 0) == 2
-    assert ag.position_by_label("a") == 0
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -299,19 +293,18 @@ def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case,
 @pytest.mark.parametrize("case", ["e6", "depth1", (12, 0)], ids=str)
 def test_screen_leaves_unqueried_ag_indexes_unbuilt(case):
     """A screen (build_ag, exposure_set, depth_labels) builds the adjacency
-    index only; the multiplicity and label indexes wait for their first
-    query, which builds each once.  Built indexes do not enter equality."""
+    index only; the multiplicity index waits for its first query, which
+    builds it once.  Built indexes do not enter equality."""
     signed, ag = _signed_and_ag(case)
 
     def built():
-        return {name for name in ("_adjacent", "_multiplicity", "_position") if name in vars(ag)}
+        return {name for name in ("_adjacent", "_multiplicity") if name in vars(ag)}
 
     assert built() == set()
     depth_labels(ag, exposure_set(signed, ag))
     assert built() == {"_adjacent"}
     ag.multiplicity(0, 1)
-    ag.position_by_label(ag.vertices[0].label)
-    assert built() == {"_adjacent", "_multiplicity", "_position"}
+    assert built() == {"_adjacent", "_multiplicity"}
     index = ag._multiplicity
     ag.multiplicity(1, 0)
     assert ag._multiplicity is index
