@@ -5,13 +5,17 @@ exact integer.  Rank is integer elimination on sparse rows, each divided
 by the gcd of its entries.  The characteristic polynomial is the
 Hessenberg recurrence taken modulo 61-bit primes and combined by the Chinese
 remainder theorem under a proven bound on its coefficients (Cohen, *A Course
-in Computational Algebraic Number Theory*, 2.2).  The order of a matrix comes
-from the cyclotomic factors of that polynomial and one check by binary
-powering.  Nothing here touches floating point or rationals.
+in Computational Algebraic Number Theory*, 2.2); each prime is proven once
+per process.  The order of a matrix comes from the cyclotomic factors of
+that polynomial and one check by binary powering.  A factor Phi_k is divided
+out only when Phi_k(2) divides the value at 2 of what remains: f = Phi_k q
+with q in Z[t] gives f(2) = Phi_k(2) q(2).  Nothing here touches floating
+point or rationals.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
@@ -116,11 +120,20 @@ def _is_prime(n: int) -> bool:
 
 def primes_below_2_61() -> Iterator[int]:
     """The primes below 2^61 in descending order, 2^61 - 1 first."""
-    n = (1 << 61) - 1
-    while n > 2:
-        if _is_prime(n):
-            yield n
-        n -= 2
+    p = 1 << 61
+    while p > 2:
+        p = _prime_below(p)
+        yield p
+
+
+@cache
+def _prime_below(n: int) -> int:
+    """The largest prime below n > 2.  Cached, so each prime is proven once
+    per process and the cache holds one int per prime ever used."""
+    p = n - 1
+    while not _is_prime(p):
+        p -= 1
+    return p
 
 
 def coefficient_bound(a: Mat) -> int:
@@ -238,6 +251,14 @@ def _distinct_prime_factors(k: int) -> list[int]:
     return out
 
 
+def _moebius_divisors(k: int, primes: list[int]) -> list[tuple[int, int]]:
+    """(k / e, mu(e)) for each squarefree divisor e of k, given k's distinct prime factors."""
+    out = [(k, 1)]
+    for p in primes:
+        out += [(d // p, -sign) for d, sign in out]
+    return out
+
+
 def _cyclotomic(k: int, primes: list[int], degree: int) -> list[int]:
     """Phi_k in descending powers, given the distinct prime factors of k and phi(k).
 
@@ -247,20 +268,25 @@ def _cyclotomic(k: int, primes: list[int], degree: int) -> list[int]:
     list; for k = 1 the series 1 - t reads as t - 1.
     """
     series = [1] + [0] * degree
-    for mask in range(1 << len(primes)):
-        e, parity = 1, 1
-        for bit, p in enumerate(primes):
-            if mask >> bit & 1:
-                e *= p
-                parity = -parity
-        d = k // e
-        if parity == 1:  # multiply by 1 - t^d
+    for d, sign in _moebius_divisors(k, primes):
+        if sign == 1:  # multiply by 1 - t^d
             for i in range(degree, d - 1, -1):
                 series[i] -= series[i - d]
         else:  # divide by 1 - t^d
             for i in range(d, degree + 1):
                 series[i] += series[i - d]
     return series
+
+
+def _cyclotomic_at_2(k: int, primes: list[int]) -> int:
+    """Phi_k(2) = prod over squarefree e | k of (2^(k/e) - 1)^mu(e), a positive int."""
+    num = den = 1
+    for d, sign in _moebius_divisors(k, primes):
+        if sign == 1:
+            num *= (1 << d) - 1
+        else:
+            den *= (1 << d) - 1
+    return num // den
 
 
 def _power(m: Mat, e: int) -> Mat:
@@ -289,8 +315,17 @@ def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:
     the characteristic polynomial divides t^N - 1 and Cayley-Hamilton gives
     m^N = identity; else m^N is computed, and if it is not the identity, m is
     not diagonalisable and has no finite order.
+
+    A division is tried only while Phi_k(2) divides rest(2), an exact int kept
+    in step with rest.  Monic Phi_k dividing rest in Z[t] leaves a quotient q
+    in Z[t], so rest(2) = Phi_k(2) q(2): every skipped division would have
+    failed, and the result is that of dividing by every Phi_k.  When
+    rest(2) = 0 every k passes.
     """
     rest = list(charpoly(m) if char_poly is None else char_poly)
+    value = 0  # rest(2), by Horner
+    for c in rest:
+        value = 2 * value + c
     order = 1
     repeated = False
     k = 1
@@ -299,18 +334,21 @@ def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:
         totient = k
         for p in primes:
             totient -= totient // p
+        found = 0
         if totient < len(rest):
-            phi = _cyclotomic(k, primes, totient)
-            found = 0
-            while len(rest) > totient:
-                quotient, remainder = _divmod_monic(rest, phi)
-                if any(remainder):
-                    break
-                rest = quotient
-                found += 1
-            if found:
-                order = lcm(order, k)
-                repeated = repeated or found > 1
+            at_2 = _cyclotomic_at_2(k, primes)
+            if value % at_2 == 0:
+                phi = _cyclotomic(k, primes, totient)
+                while len(rest) > totient and value % at_2 == 0:
+                    quotient, remainder = _divmod_monic(rest, phi)
+                    if any(remainder):
+                        break
+                    rest = quotient
+                    value //= at_2
+                    found += 1
+        if found:
+            order = lcm(order, k)
+            repeated = repeated or found > 1
         k += 1
     if len(rest) > 1:
         return None

@@ -97,12 +97,13 @@ def column_nonzeros(i_mat: Mat) -> Columns:
     return tuple(tuple((m, x) for m, x in enumerate(col) if x) for col in zip(*i_mat))
 
 
-def monodromy(i_mat: Mat) -> Mat:
+def monodromy(lattice: MilnorLattice) -> Mat:
     """The monodromy T_1 T_2 ... T_mu: the twist of the last basis vector
-    acts first, the composition the variation iteration follows."""
-    mu = len(i_mat)
+    acts first, the composition the variation iteration follows.  Reads the
+    lattice's column index of I."""
+    mu = lattice.mu
     m = [[int(i == j) for j in range(mu)] for i in range(mu)]
-    for k, col in enumerate(column_nonzeros(i_mat)):
+    for k, col in enumerate(lattice.columns):
         # T_k = Id + e_k c_k^T with c_k[j] = PL_SIGN * I[j][k];
         # M <- M T_k = M + (M e_k) c_k^T.
         for row in m:
@@ -111,7 +112,7 @@ def monodromy(i_mat: Mat) -> Mat:
                 v *= PL_SIGN
                 for j, x in col:
                     row[j] += v * x
-    return intmat.freeze(m)
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def run_pipeline(
     depths = ag_mod.depth_labels(ag, exposed)
 
     lat = lattice_mod.milnor_lattice(ag)
-    m_desc = lattice_mod.monodromy(lat.i_mat)
+    m_desc = lattice_mod.monodromy(lat)
     suite = lattice_mod.identity_suite(lat, m_desc, inv.r)
     cpo = lattice_mod.char_poly_and_order(m_desc)
 

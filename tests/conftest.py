@@ -14,11 +14,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from divides import (
     DivideError,
     EdgeDef,
+    MilnorLattice,
     builtin_entries,
     gen_a,
     gen_depth1,
     gen_e6,
     ingest_polyline,
+    seifert_matrix,
 )
 from divides.report import run_pipeline
 
@@ -48,6 +50,11 @@ def pipeline(name: str):
 
 
 CORPUS_NAMES = [e.name for e in builtin_entries(12)]
+
+
+def lattice_of(i_mat) -> MilnorLattice:
+    """The Milnor lattice of an antisymmetric I, basis labelled by position."""
+    return MilnorLattice(tuple(map(str, range(len(i_mat)))), i_mat, seifert_matrix(i_mat))
 
 
 def position(ag, label: str) -> int:

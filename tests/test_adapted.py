@@ -235,8 +235,8 @@ def test_column_index_is_built_once_per_lattice_not_per_cone(monkeypatch):
         counts.append((len(cones), len(calls)))
     (few, calls_few), (many, calls_many) = counts
     assert 0 < few < many == 41
-    # one for the monodromy, one for MilnorLattice.columns
-    assert calls_few == calls_many == 2
+    # MilnorLattice.columns only, which the monodromy reads too
+    assert calls_few == calls_many == 1
 
 
 @functools.lru_cache(maxsize=None)

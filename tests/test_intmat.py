@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -10,12 +12,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from divides import gen_a, intmat, monodromy, seifert_matrix, transvection
-from conftest import generic_chords, pipeline
+from divides import gen_a, intmat, monodromy, transvection
+from conftest import generic_chords, lattice_of, pipeline
 
 SMALL = st.integers(-6, 6)
 SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
 BIG = st.integers(-(10**20), 10**20)
+T = sympy.Symbol("t")
 
 
 def square(entries, max_n=6, min_n=1):
@@ -131,6 +134,39 @@ def test_generated_primes_are_consecutive_primes():
     assert sympy.isprime(primes[-1])
 
 
+def test_interleaved_prime_generators_share_the_prevprime_chain():
+    first, second = intmat.primes_below_2_61(), intmat.primes_below_2_61()
+    want = [2**61 - 1]
+    for _ in range(7):
+        want.append(sympy.prevprime(want[-1]))
+    got_first, got_second = [], []
+    for i in range(len(want)):
+        got_first.append(next(first))
+        if i % 2:
+            got_second += [next(second), next(second)]
+    assert got_first == got_second == want
+
+
+def test_second_charpoly_proves_no_prime(monkeypatch):
+    m = ((10**19, 3, -(10**19), 7), (1, 10**19, 2, 0), (5, -4, 10**19, 1), (0, 9, 8, 10**19))
+    assert 2 * intmat.coefficient_bound(m) + 1 > 2**122  # three primes at least
+    calls = []
+    real = intmat._is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(intmat, "_is_prime", counted)
+    intmat._prime_below.cache_clear()
+    want = intmat.charpoly(m)
+    assert want == sympy_charpoly(m)
+    assert calls
+    calls.clear()
+    assert intmat.charpoly(m) == want
+    assert calls == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**64))
 def test_is_prime_matches_sympy(n):
@@ -181,9 +217,10 @@ def _transvection_product(i_mat):
 @settings(max_examples=60, deadline=None)
 @given(antisymmetric())
 def test_monodromy_is_the_product_of_transvections(i_mat):
-    m = monodromy(i_mat)
+    lat = lattice_of(i_mat)
+    m = monodromy(lat)
     assert m == _transvection_product(i_mat)
-    s = sympy.Matrix(seifert_matrix(i_mat))
+    s = sympy.Matrix(lat.s_mat)
     assert sympy.Matrix(m) == s.inv() * s.T
 
 
@@ -238,6 +275,86 @@ def test_infinite_orders_are_none():
     assert intmat.matrix_order(((-1, 1), (0, -1))) is None
     assert intmat.matrix_order(((2, 1), (1, 1))) is None  # not cyclotomic
     assert pipeline("depth1").cpo.order is None
+
+
+def cyclotomic(k: int) -> sympy.Poly:
+    return sympy.Poly(sympy.cyclotomic_poly(k, T), T)
+
+
+def coefficients(poly: sympy.Poly) -> list[int]:
+    """Descending powers."""
+    return [int(c) for c in poly.all_coeffs()]
+
+
+def companion(poly) -> intmat.Mat:
+    """The companion matrix of a monic polynomial given in descending powers."""
+    n = len(poly) - 1
+    return tuple(
+        tuple(-poly[n - i] if j == n - 1 else int(i == j + 1) for j in range(n))
+        for i in range(n)
+    )
+
+
+def block_diagonal(blocks) -> intmat.Mat:
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - len(b)) for row in b]
+        at += len(b)
+    return intmat.freeze(rows)
+
+
+def test_cyclotomic_at_2_is_the_value_at_2():
+    for k in range(1, 401):
+        primes = intmat._distinct_prime_factors(k)
+        phi = intmat._cyclotomic(k, primes, int(sympy.totient(k)))
+        if k <= 120:
+            assert phi == coefficients(cyclotomic(k)), k
+        value = 0
+        for c in phi:
+            value = 2 * value + c
+        assert intmat._cyclotomic_at_2(k, primes) == value, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+def test_order_of_cyclotomic_blocks(ks):
+    # Block-diagonal companions of Phi_k are diagonalisable, repeats included,
+    # so the order is the lcm of the k.  A companion matrix is cyclic, so a
+    # repeated factor makes it non-diagonalisable, and a factor that is not
+    # cyclotomic has an eigenvalue that is no root of unity (t - 2 makes the
+    # value at 2 vanish, so every k passes the filter).
+    factors = [cyclotomic(k) for k in ks]
+    blocks = [companion(coefficients(f)) for f in factors]
+    assert intmat.matrix_order(block_diagonal(blocks)) == lcm(*ks)
+    product = functools.reduce(operator.mul, factors)
+    not_cyclotomic = (sympy.Poly(T - 2), sympy.Poly(T**2 - 3 * T + 1))
+    for poly in [factors[0] ** 2] + [product * f for f in not_cyclotomic]:
+        poly = coefficients(poly)
+        assert intmat.matrix_order(companion(poly), poly) is None
+
+
+def test_order_filter_skips_the_failing_divisions(monkeypatch):
+    calls = []
+    real = intmat._divmod_monic
+
+    def counted(num, den):
+        calls.append(len(den) - 1)
+        return real(num, den)
+
+    monkeypatch.setattr(intmat, "_divmod_monic", counted)
+    # Phi_1(2) = 1 divides every value, so t - 1 is always tried; every other
+    # division made is one that succeeds (dividing by every Phi_k makes 401).
+    phi = cyclotomic(401)
+    poly = coefficients(phi)
+    assert intmat.matrix_order(companion(poly), poly) == 401
+    assert calls == [1, 400]
+    # Once Phi_3 and Phi_5 are divided out, 7 and 31 no longer divide the
+    # value at 2, so neither is tried a second time.
+    calls.clear()
+    poly = coefficients(cyclotomic(3) * cyclotomic(5) * phi)
+    assert intmat.matrix_order(companion(poly), poly) == 3 * 5 * 401
+    assert calls == [1, 2, 4, 400]
 
 
 def test_finite_orders():

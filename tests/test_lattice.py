@@ -21,7 +21,7 @@ from divides import intmat
 from divides.core import DivideError
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
-from conftest import entry, generic_chords, pipeline
+from conftest import entry, generic_chords, lattice_of, pipeline
 
 
 def test_pl_sign():
@@ -126,7 +126,7 @@ def test_intersection_rank_at_large_mu(make, mu):
 
 def test_identity_suite_reports_failures_without_aborting():
     lat = pipeline("a2").lattice
-    bad_m = monodromy(((0, -2), (2, 0)))  # wrong lattice for this Seifert data
+    bad_m = monodromy(lattice_of(((0, -2), (2, 0))))  # wrong lattice for this Seifert data
     suite = identity_suite(lat, bad_m, branch_count=1)
     assert not suite.passed
     assert len(suite.checks) == 3  # every check still evaluated
