@@ -28,7 +28,6 @@ from .agdiagram import (
     build_ag,
     depth_labels,
     exposure_set,
-    reorder_within_types,
     to_dot,
 )
 from .core import (
@@ -97,7 +96,6 @@ __all__ = [
     "parse_divide",
     "pl_variation",
     "quiver_dot",
-    "reorder_within_types",
     "run_pipeline",
     "seifert_matrix",
     "to_dot",

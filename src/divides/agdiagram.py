@@ -3,7 +3,7 @@
 Saddle vertices come from double points, signed vertices from bounded
 regions.  The total order is minus vertices, then saddles, then plus
 vertices; within a type, declaration order (double-point order for saddles,
-face-trace order for regions).
+face-trace order for regions) or a given permutation of it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .core import DOUBLE_POINT_DEGREE, DivideError, SignedDivide
 
@@ -73,27 +73,43 @@ class AGDiagram:
         return self._multiplicity.get((min(i, j), max(i, j)), 0)
 
 
-def build_ag(signed: SignedDivide) -> AGDiagram:
+def build_ag(
+    signed: SignedDivide, reorder: Optional[dict[str, tuple[int, ...]]] = None
+) -> AGDiagram:
     """The AG diagram of a signed divide.
 
     Edges join a saddle to a signed region once per quadrant of the double
     point lying in that region, and a plus region to a minus region once per
     shared divide edge; unbounded faces contribute nothing.  Minus regions
     come before saddles and saddles before plus regions, so each pair is
-    ordered by the types of its ends.
+    ordered by the types of its ends.  Within a type the order is declaration
+    order, or the 1-based permutation ``reorder[t]`` of it when one is given:
+    ``reorder["-"] = (2, 1)`` puts the second minus region first.  Labels
+    ``v{t}_{i}`` number the vertices of each type in the final order.
     """
     divide = signed.divide
     face_of = signed.faces.face_of
     sign = signed.sign
     regions = signed.faces.region_indices
-    minus = [f for f in regions if sign[f] == -1]
-    plus = [f for f in regions if sign[f] == 1]
+    blocks = {
+        "-": [f for f in regions if sign[f] == -1],
+        "0": list(range(len(divide.double_points))),  # double point indices
+        "+": [f for f in regions if sign[f] == 1],
+    }
+    for t, perm in (reorder or {}).items():
+        if t not in blocks or sorted(perm) != list(range(1, len(blocks[t]) + 1)):
+            raise DivideError(f"invalid permutation for type '{t}': {perm}")
+        blocks[t] = [blocks[t][i - 1] for i in perm]
+    minus, saddles, plus = blocks.values()
 
     vertices = [AGVertex(f"v-_{i}", "-", ("region", f)) for i, f in enumerate(minus, 1)]
-    vertices += [AGVertex(f"v0_{i}", "0", ("double_point", dp))
-                 for i, dp in enumerate(divide.double_points, 1)]
+    vertices += [AGVertex(f"v0_{i}", "0", ("double_point", divide.double_points[k]))
+                 for i, k in enumerate(saddles, 1)]
     vertices += [AGVertex(f"v+_{i}", "+", ("region", f)) for i, f in enumerate(plus, 1)]
-    n_before_plus = len(minus) + len(divide.double_points)
+    pos_of_dp = [0] * len(saddles)
+    for pos, k in enumerate(saddles, len(minus)):
+        pos_of_dp[k] = pos
+    n_before_plus = len(minus) + len(saddles)
     pos_of_region = {f: i for i, f in enumerate(minus)}
     pos_of_region.update((f, n_before_plus + i) for i, f in enumerate(plus))
 
@@ -104,7 +120,7 @@ def build_ag(signed: SignedDivide) -> AGDiagram:
     for x in range(DOUBLE_POINT_DEGREE * len(divide.double_points)):  # slot x % 4 of x // 4
         f = face_of[x]
         if f in pos_of_region:
-            pos = len(minus) + x // DOUBLE_POINT_DEGREE
+            pos = pos_of_dp[x // DOUBLE_POINT_DEGREE]
             key = pos_of_region[f] * mu + pos if sign[f] == -1 else pos * mu + pos_of_region[f]
             counts[key] = counts.get(key, 0) + 1
     same_type = False
@@ -185,40 +201,6 @@ def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
         bad = [ag.vertices[i].label for i, d in enumerate(depth) if d == -1]
         raise DivideError(f"depth undefined for vertices disconnected from the exposed set: {bad}")
     return DepthLabels(depth=tuple(depth), diagram_depth=max(depth))
-
-
-def reorder_within_types(ag: AGDiagram, perms: dict[str, tuple[int, ...]]) -> AGDiagram:
-    """Permute same-type vertices; perms maps a type to a 1-based permutation.
-
-    perms["-"] = (2, 1) makes the old second minus vertex the new first.
-    Labels are reassigned to match the new positions; origins are kept.
-    """
-    blocks: dict[str, list[int]] = {"-": [], "0": [], "+": []}
-    for pos, vx in enumerate(ag.vertices):
-        blocks[vx.vtype].append(pos)
-    old_to_new: dict[int, int] = {}
-    new_vertices: list[AGVertex] = []
-    for t in ("-", "0", "+"):
-        old_block = blocks[t]
-        perm = perms.get(t, tuple(range(1, len(old_block) + 1)))
-        if sorted(perm) != list(range(1, len(old_block) + 1)):
-            raise DivideError(f"invalid permutation for type '{t}': {perm}")
-        for new_i, old_i in enumerate(perm, start=1):
-            old_pos = old_block[old_i - 1]
-            old_to_new[old_pos] = len(new_vertices)
-            new_vertices.append(
-                AGVertex(
-                    label=f"v{t}_{new_i}",
-                    vtype=t,
-                    origin=ag.vertices[old_pos].origin,
-                )
-            )
-    new_edges = []
-    for e in ag.edges:
-        u, v = sorted((old_to_new[e.u], old_to_new[e.v]))
-        new_edges.append(AGEdge(u=u, v=v, multiplicity=e.multiplicity))
-    new_edges.sort(key=lambda e: (e.u, e.v))
-    return AGDiagram(vertices=tuple(new_vertices), edges=tuple(new_edges))
 
 
 def to_dot(ag: AGDiagram, depths: DepthLabels) -> str:

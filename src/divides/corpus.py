@@ -356,9 +356,9 @@ A4_SNAKE_POLYLINE = {
 }
 
 
-def builtin_entries(max_a: int = 12) -> list[CorpusEntry]:
-    """All built-in corpus entries: A_n for n <= max_a, E6, depth-1."""
-    entries = [gen_a(n) for n in range(1, max_a + 1)]
+def builtin_entries() -> list[CorpusEntry]:
+    """All built-in corpus entries: A_1 to A_12, E6, depth-1."""
+    entries = [gen_a(n) for n in range(1, 13)]
     entries.append(gen_e6())
     entries.append(gen_depth1())
     return entries

@@ -54,13 +54,12 @@ def seifert_matrix(i_mat: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class MilnorLattice:
-    basis: tuple[str, ...]
     i_mat: Mat
     s_mat: Mat
 
     @property
     def mu(self) -> int:
-        return len(self.basis)
+        return len(self.i_mat)
 
     @cached_property
     def columns(self) -> Columns:
@@ -70,11 +69,7 @@ class MilnorLattice:
 
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
     i_mat = intersection_matrix(ag)
-    return MilnorLattice(
-        basis=tuple(v.label for v in ag.vertices),
-        i_mat=i_mat,
-        s_mat=seifert_matrix(i_mat),
-    )
+    return MilnorLattice(i_mat=i_mat, s_mat=seifert_matrix(i_mat))
 
 
 def transvection(i_mat: Mat, k: int) -> Mat:

@@ -54,26 +54,33 @@ class PipelineResult:
     cones: tuple[adapted_mod.Depth1Cone, ...]
 
     @property
+    def verdicts(self) -> dict[str, bool]:
+        """The run's four checks, name -> passed, in summary order."""
+        return {
+            "identity": self.suite.passed,
+            "adapted": self.adapted_verdict.passed,
+            "certificate": self.certificate.passed,
+            "cones": all(c.passed for c in self.cones),
+        }
+
+    @property
     def all_passed(self) -> bool:
-        return (
-            self.suite.passed
-            and self.adapted_verdict.passed
-            and self.certificate.passed
-            and all(c.passed for c in self.cones)
-        )
+        return all(self.verdicts.values())
 
 
 def run_pipeline(
     divide: Divide, reorder: Optional[dict[str, tuple[int, ...]]] = None
 ) -> PipelineResult:
-    """Run every analysis stage; raises DivideError on structural problems."""
+    """Run every analysis stage; raises DivideError on structural problems.
+
+    ``reorder`` maps a vertex type to a 1-based permutation of its vertices,
+    which ``build_ag`` applies before anything reads the order.
+    """
     faces = trace_faces(divide)
     signed = assign_signs(divide, faces)
     inv = invariants(signed)
 
-    ag = ag_mod.build_ag(signed)
-    if reorder:
-        ag = ag_mod.reorder_within_types(ag, reorder)
+    ag = ag_mod.build_ag(signed, reorder)
     if ag.mu != inv.mu:
         raise DivideError(f"AG vertex count {ag.mu} does not equal mu {inv.mu}")
     exposed = ag_mod.exposure_set(signed, ag)
@@ -114,10 +121,6 @@ def input_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _mat(m) -> list:
-    return [list(row) for row in m]
-
-
 def build_report(result: PipelineResult, version: str, digest: str) -> dict:
     ag, depths = result.ag, result.depths
     labels = [v.label for v in ag.vertices]
@@ -146,13 +149,13 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             "edges": [
                 [labels[e.u], labels[e.v], e.multiplicity] for e in ag.edges
             ],
-            "census": list(ag.census()),
+            "census": ag.census(),
             "diagram_depth": depths.diagram_depth,
         },
         "matrices": {
-            "I": _mat(result.lattice.i_mat),
-            "S": _mat(result.lattice.s_mat),
-            "M_desc": _mat(result.m_desc),
+            "I": result.lattice.i_mat,
+            "S": result.lattice.s_mat,
+            "M_desc": result.m_desc,
         },
         "identity_suite": {
             "passed": result.suite.passed,
@@ -167,7 +170,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             ],
         },
         "char_poly": {
-            "coefficients": list(result.cpo.coefficients),
+            "coefficients": result.cpo.coefficients,
             "order": result.cpo.order,
             "max_power": REPORT_MAX_POWER,
         },
@@ -181,7 +184,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
                 if result.adapted_verdict.first_failure is None
                 else {
                     "index": result.adapted_verdict.first_failure[0],
-                    "computed": list(result.adapted_verdict.first_failure[1]),
+                    "computed": result.adapted_verdict.first_failure[1],
                 }
             ),
         },
@@ -194,13 +197,13 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
         },
         "certificate": {
             "verdict": "pass" if result.certificate.passed else "fail",
-            "violations": [list(v) for v in result.certificate.violations],
+            "violations": result.certificate.violations,
         },
         "depth1_cones": [
             {
                 "vertex": labels[c.vertex],
                 "partner": labels[c.partner],
-                "a_prime": list(c.a_prime),
+                "a_prime": c.a_prime,
                 "verdict": "pass" if c.passed else "fail",
             }
             for c in result.cones
@@ -252,12 +255,13 @@ _FACTS: dict[str, Callable[[PipelineResult], object]] = {
 # Facts listed in any order, as lists or tuples; compared as sorted tuples.
 _UNORDERED = {"ag_edges"}
 
-_VERDICTS: tuple[tuple[Callable[[PipelineResult], bool], str], ...] = (
-    (lambda res: res.suite.passed, "identity suite failed"),
-    (lambda res: res.adapted_verdict.passed, "adapted-family variation check failed"),
-    (lambda res: res.certificate.passed, "exceptional certificate failed"),
-    (lambda res: all(c.passed for c in res.cones), "depth-1 cone check failed"),
-)
+# Verdict name -> the problem a failed verdict reports.
+_FAILURES = {
+    "identity": "identity suite failed",
+    "adapted": "adapted-family variation check failed",
+    "certificate": "exceptional certificate failed",
+    "cones": "depth-1 cone check failed",
+}
 
 
 def check_entry(entry: CorpusEntry) -> list[str]:
@@ -266,7 +270,7 @@ def check_entry(entry: CorpusEntry) -> list[str]:
         result = run_pipeline(entry.divide)
     except DivideError as exc:
         return [f"pipeline failed: {exc}"]
-    problems = [message for passed, message in _VERDICTS if not passed(result)]
+    problems = [_FAILURES[name] for name, passed in result.verdicts.items() if not passed]
     for key, want in entry.expected.items():
         if key not in _FACTS:
             problems.append(f"unknown expected fact '{key}'")

@@ -49,12 +49,12 @@ def pipeline(name: str):
     return run_pipeline(entry(name).divide)
 
 
-CORPUS_NAMES = [e.name for e in builtin_entries(12)]
+CORPUS_NAMES = [e.name for e in builtin_entries()]
 
 
 def lattice_of(i_mat) -> MilnorLattice:
-    """The Milnor lattice of an antisymmetric I, basis labelled by position."""
-    return MilnorLattice(tuple(map(str, range(len(i_mat)))), i_mat, seifert_matrix(i_mat))
+    """The Milnor lattice of an antisymmetric I."""
+    return MilnorLattice(i_mat, seifert_matrix(i_mat))
 
 
 def position(ag, label: str) -> int:

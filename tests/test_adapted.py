@@ -257,7 +257,7 @@ def test_verify_adapted_reads_the_intersection_matrix_it_is_given(name):
             rows = [list(row) for row in lat.i_mat]
             rows[m][k] += 1
             rows[k][m] -= 1
-            bad = MilnorLattice(basis=lat.basis, i_mat=intmat.freeze(rows), s_mat=lat.s_mat)
+            bad = MilnorLattice(i_mat=intmat.freeze(rows), s_mat=lat.s_mat)
             assert not verify_adapted(bad).passed, (m, k)
 
 

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import functools
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from divides import (
+    DivideError,
+    assign_signs,
     build_ag,
     depth_labels,
     exposure_set,
-    reorder_within_types,
     to_dot,
+    trace_faces,
 )
 from divides.agdiagram import AGDiagram, AGEdge, AGVertex
-from conftest import entry, pipeline, position
+from divides.report import run_pipeline
+from conftest import CORPUS_NAMES, entry, generic_chords, pipeline, position
 
 
 def _edge_labels(ag):
@@ -130,9 +139,9 @@ def test_to_dot_deterministic_and_counts():
     assert to_dot(r1.ag, r1.depths).count("--") == 0
 
 
-def test_reorder_within_types_preserves_structure():
+def test_build_ag_reorder_preserves_structure():
     r = pipeline("e6")
-    swapped = reorder_within_types(r.ag, {"-": (2, 1), "0": (3, 1, 2)})
+    swapped = build_ag(r.signed, {"-": (2, 1), "0": (3, 1, 2)})
     assert swapped.census() == r.ag.census()
     assert sorted(e.multiplicity for e in swapped.edges) == sorted(
         e.multiplicity for e in r.ag.edges
@@ -148,3 +157,74 @@ def test_build_ag_depends_only_on_signed_divide():
     assert build_ag(sd) == pipeline("a4").ag
     exposed = exposure_set(sd, pipeline("a4").ag)
     assert exposed == pipeline("a4").exposed
+
+
+PERMUTED_CASES = CORPUS_NAMES + [(k, seed) for k in range(3, 8) for seed in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _divide(case):
+    return entry(case).divide if isinstance(case, str) else generic_chords(*case)
+
+
+@functools.lru_cache(maxsize=None)
+def _signed(case):
+    divide = _divide(case)
+    return assign_signs(divide, trace_faces(divide))
+
+
+@st.composite
+def _case_and_perms(draw):
+    """A case and 1-based permutations of some of its vertex types."""
+    case = draw(st.sampled_from(PERMUTED_CASES))
+    census = dict(zip("-0+", build_ag(_signed(case)).census()))
+    perms = {}
+    for t, n in census.items():
+        if draw(st.booleans()):
+            perms[t] = tuple(draw(st.permutations(range(1, n + 1))))
+    return case, perms
+
+
+def _relabelled(ag, perms):
+    """``ag`` with the vertices of each type t put in the order perms[t]:
+    labels follow the new positions, origins go with their vertices, and
+    each edge moves with its ends."""
+    blocks = {t: [p for p, vx in enumerate(ag.vertices) if vx.vtype == t] for t in "-0+"}
+    order = [blocks[t][i - 1] for t in "-0+" for i in perms.get(t, range(1, len(blocks[t]) + 1))]
+    new_pos = {old: new for new, old in enumerate(order)}
+    seen = {t: 0 for t in "-0+"}
+    vertices = []
+    for old in order:
+        vx = ag.vertices[old]
+        seen[vx.vtype] += 1
+        vertices.append(AGVertex(f"v{vx.vtype}_{seen[vx.vtype]}", vx.vtype, vx.origin))
+    edges = sorted(AGEdge(*sorted((new_pos[e.u], new_pos[e.v])), e.multiplicity) for e in ag.edges)
+    return AGDiagram(vertices=tuple(vertices), edges=tuple(edges))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_case_and_perms())
+def test_build_ag_with_a_permutation_relabels_the_declaration_order(case_and_perms):
+    case, perms = case_and_perms
+    signed = _signed(case)
+    assert build_ag(signed, perms) == _relabelled(build_ag(signed), perms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_case_and_perms())
+def test_pipeline_passes_under_any_within_type_order(case_and_perms):
+    """Same-type vanishing cycles are disjoint, so any order within a type is
+    again distinguished: every verdict passes and the monodromy's
+    characteristic polynomial and order do not move."""
+    case, perms = case_and_perms
+    permuted = run_pipeline(_divide(case), reorder=perms)
+    assert all(permuted.verdicts.values()), permuted.verdicts
+    assert permuted.cpo == run_pipeline(_divide(case)).cpo
+
+
+def test_build_ag_rejects_a_non_permutation():
+    signed = _signed("e6")
+    for t, perm in [("0", (1, 1, 2)), ("0", (1, 2)), ("0", (1, 2, 3, 4)), ("0", (0, 1, 2)),
+                    ("-", (2,)), ("+", ()), ("x", (1,))]:
+        with pytest.raises(DivideError, match=re.escape(f"invalid permutation for type '{t}': {perm}")):
+            build_ag(signed, {t: perm})

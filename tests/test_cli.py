@@ -87,6 +87,15 @@ def test_report_reorder_still_passes(tmp_path, capsys):
     assert "overall=pass" in out
 
 
+def test_report_rejects_an_invalid_permutation(tmp_path, capsys):
+    path = tmp_path / "depth1.json"
+    path.write_text(divide_to_text(gen_depth1().divide))
+    code, out, err = _run(capsys, "report", str(path), "--reorder", "0:1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "invalid: invalid permutation for type '0': (1, 1)\n"
+
+
 def test_report_depth1_has_cone(tmp_path, capsys):
     from divides import gen_depth1
 

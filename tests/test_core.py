@@ -147,7 +147,7 @@ def test_trace_faces_rejects_a_hand_built_invalid_divide(broken):
 
 
 def test_diagnostics_are_validate_divide():
-    for divide in [e.divide for e in builtin_entries(12)] + _broken_divides():
+    for divide in [e.divide for e in builtin_entries()] + _broken_divides():
         assert divide.diagnostics == tuple(validate_divide(divide))
         assert divide.diagnostics is divide.diagnostics  # kept, not recomputed
 

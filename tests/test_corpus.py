@@ -15,7 +15,7 @@ def test_generators_deterministic():
 
 
 def test_every_expected_fact_has_a_source():
-    for e in builtin_entries(12):
+    for e in builtin_entries():
         assert set(e.expected) <= set(e.sources)
         assert all(isinstance(s, str) and s for s in e.sources.values())
 
@@ -52,7 +52,7 @@ def test_gen_depth1_expected():
 
 
 def test_all_entries_certify():
-    for e in builtin_entries(12):
+    for e in builtin_entries():
         assert check_entry(e) == [], e.name
 
 

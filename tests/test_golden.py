@@ -41,7 +41,7 @@ CHORDS5 = {
 def cases() -> dict[str, tuple[str, dict | None]]:
     """golden name -> (divide file text, reorder or None)."""
     out: dict[str, tuple[str, dict | None]] = {}
-    for e in builtin_entries(12):
+    for e in builtin_entries():
         out[e.name] = (divide_to_text(e.divide), None)
     out["depth1-reorder"] = (out["depth1"][0], DEPTH1_REORDER)
     out["chords5"] = (json.dumps(CHORDS5, indent=2) + "\n", None)

@@ -196,7 +196,9 @@ def test_seifert_rejects_asymmetric_input():
 
 def test_lattice_from_ag_has_labels():
     r = pipeline("e6")
-    assert r.lattice.basis == ("v-_1", "v-_2", "v0_1", "v0_2", "v0_3", "v+_1")
+    assert r.lattice.mu == r.ag.mu == 6
+    labels = tuple(v.label for v in r.ag.vertices)
+    assert labels == ("v-_1", "v-_2", "v0_1", "v0_2", "v0_3", "v+_1")
 
 
 def _brieskorn_pham_charpoly(a: int, b: int) -> tuple[int, ...]:
