@@ -181,8 +181,11 @@ def _check_file(path: Path) -> list[str]:
 
 def cmd_corpus_run(args) -> int:
     checks = [(e.name, functools.partial(check_entry, e)) for e in builtin_entries()]
-    custom_dir = os.environ.get(CORPUS_DIR_ENV)
-    if custom_dir and Path(custom_dir).is_dir():
+    custom_dir = os.environ.get(CORPUS_DIR_ENV)  # an empty value means unset
+    if custom_dir:
+        if not Path(custom_dir).is_dir():
+            print(f"error: {CORPUS_DIR_ENV}={custom_dir} is not a directory", file=sys.stderr)
+            return EXIT_IO
         for path in sorted(Path(custom_dir).glob("*.json")):
             checks.append((path.name, functools.partial(_check_file, path)))
 

@@ -2,22 +2,22 @@
 
 All matrices are tuples of tuples of Python ints, and every result is an
 exact integer.  Rank is integer elimination on sparse rows, each divided
-by the gcd of its entries.  The characteristic polynomial is the
-Hessenberg recurrence taken modulo 61-bit primes and combined by the Chinese
-remainder theorem under a proven bound on its coefficients (Cohen, *A Course
-in Computational Algebraic Number Theory*, 2.2); each prime is proven once
-per process.  The order of a matrix comes from the cyclotomic factors of
-that polynomial and one check by binary powering.  A factor Phi_k is divided
-out only when Phi_k(2) divides the value at 2 of what remains: f = Phi_k q
-with q in Z[t] gives f(2) = Phi_k(2) q(2).  Nothing here touches floating
-point or rationals.
+by the gcd of its entries.  The characteristic polynomial is the Hessenberg
+recurrence taken once, modulo a Mersenne prime above twice a proven bound
+on its coefficients (Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.2), and read as symmetric residues.  The order of a matrix comes
+from the cyclotomic factors of that polynomial and one check by binary
+powering.  A factor Phi_k is divided out only when Phi_k(2) divides the
+value at 2 of what remains: f = Phi_k q with q in Z[t] gives f(2) =
+Phi_k(2) q(2).  Nothing here touches floating point or rationals.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd, isqrt, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
+
+from .core import DivideError
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -86,54 +86,8 @@ def rank(a: Mat) -> int:
 # ---------------------------------------------------------------------------
 # Characteristic polynomial
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases.
-
-    Deterministic below 318665857834031151167461, the least strong
-    pseudoprime to all twelve bases (Sorenson and Webster, 2015), which
-    covers every candidate below 2^61.
-    """
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def primes_below_2_61() -> Iterator[int]:
-    """The primes below 2^61 in descending order, 2^61 - 1 first."""
-    p = 1 << 61
-    while p > 2:
-        p = _prime_below(p)
-        yield p
-
-
-@cache
-def _prime_below(n: int) -> int:
-    """The largest prime below n > 2.  Cached, so each prime is proven once
-    per process and the cache holds one int per prime ever used."""
-    p = n - 1
-    while not _is_prime(p):
-        p -= 1
-    return p
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 to 2^4423 - 1.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
 def coefficient_bound(a: Mat) -> int:
@@ -202,24 +156,21 @@ def _charpoly_mod(a: Mat, p: int) -> list[int]:
 def charpoly(a: Mat) -> tuple[int, ...]:
     """Characteristic polynomial det(tI - M), coefficients by descending power.
 
-    Computed modulo successive 61-bit primes until their product exceeds
-    2B + 1 for the coefficient bound B, then read as symmetric residues.
+    Computed modulo the least Mersenne prime p = 2^e - 1, e in
+    MERSENNE_EXPONENTS, with p > 2B + 1 for the coefficient bound B, and read
+    as symmetric residues.  A bound beyond the largest of them raises
+    DivideError, naming the bound's bit length, before any Hessenberg work.
     """
     need = 2 * coefficient_bound(a) + 1
-    coeffs: list[int] = []
-    modulus = 1
-    for p in primes_below_2_61():
-        res = _charpoly_mod(a, p)
-        if modulus == 1:
-            coeffs = res
-        else:
-            inv = pow(modulus % p, -1, p)
-            coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, res)]
-        modulus *= p
-        if modulus > need:
-            break
-    half = modulus // 2
-    return tuple(c - modulus if c > half else c for c in coeffs)
+    for e in MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > need:
+            half = p // 2
+            return tuple(c - p if c > half else c for c in _charpoly_mod(a, p))
+    raise DivideError(
+        f"characteristic polynomial: the coefficient bound 2B + 1 has {need.bit_length()} "
+        f"bits, beyond the largest modulus 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +253,10 @@ def _power(m: Mat, e: int) -> Mat:
         m = mul(m, m)
 
 
-def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:
+def matrix_order(m: Mat, char_poly: Sequence[int]) -> int | None:
     """The least N >= 1 with m^N = identity, or None when the order is infinite.
 
-    char_poly, when given, must be charpoly(m); it saves computing it again.
+    char_poly must be charpoly(m).
 
     A matrix of finite order has a characteristic polynomial that is a
     product of cyclotomic polynomials Phi_k.  These are divided out for every
@@ -322,7 +273,7 @@ def matrix_order(m: Mat, char_poly: Sequence[int] | None = None) -> int | None:
     failed, and the result is that of dividing by every Phi_k.  When
     rest(2) = 0 every k passes.
     """
-    rest = list(charpoly(m) if char_poly is None else char_poly)
+    rest = list(char_poly)
     value = 0  # rest(2), by Horner
     for c in rest:
         value = 2 * value + c

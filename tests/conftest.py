@@ -20,6 +20,7 @@ from divides import (
     gen_depth1,
     gen_e6,
     ingest_polyline,
+    intmat,
     seifert_matrix,
 )
 from divides.report import run_pipeline
@@ -60,6 +61,19 @@ def lattice_of(i_mat) -> MilnorLattice:
 def position(ag, label: str) -> int:
     """The order position of the first vertex of ``ag`` labelled ``label``."""
     return next(p for p, vx in enumerate(ag.vertices) if vx.label == label)
+
+
+def charpoly_moduli(monkeypatch) -> list[int]:
+    """The list to which each later ``intmat._charpoly_mod`` call appends its modulus."""
+    used = []
+    real = intmat._charpoly_mod
+
+    def spy(a, p):
+        used.append(p)
+        return real(a, p)
+
+    monkeypatch.setattr(intmat, "_charpoly_mod", spy)
+    return used
 
 
 @pytest.fixture(scope="session")

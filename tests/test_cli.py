@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from divides import divide_to_text, gen_a, gen_depth1, gen_e6
+from divides import builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6, intmat
 from divides.cli import main
 
 from conftest import a1_mirrored_at_c1
@@ -149,12 +149,43 @@ def test_generate_rejects_an_unused_index(capsys, family):
     assert f"error: family '{family}' takes no index" in err
 
 
+def test_report_beyond_the_largest_modulus_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(intmat, "coefficient_bound", lambda a: 1 << 4423)
+    path = tmp_path / "a5.json"
+    path.write_text(divide_to_text(gen_a(5).divide))
+    code, out, err = _run(capsys, "report", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "invalid: characteristic polynomial: the coefficient bound 2B + 1 has 4425 bits, "
+        "beyond the largest modulus 2^4423 - 1\n"
+    )
+
+
 def test_corpus_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(tmp_path))  # empty custom dir
     code, out, _ = _run(capsys, "corpus-run")
     assert code == 0
     assert "a12" in out and "e6" in out and "depth1" in out
     assert out.count("pass") >= 15  # 14 entries + total
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_corpus_run_rejects_a_corpus_dir_that_is_not_a_directory(capsys, monkeypatch, tmp_path, kind):
+    path = tmp_path / "corpus"
+    if kind == "file":
+        path.write_text("")
+    monkeypatch.setenv("DIVIDES_CORPUS_DIR", str(path))
+    code, out, err = _run(capsys, "corpus-run")
+    assert code == 3 and out == ""
+    assert err == f"error: DIVIDES_CORPUS_DIR={path} is not a directory\n"
+
+
+def test_corpus_run_empty_corpus_dir_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("DIVIDES_CORPUS_DIR", "")
+    code, out, err = _run(capsys, "corpus-run")
+    assert code == 0 and err == ""
+    names = [e.name for e in builtin_entries()] + ["total"]
+    assert [line.split()[0] for line in out.splitlines()] == names
 
 
 def test_corpus_run_custom_entry(capsys, monkeypatch, tmp_path):

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from divides import gen_a, intmat, monodromy, transvection
-from conftest import generic_chords, lattice_of, pipeline
+from divides import DivideError, gen_a, intmat, monodromy, transvection
+from conftest import charpoly_moduli, generic_chords, lattice_of, pipeline
 
 SMALL = st.integers(-6, 6)
 SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
@@ -113,8 +112,8 @@ def test_zero_pivots_and_empty():
 @settings(max_examples=20, deadline=None)
 @given(square(st.integers(10**18, 10**20).map(lambda x: x * (-1) ** (x % 2)), 4, min_n=2))
 def test_charpoly_needs_several_primes(m):
-    first = next(intmat.primes_below_2_61())
-    assert 2 * intmat.coefficient_bound(m) + 1 > first  # one prime is not enough
+    # 2^61 - 1 is not enough, so a larger Mersenne prime is taken
+    assert 2 * intmat.coefficient_bound(m) + 1 > 2**61 - 1
     assert intmat.charpoly(m) == sympy_charpoly(m)
 
 
@@ -125,58 +124,48 @@ def test_coefficient_bound_holds():
         assert all(abs(c) <= bound for c in intmat.charpoly(m))
 
 
-def test_generated_primes_are_consecutive_primes():
-    primes = list(itertools.islice(intmat.primes_below_2_61(), 12))
-    assert primes[0] == 2**61 - 1
-    for p, q in zip(primes, primes[1:]):
-        assert sympy.isprime(p)
-        assert sympy.prevprime(p) == q
-    assert sympy.isprime(primes[-1])
+def test_mersenne_exponents_give_primes():
+    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_(e-2) = 0,
+    # where s_0 = 4 and s_(k+1) = s_k^2 - 2 mod 2^e - 1.
+    for e in intmat.MERSENNE_EXPONENTS:
+        assert sympy.isprime(e)
+        p, s = (1 << e) - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % p
+        assert s == 0, e
+    assert list(intmat.MERSENNE_EXPONENTS) == sorted(intmat.MERSENNE_EXPONENTS)
 
 
-def test_interleaved_prime_generators_share_the_prevprime_chain():
-    first, second = intmat.primes_below_2_61(), intmat.primes_below_2_61()
-    want = [2**61 - 1]
-    for _ in range(7):
-        want.append(sympy.prevprime(want[-1]))
-    got_first, got_second = [], []
-    for i in range(len(want)):
-        got_first.append(next(first))
-        if i % 2:
-            got_second += [next(second), next(second)]
-    assert got_first == got_second == want
+SYLVESTER_4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
 
-def test_second_charpoly_proves_no_prime(monkeypatch):
-    m = ((10**19, 3, -(10**19), 7), (1, 10**19, 2, 0), (5, -4, 10**19, 1), (0, 9, 8, 10**19))
-    assert 2 * intmat.coefficient_bound(m) + 1 > 2**122  # three primes at least
-    calls = []
-    real = intmat._is_prime
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(intmat, "_is_prime", counted)
-    intmat._prime_below.cache_clear()
-    want = intmat.charpoly(m)
-    assert want == sympy_charpoly(m)
-    assert calls
-    calls.clear()
-    assert intmat.charpoly(m) == want
-    assert calls == []
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64))
-def test_is_prime_matches_sympy(n):
-    assert intmat._is_prime(n) == sympy.isprime(n)
+@pytest.mark.parametrize(
+    "below, e",
+    zip((1,) + intmat.MERSENNE_EXPONENTS[:-1], intmat.MERSENNE_EXPONENTS),
+    ids=[f"2^{e}-1" for e in intmat.MERSENNE_EXPONENTS],
+)
+def test_charpoly_takes_the_least_mersenne_prime_above_the_bound(monkeypatch, below, e):
+    # x times a Hadamard matrix has rows of norm 2x and determinant (2x)^4,
+    # close to the bound (1 + 2x)^4: with the least x that puts (2x)^4 above
+    # 2^(below - 1), the constant term does not fit 2^below - 1 and the
+    # bound lies just above it.
+    x = (isqrt(isqrt(1 << (below - 1))) + 2) // 2
+    m = tuple(tuple(x * h for h in row) for row in SYLVESTER_4)
+    need = 2 * intmat.coefficient_bound(m) + 1
+    assert (1 << below) - 1 < need < (1 << e) - 1
+    used = charpoly_moduli(monkeypatch)
+    coeffs = intmat.charpoly(m)
+    assert used == [(1 << e) - 1]
+    assert abs(coeffs[-1]) > ((1 << below) - 1) // 2
+    assert coeffs == sympy_charpoly(m)
 
 
-def test_is_prime_rejects_strong_pseudoprimes():
-    # strong pseudoprimes to bases 2..7 and to bases 2..23 respectively
-    for n in (3215031751, 3825123056546413051):
-        assert not intmat._is_prime(n)
+def test_charpoly_beyond_the_largest_modulus_raises_before_any_work(monkeypatch):
+    monkeypatch.setattr(intmat, "coefficient_bound", lambda a: 1 << 4423)
+    used = charpoly_moduli(monkeypatch)
+    with pytest.raises(DivideError, match="has 4425 bits, beyond the largest modulus"):
+        intmat.charpoly(((1,),))
+    assert used == []
 
 
 def test_mul_matches_definition():
@@ -270,10 +259,14 @@ def test_power_starts_from_the_first_factor(monkeypatch, e):
     assert len(calls) == e.bit_length() - 1 + e.bit_count() - 1
 
 
+def order(m) -> int | None:
+    return intmat.matrix_order(m, intmat.charpoly(m))
+
+
 def test_infinite_orders_are_none():
-    assert intmat.matrix_order(((1, 1), (0, 1))) is None  # Jordan block
-    assert intmat.matrix_order(((-1, 1), (0, -1))) is None
-    assert intmat.matrix_order(((2, 1), (1, 1))) is None  # not cyclotomic
+    assert order(((1, 1), (0, 1))) is None  # Jordan block
+    assert order(((-1, 1), (0, -1))) is None
+    assert order(((2, 1), (1, 1))) is None  # not cyclotomic
     assert pipeline("depth1").cpo.order is None
 
 
@@ -326,7 +319,7 @@ def test_order_of_cyclotomic_blocks(ks):
     # value at 2 vanish, so every k passes the filter).
     factors = [cyclotomic(k) for k in ks]
     blocks = [companion(coefficients(f)) for f in factors]
-    assert intmat.matrix_order(block_diagonal(blocks)) == lcm(*ks)
+    assert order(block_diagonal(blocks)) == lcm(*ks)
     product = functools.reduce(operator.mul, factors)
     not_cyclotomic = (sympy.Poly(T - 2), sympy.Poly(T**2 - 3 * T + 1))
     for poly in [factors[0] ** 2] + [product * f for f in not_cyclotomic]:
@@ -358,9 +351,9 @@ def test_order_filter_skips_the_failing_divisions(monkeypatch):
 
 
 def test_finite_orders():
-    assert intmat.matrix_order(()) == 1
-    assert intmat.matrix_order(((0, -1), (1, 0))) == 4
-    assert intmat.matrix_order(((-1,),)) == 2
+    assert order(()) == 1
+    assert order(((0, -1), (1, 0))) == 4
+    assert order(((-1,),)) == 2
     assert pipeline("e6").cpo.order == 12
 
 
@@ -399,4 +392,4 @@ def test_order_of_conjugated_permutation(perm, moves, negate):
     want = lcm(*cycle_lengths)
     if negate:  # (-P)^k = Id needs P^k = Id and k even
         want = lcm(2, want)
-    assert intmat.matrix_order(m) == want
+    assert order(m) == want

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from divides import (
     assign_signs,
@@ -16,12 +19,13 @@ from divides import (
     seifert_matrix,
     trace_faces,
     transvection,
+    verify_adapted,
 )
 from divides import intmat
 from divides.core import DivideError
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
-from conftest import entry, generic_chords, lattice_of, pipeline
+from conftest import charpoly_moduli, entry, generic_chords, lattice_of, pipeline
 
 
 def test_pl_sign():
@@ -240,3 +244,60 @@ def test_alexander_polynomial_of_seifert_form_is_char_poly(name, bp):
         assert (t * s - s.T).det(method="bareiss") == want, t
     if bp is not None:
         assert coeffs == _brieskorn_pham_charpoly(*bp)
+
+
+@pytest.mark.parametrize("n, e", [(36, 89), (72, 521)])
+def test_char_poly_of_a_n_beyond_2_61_is_brieskorn_pham(monkeypatch, n, e):
+    used = charpoly_moduli(monkeypatch)
+    r = run_pipeline(gen_a(n).divide)
+    assert used == [(1 << e) - 1]
+    assert r.cpo.coefficients == _brieskorn_pham_charpoly(n + 1, 2)
+
+
+def hurwitz_move(i_mat: list, basis: list, i: int) -> None:
+    """(d_i, d_(i+1)) -> (T_(d_i) d_(i+1), d_i) with T_d x = x + PL_SIGN (x . d) d.
+
+    i_mat is the intersection matrix of the basis d and basis holds the d as
+    columns in the starting basis; both are lists of lists, changed in place
+    by the basis change P: I -> P^T I P and basis -> basis P.
+    """
+    c = PL_SIGN * i_mat[i + 1][i]
+    for rows in (i_mat, basis):
+        for row in rows:
+            row[i], row[i + 1] = row[i + 1] + c * row[i], row[i]
+    i_mat[i], i_mat[i + 1] = [y + c * x for x, y in zip(i_mat[i], i_mat[i + 1])], i_mat[i]
+
+
+@functools.lru_cache(maxsize=None)
+def _start_lattice(name: str):
+    if name.startswith("chords"):
+        return run_pipeline(generic_chords(int(name[6:]), 0)).lattice
+    return pipeline(name).lattice
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["e6", "depth1", "a7", "chords5", "chords6"]),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+)
+def test_hurwitz_moves_keep_the_monodromy(name, picks):
+    # Hurwitz moves act on distinguished bases and keep T_1 ... T_mu, so the
+    # monodromy M' of the moved lattice I' = P^T I P satisfies M P = P M'.
+    # Adjacent cycles of one type pair to 0, where a move is only a swap, so
+    # each step picks a pair a < b with nonzero pairing, carries d_b down to
+    # a + 1 and moves it past d_a.
+    lat = _start_lattice(name)
+    mu = lat.mu
+    i_mat = [list(row) for row in lat.i_mat]
+    basis = [list(row) for row in intmat.identity(mu)]
+    for pick in picks:
+        pairs = [(a, b) for a in range(mu) for b in range(a + 1, mu) if i_mat[a][b]]
+        a, b = pairs[pick % len(pairs)]
+        for i in range(b - 1, a - 1, -1):
+            hurwitz_move(i_mat, basis, i)
+    p, moved = intmat.freeze(basis), lattice_of(intmat.freeze(i_mat))
+    assert moved.i_mat == intmat.mul(intmat.mul(intmat.transpose(p), lat.i_mat), p)
+    m, m_moved = monodromy(lat), monodromy(moved)
+    assert intmat.mul(m, p) == intmat.mul(p, m_moved)
+    assert intmat.charpoly(m_moved) == intmat.charpoly(m)
+    assert verify_adapted(moved).passed
