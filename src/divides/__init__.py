@@ -54,7 +54,6 @@ from .lattice import (
     milnor_lattice,
     monodromy,
     seifert_matrix,
-    transvection,
 )
 from .report import build_report, check_entry, run_pipeline
 
@@ -100,7 +99,6 @@ __all__ = [
     "seifert_matrix",
     "to_dot",
     "trace_faces",
-    "transvection",
     "validate_divide",
     "verify_adapted",
 ]

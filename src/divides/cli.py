@@ -62,6 +62,9 @@ def _parse_reorders(specs: list[str]) -> dict[str, tuple[int, ...]]:
             vtype, perm = spec.split(":", 1)
             if vtype not in ("-", "0", "+"):
                 raise ValueError(vtype)
+            if vtype in perms:
+                print(f"error: --reorder given twice for type {vtype!r}", file=sys.stderr)
+                raise SystemExit(EXIT_INVALID)
             perms[vtype] = tuple(int(x) for x in perm.split(","))
         except ValueError:
             print(f"error: bad --reorder spec {spec!r}", file=sys.stderr)
@@ -234,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
         action="append",
         metavar="TYPE:PERM",
         help="permute same-type vertices, e.g. '--reorder 0:2,1,3 "
-        "--reorder -:2,1' (repeatable)",
+        "--reorder -:2,1' (once per type)",
     )
     p.set_defaults(func=cmd_report)
 

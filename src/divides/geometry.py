@@ -6,13 +6,16 @@ reduced integer triple (px, py, den), and a crossing's parameter along a
 segment is ns/den.  Crossings, and the crossings along each segment, are
 ordered by the integer keys floor(n * 2**S / den) with 2**S > den**2 for
 every den: two distinct fractions with denominators below 2**(S/2) differ by
-more than 2**-S, so their keys differ and keep their order.  ``Fraction``s
-appear only where the witness ray is cast and its hit placed among the
-crossings of its branch.  The rotation at a crossing follows from the signs
-of the two segment directions.  Disc boundary crossings are quadratic
-irrationals, kept as integer ``QuadPoint``s; their angular order is decided
-exactly with sign computations in Q(sqrt(D1), sqrt(D2)).  No floating point
-is used anywhere.
+more than 2**-S, so their keys differ and keep their order.  The witness
+face is found by one ray from the witness toward the first crossing, pushed
+an infinitesimal distance to its right so that it meets no crossing or
+vertex; its tie-breaks are exact integer sign rules (symbolic perturbation,
+Edelsbrunner and Muecke, ACM TOG 9 (1990)).  ``Fraction``s appear only where
+that ray's hit is placed among the crossings of its branch.  The rotation at
+a crossing follows from the signs of the two segment directions.  Disc
+boundary crossings are quadratic irrationals, kept as integer
+``QuadPoint``s; their angular order is decided exactly with sign
+computations in Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,28 +25,27 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
 
 Rational = Union[int, Fraction]
-Vec = tuple[Rational, Rational]
 IntPoint = tuple[int, int]
 
 
-def _cross(a: Vec, b: Vec) -> Rational:
+def _cross(a: IntPoint, b: IntPoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Vec, b: Vec) -> Rational:
+def _dot(a: IntPoint, b: IntPoint) -> int:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _sub(a: Vec, b: Vec) -> Vec:
+def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _norm2(a: Vec) -> Rational:
+def _norm2(a: IntPoint) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
@@ -156,9 +158,6 @@ class _Seg:
     b: IntPoint
     d: IntPoint  # b - a
 
-    def at(self, t: Fraction) -> Vec:
-        return (self.a[0] + t * self.d[0], self.a[1] + t * self.d[1])
-
 
 def _upper(v: IntPoint) -> bool:
     """Whether v points into the half-plane of angles [0, pi)."""
@@ -218,9 +217,8 @@ def ingest_polyline(
 
     The witness ``seed_point`` may be any integer point strictly inside the
     disc that is not on a curve; the face containing it gets ``seed_sign``.
-    It is anchored by casting an exact ray from it: upward, else downward,
-    else along a rational direction whose first hit inside the disc is not a
-    crossing or a polyline vertex.
+    That face is the one the witness sees at the first hit of a ray aimed at
+    the first crossing and pushed an infinitesimal distance to its right.
     """
     if disc_radius <= 0:
         raise DivideError("disc_radius must be positive")
@@ -331,13 +329,14 @@ def ingest_polyline(
     clips: list[QuadPoint] = []
     for b_idx, (first, count, closed) in enumerate(spans):
         if not closed:
-            # A one-segment branch has both ends outside the disc.  Its line
-            # can cut the circle, cross(a, d)^2 < r^2 |d|^2, while the point
-            # of the line nearest the centre, t = -a.d / |d|^2, is off the
-            # segment; then the segment misses the disc.
+            # A one-segment branch has both ends outside the disc.  It meets
+            # the closed disc only when its line does, cross(a, d)^2 <=
+            # r^2 |d|^2, at the point t = -a.d / |d|^2 nearest the centre,
+            # and that point lies on the segment.  A tangent segment meets
+            # the disc and is rejected below as not transverse.
             a, d = segs[first].a, segs[first].d
-            if count == 1 and _cross(a, d) ** 2 < r2 * _norm2(d) and not (
-                0 < -_dot(a, d) < _norm2(d)
+            if count == 1 and not (
+                _cross(a, d) ** 2 <= r2 * _norm2(d) and 0 < -_dot(a, d) < _norm2(d)
             ):
                 raise DivideError(f"open polyline {b_idx} does not meet the disc")
             ends += [(b_idx, False), (b_idx, True)]
@@ -378,13 +377,15 @@ def ingest_polyline(
         branch_edge_ids.append(ids)
         branch_stops.append([(k, n, den) for k, n, den, _vid, _slot in events])
 
-    # Seed: locate the witness face by exact ray casting.  The stops before
-    # the hit are found by bisection, with a Fraction for each stop it reads.
-    k, t, side = _resolve_seed(segs, len(crossings), r2, seed_point)
+    # Seed: the face of the witness, from the first hit of one ray.  The
+    # stops before the hit are found by bisection, with a Fraction for each
+    # stop it reads.
+    k, t, after, side = _first_hit(segs, r2, seed_point, points_sorted)
     b_idx = segs[k].branch
     ids = branch_edge_ids[b_idx]
     before = bisect_left(
-        branch_stops[b_idx], (k, t), key=lambda stop: (stop[0], Fraction(stop[1], stop[2]))
+        branch_stops[b_idx], (k, t, after),
+        key=lambda stop: (stop[0], Fraction(stop[1], stop[2]), False),
     )
     hit_edge = ids[(before - 1) % len(ids)] if spans[b_idx][2] else ids[before]
 
@@ -401,96 +402,46 @@ def ingest_polyline(
     return divide
 
 
-def _resolve_seed(
-    segs: list[_Seg], n_crossings: int, r2: int, w: IntPoint
-) -> tuple[int, Fraction, str]:
-    """(segment, parameter, side of the witness) of the first clean ray hit."""
+def _first_hit(
+    segs: list[_Seg], r2: int, w: IntPoint, crossings: list[tuple[int, int, int]]
+) -> tuple[int, Fraction, bool, str]:
+    """(segment k, parameter t0, whether the hit lies just after t0 rather
+    than just before it, side of the witness w) of the first hit of one ray.
+
+    The ray runs from w toward the first crossing (px/den, py/den), along
+    v = (px - w_x den, py - w_y den), pushed an infinitesimal eps to its
+    right.  So a point p lies left of it when cross(v, p - w) >= 0, and a
+    segment a + t d is crossed when its two ends disagree on that.  It is
+    crossed at the ray parameter s0 + eps s1 and at t0 - eps |v|^2 / c, with
+    c = cross(v, d), s0 = cross(a - w, d) / c, s1 = -dot(v, d) / c and
+    t0 = cross(a - w, v) / c.  A segment through the target crosses the ray
+    there, inside the disc, so a hit exists at or before the target.
+    Without a crossing the divide has mu = 0 and is rejected whatever its
+    seed, which then names the first edge.
+    """
     if _norm2(w) >= r2:
         raise DivideError("witness point must lie strictly inside the disc")
     for seg in segs:
         u = _sub(w, seg.a)
         if _cross(seg.d, u) == 0 and 0 <= _dot(u, seg.d) <= _norm2(seg.d):
             raise DivideError("witness point on a curve")
+    if not segs:
+        raise DivideError("divide has no edges")
+    if not crossings:
+        return 0, Fraction(0), True, "left"
 
-    # Crossings plus a bound on the polyline vertices inside the disc.
-    n_bad = n_crossings + len(segs)
-    for v in _ray_directions(segs, r2, w, n_bad):
-        hit = _first_hit(segs, r2, w, v)
-        if hit is not None:
-            break
-    else:
-        raise DivideError(
-            "witness face could not be anchored: no ray from the witness meets the divide"
-        )
-    k, t = hit
-    seg = segs[k]
-    side = "left" if _cross(seg.d, _sub(w, seg.a)) > 0 else "right"
-    return k, t, side
-
-
-def _ray_directions(segs: list[_Seg], r2: int, w: IntPoint, n_bad: int) -> Iterator[Vec]:
-    """Ray directions to try from the witness w, in order.
-
-    The two vertical directions come first.  Then come n_bad + 1 rays aimed
-    at distinct points of one segment strictly inside the disc, on a line
-    that misses w.  Each of these rays meets the divide inside the disc, and
-    distinct rays from w share no other point, so when at most n_bad
-    crossings and vertices lie in the disc one of them has a clean first hit.
-    """
-    yield (Fraction(0), Fraction(1))
-    yield (Fraction(0), Fraction(-1))
-    for seg in segs:
-        d = seg.d
-        if _cross(d, _sub(w, seg.a)) == 0:
-            continue
-        # the point of the segment nearest the centre
-        t = min(max(Fraction(-_dot(seg.a, d), _norm2(d)), Fraction(0)), Fraction(1))
-        if _norm2(seg.at(t)) >= r2:
-            continue  # the segment misses the open disc
-        step = (1 - t) / 2 if t < 1 else -t / 2
-        while _norm2(seg.at(t + step)) >= r2:
-            step /= 2
-        for j in range(1, n_bad + 2):
-            yield _sub(seg.at(t + step / j), w)
-        return
-
-
-def _first_hit(
-    segs: list[_Seg], r2: int, w: IntPoint, v: Vec
-) -> Optional[tuple[int, Fraction]]:
-    """First point where the ray w + s*v, s > 0, meets the divide inside the disc.
-
-    The direction v has Fraction coordinates.  Returns (segment index,
-    parameter t) when that point lies strictly inside one segment.  Returns
-    None when the ray leaves the disc without meeting the divide, or when its
-    first contact is a crossing or a polyline vertex.
-    """
-    contacts: list[tuple[Fraction, int, Optional[Fraction]]] = []
+    px, py, den = crossings[0]
+    v = (px - w[0] * den, py - w[1] * den)
+    hits = []  # (s0, s1, segment)
     for k, seg in enumerate(segs):
-        d = seg.d
         u = _sub(seg.a, w)
-        denom = _cross(v, d)
-        t: Optional[Fraction]
-        if denom == 0:
-            if _cross(u, v) != 0:
-                continue
-            # The ray runs along the segment, so its first contact with it
-            # is a polyline vertex.
-            s = min(_dot(u, v), _dot(_sub(seg.b, w), v)) / _norm2(v)
-            t = None
-        else:
-            s = _cross(u, d) / denom
-            t = _cross(u, v) / denom
-            if not 0 <= t <= 1:
-                continue
-        if s <= 0 or _norm2((w[0] + s * v[0], w[1] + s * v[1])) >= r2:
-            continue
-        contacts.append((s, k, t))
-    if not contacts:
-        return None
-    s0 = min(c[0] for c in contacts)
-    first = [c for c in contacts if c[0] == s0]
-    _s, k, t = first[0]
-    if len(first) > 1 or t is None or t in (0, 1):
-        return None
-    return k, t
+        if (_cross(v, u) >= 0) != (_cross(v, _sub(seg.b, w)) >= 0):
+            c = _cross(v, seg.d)
+            s0 = Fraction(_cross(u, seg.d), c)
+            if s0 > 0:
+                hits.append((s0, Fraction(-_dot(v, seg.d), c), k))
+    _s0, _s1, k = min(hits)
+    seg = segs[k]
+    c = _cross(v, seg.d)
+    side = "left" if _cross(seg.d, _sub(w, seg.a)) > 0 else "right"
+    return k, Fraction(_cross(_sub(seg.a, w), v), c), c < 0, side

@@ -1,8 +1,9 @@
 """Milnor lattice of the ordered distinguished collection.
 
 Intersection matrix from the AG diagram, the upper unipotent Seifert matrix
-S of the variation operator, Picard-Lefschetz transvections, the homological
-monodromy M as their product, and the exact identity suite relating them.
+S of the variation operator, the homological monodromy M as the product of
+the Picard-Lefschetz transvections, and the exact identity suite relating
+them.
 For plane curves the classical dictionary reads I = -S + S^T, var = -S^{-1}
 and M = S^{-1} S^T (Lamotke, Math. Z. 143 (1975); Arnold, Gusein-Zade and
 Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
@@ -70,18 +71,6 @@ class MilnorLattice:
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
     i_mat = intersection_matrix(ag)
     return MilnorLattice(i_mat=i_mat, s_mat=seifert_matrix(i_mat))
-
-
-def transvection(i_mat: Mat, k: int) -> Mat:
-    """Matrix of x -> x + PL_SIGN * (x . V_k) * V_k in the cycle basis.
-
-    k is a 0-based basis index.  Unipotent with determinant 1.
-    """
-    mu = len(i_mat)
-    rows = [[int(i == j) for j in range(mu)] for i in range(mu)]
-    for j in range(mu):
-        rows[k][j] += PL_SIGN * i_mat[j][k]
-    return intmat.freeze(rows)
 
 
 Columns = tuple[tuple[tuple[int, int], ...], ...]

@@ -23,6 +23,7 @@ from divides import (
     intmat,
     seifert_matrix,
 )
+from divides.lattice import PL_SIGN
 from divides.report import run_pipeline
 
 # No example database, so test runs write no .hypothesis/ directory into the
@@ -56,6 +57,18 @@ CORPUS_NAMES = [e.name for e in builtin_entries()]
 def lattice_of(i_mat) -> MilnorLattice:
     """The Milnor lattice of an antisymmetric I."""
     return MilnorLattice(i_mat, seifert_matrix(i_mat))
+
+
+def transvection(i_mat, k):
+    """Matrix of x -> x + PL_SIGN * (x . V_k) * V_k in the cycle basis.
+
+    k is a 0-based basis index.  Unipotent with determinant 1.
+    """
+    mu = len(i_mat)
+    rows = [[int(i == j) for j in range(mu)] for i in range(mu)]
+    for j in range(mu):
+        rows[k][j] += PL_SIGN * i_mat[j][k]
+    return intmat.freeze(rows)
 
 
 def position(ag, label: str) -> int:

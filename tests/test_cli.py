@@ -96,6 +96,16 @@ def test_report_rejects_an_invalid_permutation(tmp_path, capsys):
     assert err == "invalid: invalid permutation for type '0': (1, 1)\n"
 
 
+def test_report_rejects_a_type_reordered_twice(tmp_path, capsys):
+    path = tmp_path / "depth1.json"
+    path.write_text(divide_to_text(gen_depth1().divide))
+    code, out, err = _run(capsys, "report", str(path),
+                          "--reorder", "0:2,1,3,4,5,6", "--reorder", "0:1,2,3,4,5,6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --reorder given twice for type '0'\n"
+
+
 def test_report_depth1_has_cone(tmp_path, capsys):
     from divides import gen_depth1
 

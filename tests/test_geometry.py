@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -15,7 +16,7 @@ from divides import (
     parse_divide,
     trace_faces,
 )
-from divides.core import seed_face_index, validate_divide
+from divides.core import validate_divide
 from divides.corpus import A4_SNAKE_POLYLINE
 from divides.geometry import (
     QuadPoint,
@@ -159,6 +160,20 @@ def test_ingest_rejects_segment_missing_disc(branches, index):
         ingest_polyline(branches, 9, (3, 5), -1)
 
 
+@pytest.mark.parametrize(
+    "chord, message",
+    [
+        ([(-9, 9), (9, 9)], "open polyline 0 does not meet the disc"),
+        ([(-9, 0), (-6, 0)], "open polyline 0 does not meet the disc"),
+        ([(-9, 5), (9, 5)], "segment does not cross the disc boundary transversely"),
+    ],
+    ids=["line misses the circle", "line cuts the circle", "tangent"],
+)
+def test_ingest_one_segment_chord_outside_the_open_disc(chord, message):
+    with pytest.raises(DivideError, match=f"^{message}$"):
+        ingest_polyline([(chord, False)], 5, (0, 0), 1)
+
+
 def test_ingest_euler_on_chords():
     """Chord arrangements satisfy V - E + F = 2 on the sphere compactification,
     i.e. traced faces number E - V + 1."""
@@ -176,51 +191,7 @@ def test_ingest_euler_on_chords():
 
 def _seeded(branches, witness):
     d = ingest_polyline(branches, 8, witness, -1)
-    fs = trace_faces(d)
-    return d, seed_face_index(d, fs), assign_signs(d, fs).sign
-
-
-def _assert_same_face(branches, witness, reference):
-    d, face, signs = _seeded(branches, witness)
-    d_ref, face_ref, signs_ref = _seeded(branches, reference)
-    assert dataclasses.replace(d, sign_seed=d_ref.sign_seed) == d_ref
-    assert face == face_ref
-    assert signs == signs_ref
-
-
-def test_witness_whose_vertical_ray_hits_a_crossing():
-    # (0, 6) looks straight down at the crossing at the origin; (-1, 6) lies
-    # in the same face and its vertical ray is clean.
-    chords = [
-        ([(-9, -1), (9, 1)], False),
-        ([(-1, -9), (1, 9)], False),
-        ([(-9, 4), (9, -5)], False),
-    ]
-    d_ref, _, _ = _seeded(chords, (-1, 6))
-    assert (d_ref.sign_seed.edge, d_ref.sign_seed.side) == ("e6", "left")
-    _assert_same_face(chords, (0, 6), (-1, 6))
-
-
-@pytest.mark.parametrize(
-    "branches, witness, reference",
-    [
-        # the first thing below (0, 5) is the polyline vertex (0, 3)
-        (
-            [([(-9, -1), (0, 3), (9, -1)], False), ([(-1, -9), (1, 9)], False)],
-            (0, 5),
-            (-1, 5),
-        ),
-        # the ray up from (2, -5) runs along the vertical segment x = 2
-        (
-            [([(-9, 2), (2, 2), (2, -3), (9, -3)], False), ([(-9, -8), (9, 10)], False)],
-            (2, -5),
-            (3, -5),
-        ),
-    ],
-    ids=["through a vertex", "along a vertical segment"],
-)
-def test_witness_whose_vertical_ray_meets_a_polyline_vertex(branches, witness, reference):
-    _assert_same_face(branches, witness, reference)
+    return d, assign_signs(d, trace_faces(d)).sign
 
 
 def _ingest_spec(spec, **kwargs):
@@ -309,6 +280,193 @@ def test_valid_divide_may_fail_lefschetz_zero():
     assert sum(result.m_desc[i][i] for i in range(result.inv.mu)) == 2
     (check,) = [c for c in result.suite.checks if c.key == "lefschetz_zero"]
     assert not check.passed
+
+
+# Witnesses whose ray toward the first crossing meets that crossing, another
+# crossing or a polyline vertex.  Their faces are checked against a reference
+# witness whose ray meets none of these before the first crossing: face signs
+# flip once per curve segment that the straight segment between the two
+# witnesses crosses.  The oracle finds crossings and counts in exact
+# rationals, held as integer triples, with no use of ``geometry``.
+
+
+def _segments(branches):
+    return [ab for points, _closed in branches for ab in zip(points, points[1:])]
+
+
+def _vec(p, q):
+    return (q[0] - p[0], q[1] - p[1])
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _cross_at(p, q, r):
+    return _cross(_vec(p, q), _vec(p, r))
+
+
+def _lift(p):
+    return p if len(p) == 3 else (*p, 1)
+
+
+def _between(x, p, q):
+    """Whether x lies strictly inside the segment from p to q.  A point is an
+    integer pair or a triple (x, y, den) for (x/den, y/den), den > 0."""
+    (xx, xy, xd), (px, py, pd), (qx, qy, qd) = map(_lift, (x, p, q))
+    u = (xx * pd - px * xd, xy * pd - py * xd)  # (x - p) times xd * pd
+    v = (qx * xd - xx * qd, qy * xd - xy * qd)  # (q - x) times qd * xd
+    return _cross(u, v) == 0 and u[0] * v[0] + u[1] * v[1] > 0
+
+
+def _target_and_marks(branches):
+    """The first crossing (least x, then y), and every other crossing and
+    polyline vertex inside the disc, crossings as reduced triples."""
+    segments = _segments(branches)
+    crossings = []
+    for i, (a, b) in enumerate(segments):
+        for c, e in segments[i + 1:]:
+            d1, d2, w = _vec(a, b), _vec(c, e), _vec(a, c)
+            den, ns, nt = _cross(d1, d2), _cross(w, d2), _cross(w, d1)
+            if den < 0:
+                den, ns, nt = -den, -ns, -nt
+            px, py = a[0] * den + ns * d1[0], a[1] * den + ns * d1[1]
+            if 0 < ns < den and 0 < nt < den and px * px + py * py < (RADIUS * den) ** 2:
+                g = gcd(px, py, den)
+                crossings.append((px // g, py // g, den // g))
+    if not crossings:
+        return None, []
+    target = min(crossings, key=lambda p: (F(p[0], p[2]), F(p[1], p[2])))
+    vertices = [p for points, _closed in branches for p in points
+                if p[0] ** 2 + p[1] ** 2 < RADIUS ** 2]
+    return target, [x for x in crossings + vertices if x != target]
+
+
+def _on_curve(branches, p):
+    return any(p in (a, b) or _between(p, a, b) for a, b in _segments(branches))
+
+
+def _parity(branches, p, q):
+    """(-1) ** (the number of curve segments that the segment pq crosses),
+    or None when pq meets a polyline vertex."""
+    n = 0
+    for a, b in _segments(branches):
+        if _between(a, p, q) or _between(b, p, q):
+            return None
+        n += (_cross_at(a, b, p) * _cross_at(a, b, q) < 0
+              and _cross_at(p, q, a) * _cross_at(p, q, b) < 0)
+    return (-1) ** n
+
+
+def _assert_signs_by_parity(branches, witness, reference):
+    d, signs = _seeded(branches, witness)
+    d_ref, signs_ref = _seeded(branches, reference)
+    parity = _parity(branches, witness, reference)
+    assert dataclasses.replace(d, sign_seed=d_ref.sign_seed) == d_ref
+    assert signs == tuple(parity * x for x in signs_ref)
+
+
+_POINTS = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+_DISC_POINTS = [p for p in _POINTS if p[0] ** 2 + p[1] ** 2 < RADIUS ** 2]
+_OUTER_POINTS = [p for p in _POINTS if p[0] ** 2 + p[1] ** 2 > RADIUS ** 2]
+
+
+def _degenerate_case(rng):
+    """(branches, witness, reference) from 2 or 3 random open polylines: the
+    ray of the witness toward the first crossing meets another crossing or a
+    polyline vertex, that of the reference meets none, and the segment
+    between them meets no polyline vertex.  None when 50 draws give none."""
+    for _ in range(50):
+        branches = [
+            ([rng.choice(_OUTER_POINTS), *rng.sample(_DISC_POINTS, rng.randint(0, 3)),
+              rng.choice(_OUTER_POINTS)], False)
+            for _ in range(rng.randint(2, 3))
+        ]
+        target, marks = _target_and_marks(branches)
+        if target is None:
+            continue
+        witnesses = [w for w in _DISC_POINTS if any(_between(x, w, target) for x in marks)
+                     and not _on_curve(branches, w)]
+        if not witnesses:
+            continue
+        witness = rng.choice(witnesses)
+        reference = next((r for r in rng.sample(_DISC_POINTS, len(_DISC_POINTS))
+                          if not _on_curve(branches, r)
+                          and _parity(branches, witness, r) is not None
+                          and not any(_between(x, r, target) for x in marks)), None)
+        if reference is None:
+            continue
+        try:
+            ingest_polyline(branches, RADIUS, witness, -1)
+        except DivideError:
+            continue
+        return branches, witness, reference
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_witnesses_on_degenerate_rays_match_the_parity_oracle(rng):
+    """A witness whose ray meets another crossing or a polyline vertex before
+    the first crossing gets the signs of a clean reference witness, times the
+    parity of the curve crossings between them."""
+    case = _degenerate_case(rng)
+    if case is None:
+        reject()
+    _assert_signs_by_parity(*case)
+
+
+def test_witness_whose_ray_meets_the_target_first():
+    # The first crossing, of chords 0 and 1, is (-14/11, -72/55), and nothing
+    # lies between it and (3, -1).  So both chords are met there at once, the
+    # hit lies on a crossing, and the ray from (3, 6) meets chord 2 first.
+    chords = [
+        ([(-10, 0), (10, -3)], False),
+        ([(-8, -4), (12, 4)], False),
+        ([(-2, 9), (9, -2)], False),
+    ]
+    _assert_signs_by_parity(chords, (3, -1), (3, 6))
+    d, _signs = _seeded(chords, (3, -1))
+    assert (d.sign_seed.edge, d.sign_seed.side) == ("e3", "right")
+
+
+def test_witness_whose_ray_passes_a_crossing():
+    # From (2, 5) toward the first crossing (-2/5, 22/5), the ray meets the
+    # crossing (1, 19/4) first.
+    branches = [
+        ([(8, -11), (0, 7), (-2, -6), (0, -12)], False),
+        ([(1, -10), (1, 6), (-6, -2), (4, 11)], False),
+    ]
+    _assert_signs_by_parity(branches, (2, 5), (4, 2))
+
+
+@pytest.mark.parametrize(
+    "branches, witness, reference",
+    [
+        # from (6, 0) toward the first crossing (1, -5), the ray meets the
+        # polyline vertex (2, -4) first
+        (
+            [([(-2, -8), (2, -4), (7, 7)], False), ([(10, 3), (3, 2), (-1, -12)], False)],
+            (6, 0),
+            (5, 1),
+        ),
+        # from (-7, 0) toward the first crossing (17/7, 0), the ray meets the
+        # vertex (-3, 0) and then runs along the segment from it to (10, 0)
+        (
+            [([(10, 0), (-3, 0), (-11, -3)], False), ([(9, 2), (1, 5), (5, -9)], False)],
+            (-7, 0),
+            (4, 4),
+        ),
+    ],
+    ids=["through a vertex", "along a segment"],
+)
+def test_witness_whose_ray_meets_a_polyline_vertex(branches, witness, reference):
+    _assert_signs_by_parity(branches, witness, reference)
+
+
+def test_ingest_rejects_no_polyline():
+    with pytest.raises(DivideError, match="^divide has no edges$"):
+        ingest_polyline([], RADIUS, (0, 0), 1)
 
 
 # Fractions n/den with den < 2**80: plain draws, each value again with a

@@ -11,8 +11,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from divides import DivideError, gen_a, intmat, monodromy, transvection
-from conftest import charpoly_moduli, generic_chords, lattice_of, pipeline
+from divides import DivideError, gen_a, intmat, monodromy
+from conftest import charpoly_moduli, generic_chords, lattice_of, pipeline, transvection
 
 SMALL = st.integers(-6, 6)
 SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))

@@ -18,14 +18,15 @@ from divides import (
     monodromy,
     seifert_matrix,
     trace_faces,
-    transvection,
     verify_adapted,
 )
 from divides import intmat
 from divides.core import DivideError
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
-from conftest import charpoly_moduli, entry, generic_chords, lattice_of, pipeline
+from conftest import (
+    charpoly_moduli, entry, generic_chords, lattice_of, pipeline, transvection,
+)
 
 
 def test_pl_sign():
