@@ -8,6 +8,11 @@ the columns of S are the adapted family of relative classes (their
 variations are -e_j), the Euler-characteristic quiver read from S with the
 certificate of the exceptional collection pattern, and the depth-1 cone
 classes, all in exact integer arithmetic.
+
+Records are ``typing.NamedTuple``s; ``ingest_polyline`` and the corpus names
+(``CorpusEntry``, ``builtin_entries``, ``gen_a``, ``gen_e6``, ``gen_depth1``)
+load their modules on first use, so a run that reads no polyline and no
+built-in divide never imports them.
 """
 
 __version__ = "0.3.0"
@@ -43,9 +48,7 @@ from .core import (
     trace_faces,
     validate_divide,
 )
-from .corpus import CorpusEntry, builtin_entries, gen_a, gen_depth1, gen_e6
 from .fileio import divide_to_text, parse_divide
-from .geometry import ingest_polyline
 from .lattice import (
     MilnorLattice,
     char_poly_and_order,
@@ -56,6 +59,27 @@ from .lattice import (
     seifert_matrix,
 )
 from .report import build_report, check_entry, run_pipeline
+
+# Public name -> the module that defines it, imported on first use (PEP 562).
+_LAZY = {
+    "ingest_polyline": "geometry",
+    "CorpusEntry": "corpus",
+    "builtin_entries": "corpus",
+    "gen_a": "corpus",
+    "gen_e6": "corpus",
+    "gen_depth1": "corpus",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AGDiagram",

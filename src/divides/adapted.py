@@ -13,8 +13,7 @@ independent checks of each other.  Each class costs O(mu + nnz(I)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .agdiagram import AGDiagram, DepthLabels
 from .core import DivideError
@@ -48,8 +47,7 @@ def _variation(vector: Sequence[int], columns: Columns) -> Vec:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class AdaptedVerdict:
+class AdaptedVerdict(NamedTuple):
     passes: tuple[bool, ...]
     first_failure: tuple[int, Vec] | None  # (index, computed variation)
 
@@ -83,8 +81,7 @@ def verify_adapted(lattice: MilnorLattice) -> AdaptedVerdict:
 # Euler quiver
 
 
-@dataclass(frozen=True)
-class EulerQuiver:
+class EulerQuiver(NamedTuple):
     arrows: tuple[tuple[int, int, int], ...]  # (from, to, weight), from < to
     sigma: int
     grading_note: str
@@ -114,8 +111,7 @@ def euler_quiver(lattice: MilnorLattice) -> EulerQuiver:
     return EulerQuiver(arrows=arrows, sigma=1, grading_note=GRADING_NOTE)
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(NamedTuple):
     passed: bool
     violations: tuple[tuple[int, int, int, int], ...]  # (i, j, expected, E[i][j])
 
@@ -153,8 +149,7 @@ def quiver_dot(quiver: EulerQuiver, labels: Sequence[str]) -> str:
 # Depth-1 cones
 
 
-@dataclass(frozen=True)
-class Depth1Cone:
+class Depth1Cone(NamedTuple):
     vertex: int  # order position of the depth-1 vertex
     partner: int  # order position of the chosen depth-0 neighbor
     a_prime: Vec  # column vertex of S minus column partner

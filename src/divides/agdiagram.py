@@ -9,7 +9,6 @@ face-trace order for regions) or a given permutation of it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -28,17 +27,19 @@ class AGEdge(NamedTuple):
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class AGDiagram:
+class _AGFields(NamedTuple):
+    vertices: tuple[AGVertex, ...]
+    edges: tuple[AGEdge, ...]
+
+
+class AGDiagram(_AGFields):
     """Vertices in the total order and edges between their positions.
 
     The adjacency and multiplicity indexes are each built once, on their
     first query, so each later query is a dictionary lookup and an index
-    that is never queried is never built.
+    that is never queried is never built.  Equality and hashing read the
+    fields only.
     """
-
-    vertices: tuple[AGVertex, ...]
-    edges: tuple[AGEdge, ...]
 
     @cached_property
     def _adjacent(self) -> dict[int, tuple[int, ...]]:
@@ -132,7 +133,8 @@ def build_ag(
             key = pa * mu + pb if pa < pb else pb * mu + pa
             counts[key] = counts.get(key, 0) + 1
 
-    edges = tuple(AGEdge(key // mu, key % mu, counts[key]) for key in sorted(counts))
+    triples = ((key // mu, key % mu, counts[key]) for key in sorted(counts))
+    edges = tuple(map(AGEdge._make, triples))
     if same_type:
         for u, v, _m in edges:
             if vertices[u].vtype == vertices[v].vtype:
@@ -171,8 +173,7 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
     return frozenset(exposed)
 
 
-@dataclass(frozen=True)
-class DepthLabels:
+class DepthLabels(NamedTuple):
     depth: tuple[int, ...]
     diagram_depth: int
 

@@ -18,7 +18,6 @@ from . import __version__
 from .agdiagram import to_dot
 from .adapted import quiver_dot
 from .core import Divide, DivideError, assign_signs, trace_faces
-from .corpus import CorpusEntry, builtin_entries, gen_a, gen_depth1, gen_e6
 from .fileio import divide_to_text, parse_divide
 from .report import (
     build_report,
@@ -159,6 +158,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .corpus import gen_a, gen_depth1, gen_e6
+
     if args.family == "a":
         if args.n is None or args.n < 1:
             print("error: family 'a' needs a positive n", file=sys.stderr)
@@ -176,6 +177,8 @@ def cmd_generate(args) -> int:
 def _check_file(path: Path) -> list[str]:
     """The problems of a divide file: its parse diagnostics, or what
     ``check_entry`` finds in the divide with no expected facts."""
+    from .corpus import CorpusEntry
+
     divide, diags = parse_divide(_read(str(path)).decode("utf-8", errors="replace"))
     if divide is None:
         return list(diags)
@@ -183,6 +186,8 @@ def _check_file(path: Path) -> list[str]:
 
 
 def cmd_corpus_run(args) -> int:
+    from .corpus import builtin_entries
+
     checks = [(e.name, functools.partial(check_entry, e)) for e in builtin_entries()]
     custom_dir = os.environ.get(CORPUS_DIR_ENV)  # an empty value means unset
     if custom_dir:

@@ -15,9 +15,8 @@ slot, where the strand through it continues, is dart x ^ 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 DOUBLE_POINT_DEGREE = 4
 
@@ -33,8 +32,7 @@ class DivideError(Exception):
 End = tuple[str, int]  # (vertex id, slot index)
 
 
-@dataclass(frozen=True)
-class EdgeDef:
+class EdgeDef(NamedTuple):
     """One edge of the map, attached at two (vertex, slot) ends.
 
     The declared end order orients the edge; the seed's ``left``/``right``
@@ -45,29 +43,30 @@ class EdgeDef:
     ends: tuple[End, End]
 
 
-@dataclass(frozen=True)
-class SignSeed:
+class SignSeed(NamedTuple):
     edge: str
     side: str  # "left" | "right"
     sign: int  # +1 | -1
 
 
-@dataclass(frozen=True)
-class Divide:
-    """A divide as a combinatorial map.
-
-    It is validated once: ``diagnostics`` holds ``validate_divide``'s result
-    from its first read on, and parsing, polyline ingestion and
-    ``trace_faces`` all read it.  A divide built with ``dataclasses.replace``
-    is a new object and is validated again.
-    """
-
+class _DivideFields(NamedTuple):
     name: str
     double_points: tuple[str, ...]
     terminals: tuple[str, ...]
     edges: tuple[EdgeDef, ...]
     branches: tuple[tuple[str, ...], ...]
     sign_seed: SignSeed
+
+
+class Divide(_DivideFields):
+    """A divide as a combinatorial map.
+
+    It is validated once: ``diagnostics`` holds ``validate_divide``'s result
+    from its first read on, and parsing, polyline ingestion and
+    ``trace_faces`` all read it.  A divide built with ``_replace`` is a new
+    object and is validated again.  Equality and hashing read the fields
+    only, never the indexes built on first use.
+    """
 
     @cached_property
     def edge_index(self) -> dict[str, EdgeDef]:
@@ -215,8 +214,7 @@ def validate_divide(divide: Divide) -> list[str]:
 # Face tracing
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     index: int
     items: tuple[int, ...]  # darts and virtual arcs, numbered as in the module docstring
     outer: bool  # contains a virtual boundary arc
@@ -372,8 +370,7 @@ def assign_signs(divide: Divide, faces: FaceSet) -> SignedDivide:
 # Numeric and surface invariants
 
 
-@dataclass(frozen=True)
-class DivideInvariants:
+class DivideInvariants(NamedTuple):
     d: int
     r: int
     mu: int

@@ -9,22 +9,38 @@ structure (vertex census, edge pattern, depth data), not trusted as drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class _EntryFields(NamedTuple):
     name: str
     divide: Divide
     expected: dict
     sources: dict
 
-    def __post_init__(self):
-        missing = set(self.expected) - set(self.sources)
+
+class CorpusEntry(_EntryFields):
+    """A divide with its expected facts, each with a source note.
+
+    The notes are checked in ``_make``, which the constructor calls and
+    ``_replace`` calls too: a NamedTuple's ``_replace`` never calls
+    ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, divide: Divide, expected: dict, sources: dict):
+        return cls._make((name, divide, expected, sources))
+
+    @classmethod
+    def _make(cls, iterable) -> CorpusEntry:
+        entry = super()._make(iterable)
+        missing = set(entry.expected) - set(entry.sources)
         if missing:
             raise DivideError(f"expected facts without source notes: {sorted(missing)}")
+        return entry
 
 
 def _a_even(k: int) -> Divide:

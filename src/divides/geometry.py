@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
 
@@ -110,8 +109,7 @@ def sign_quad2(
     return sx if t > 0 else sy
 
 
-@dataclass(frozen=True)
-class QuadPoint:
+class QuadPoint(NamedTuple):
     """Point with coordinates (ax + bx*sqrt(d), ay + by*sqrt(d))."""
 
     ax: Rational
@@ -151,8 +149,7 @@ def compare_circle_points(p: QuadPoint, q: QuadPoint) -> int:
 # Segments
 
 
-@dataclass(frozen=True, slots=True)
-class _Seg:
+class _Seg(NamedTuple):
     branch: int
     a: IntPoint
     b: IntPoint

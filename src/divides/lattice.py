@@ -11,8 +11,8 @@ Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import intmat
 from .agdiagram import AGDiagram
@@ -53,10 +53,13 @@ def seifert_matrix(i_mat: Mat) -> Mat:
     )
 
 
-@dataclass(frozen=True)
-class MilnorLattice:
+class _LatticeFields(NamedTuple):
     i_mat: Mat
     s_mat: Mat
+
+
+class MilnorLattice(_LatticeFields):
+    """I and S; the column index of I is built on its first read."""
 
     @property
     def mu(self) -> int:
@@ -99,16 +102,14 @@ def monodromy(lattice: MilnorLattice) -> Mat:
     return tuple(map(tuple, m))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     key: str
     description: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class IdentitySuite:
+class IdentitySuite(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property
@@ -163,8 +164,7 @@ def identity_suite(lattice: MilnorLattice, m_desc: Mat, branch_count: int) -> Id
     return IdentitySuite(checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class CharPolyOrder:
+class CharPolyOrder(NamedTuple):
     coefficients: tuple[int, ...]  # det(tI - M), descending powers, monic
     order: int | None  # least k >= 1 with M^k = Id; None when the order is infinite
 

@@ -9,8 +9,7 @@ text escaped; floats are refused, never written.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import adapted as adapted_mod
 from . import agdiagram as ag_mod
@@ -24,9 +23,11 @@ from .core import (
     invariants,
     trace_faces,
 )
-from .corpus import CorpusEntry
 from .fileio import json_text
 from .intmat import Mat
+
+if TYPE_CHECKING:
+    from .corpus import CorpusEntry
 
 TOOL_NAME = "divides"
 
@@ -36,8 +37,7 @@ TOOL_NAME = "divides"
 REPORT_MAX_POWER = 64
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     divide: Divide
     signed: SignedDivide
     inv: DivideInvariants

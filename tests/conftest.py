@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -155,7 +154,7 @@ def a1_mirrored_at_c1():
         EdgeDef(e.id, tuple((v, mirror[s]) if v == "c1" else (v, s) for v, s in e.ends))
         for e in a1.edges
     )
-    return dataclasses.replace(a1, edges=edges)
+    return a1._replace(edges=edges)
 
 
 SLOT_PERMUTATIONS = list(itertools.permutations(range(4)))
@@ -168,7 +167,7 @@ def with_slots_permuted(divide, moved: dict):
         EdgeDef(e.id, tuple((v, moved[v][s]) if v in moved else (v, s) for v, s in e.ends))
         for e in divide.edges
     )
-    return dataclasses.replace(divide, edges=edges)
+    return divide._replace(edges=edges)
 
 
 def dart_numbers(divide) -> dict:

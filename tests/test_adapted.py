@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
@@ -52,7 +51,7 @@ def test_pl_variation_a2():
 
 def test_pl_variation_perturbed_fails():
     # column 1 of S becomes (2, 1)
-    lat = dataclasses.replace(pipeline("a2").lattice, s_mat=((1, 2), (0, 1)))
+    lat = pipeline("a2").lattice._replace(s_mat=((1, 2), (0, 1)))
     verdict = verify_adapted(lat)
     assert not verdict.passed
     assert verdict.first_failure == (1, (-1, -1))
@@ -112,7 +111,7 @@ def test_certificate_flags_lower_entry():
     r = pipeline("a3")
     s = [list(row) for row in r.lattice.s_mat]
     s[2][0] = -1  # E[2][0] = 1
-    bad = dataclasses.replace(r.lattice, s_mat=intmat.freeze(s))
+    bad = r.lattice._replace(s_mat=intmat.freeze(s))
     verdict = exceptional_certificate(bad, r.ag)
     assert not verdict.passed
     assert verdict.violations == ((2, 0, 0, 1),)
@@ -172,7 +171,7 @@ def test_depth1_cone_sum_property():
         s = [list(row) for row in r.lattice.s_mat]
         for col in moved:
             s[0][col] += 1
-        got = depth1_cone(r.ag, r.depths, dataclasses.replace(r.lattice, s_mat=intmat.freeze(s)),
+        got = depth1_cone(r.ag, r.depths, r.lattice._replace(s_mat=intmat.freeze(s)),
                           cone.vertex)
         assert (got.a_prime == cone.a_prime) == (len(moved) == 2)
         assert not got.passed, moved

@@ -124,13 +124,11 @@ def test_report_depth1_has_cone(tmp_path, capsys):
 
 
 def _fail_every_cone(monkeypatch):
-    import dataclasses
-
     from divides import adapted
 
     real = adapted.depth1_cone
     monkeypatch.setattr(
-        adapted, "depth1_cone", lambda *a: dataclasses.replace(real(*a), passed=False)
+        adapted, "depth1_cone", lambda *a: real(*a)._replace(passed=False)
     )
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -46,8 +45,7 @@ def test_a1_structure():
 def test_three_valent_vertex_rejected():
     d = gen_a(1).divide
     # drop one edge end by removing an edge entirely
-    broken = dataclasses.replace(
-        d,
+    broken = d._replace(
         edges=d.edges[:-1],
         branches=(d.branches[0], d.branches[1][:-1]),
     )
@@ -59,7 +57,7 @@ def test_slot_used_twice_rejected():
     d = gen_a(1).divide
     e0 = d.edges[0]
     clash = EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0)))
-    broken = dataclasses.replace(d, edges=d.edges + (clash,))
+    broken = d._replace(edges=d.edges + (clash,))
     diags = validate_divide(broken)
     assert any("slot used twice" in m for m in diags)
 
@@ -68,7 +66,7 @@ def test_terminal_slot_out_of_range_rejected():
     d = gen_a(1).divide
     (_tl, c1_end) = d.edges[0].ends
     moved = EdgeDef(id=d.edges[0].id, ends=(("tL", 1), c1_end))
-    broken = dataclasses.replace(d, edges=(moved,) + d.edges[1:])
+    broken = d._replace(edges=(moved,) + d.edges[1:])
     assert validate_divide(broken) == [
         "edge 'l0': slot 1 out of range at vertex 'tL'",
         "degree mismatch at vertex 'tL': slots []",
@@ -130,10 +128,10 @@ def _broken_divides() -> list[Divide]:
     d = gen_a(1).divide
     e0 = d.edges[0]
     return [
-        dataclasses.replace(d, edges=d.edges[:-1], branches=(d.branches[0], d.branches[1][:-1])),
-        dataclasses.replace(d, edges=d.edges + (EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0))),)),
-        dataclasses.replace(d, sign_seed=SignSeed(edge="nope", side="left", sign=-1)),
-        dataclasses.replace(d, double_points=()),
+        d._replace(edges=d.edges[:-1], branches=(d.branches[0], d.branches[1][:-1])),
+        d._replace(edges=d.edges + (EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0))),)),
+        d._replace(sign_seed=SignSeed(edge="nope", side="left", sign=-1)),
+        d._replace(double_points=()),
     ]
 
 
@@ -154,9 +152,9 @@ def test_diagnostics_are_validate_divide():
 
 def test_malformed_seed_rejected():
     d = gen_a(1).divide
-    broken = dataclasses.replace(d, sign_seed=SignSeed(edge="nope", side="left", sign=-1))
+    broken = d._replace(sign_seed=SignSeed(edge="nope", side="left", sign=-1))
     assert any("malformed sign seed" in m for m in validate_divide(broken))
-    broken = dataclasses.replace(d, sign_seed=SignSeed(edge="l0", side="up", sign=-1))
+    broken = d._replace(sign_seed=SignSeed(edge="l0", side="up", sign=-1))
     assert any("malformed sign seed" in m for m in validate_divide(broken))
 
 
@@ -223,9 +221,7 @@ def test_signs_e6_pattern():
 def test_seed_flip_negates_everything():
     d = gen_e6().divide
     sd = assign_signs(d, trace_faces(d))
-    flipped = dataclasses.replace(
-        d, sign_seed=dataclasses.replace(d.sign_seed, sign=-d.sign_seed.sign)
-    )
+    flipped = d._replace(sign_seed=d.sign_seed._replace(sign=-d.sign_seed.sign))
     sd2 = assign_signs(flipped, trace_faces(flipped))
     assert sd2.sign == tuple(-s for s in sd.sign)
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 
 from divides import builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6
 from divides.report import check_entry
@@ -58,11 +57,10 @@ def test_all_entries_certify():
 
 def test_seed_flip_breaks_certification():
     e = gen_e6()
-    flipped_divide = dataclasses.replace(
-        e.divide,
-        sign_seed=dataclasses.replace(e.divide.sign_seed, sign=-e.divide.sign_seed.sign),
+    flipped_divide = e.divide._replace(
+        sign_seed=e.divide.sign_seed._replace(sign=-e.divide.sign_seed.sign),
     )
-    flipped = dataclasses.replace(e, divide=flipped_divide)
+    flipped = e._replace(divide=flipped_divide)
     problems = check_entry(flipped)
     assert problems  # expected-facts certification must fail
     assert any("census" in p or "region_signs" in p for p in problems)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -275,7 +274,7 @@ def test_json_text_refuses_what_it_would_not_write_alike(value):
 
 def test_divide_to_text_is_json_dumps_indent_2(corpus_names):
     divides = [entry(name).divide for name in corpus_names]
-    divides.append(dataclasses.replace(gen_e6().divide, name="e\u0336\u00e9 \t\"\\ \U0001d4d4"))
+    divides.append(gen_e6().divide._replace(name="e\u0336\u00e9 \t\"\\ \U0001d4d4"))
     for d in divides:
         text = divide_to_text(d)
         assert text.isascii()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -362,7 +361,7 @@ def _assert_signs_by_parity(branches, witness, reference):
     d, signs = _seeded(branches, witness)
     d_ref, signs_ref = _seeded(branches, reference)
     parity = _parity(branches, witness, reference)
-    assert dataclasses.replace(d, sign_seed=d_ref.sign_seed) == d_ref
+    assert d._replace(sign_seed=d_ref.sign_seed) == d_ref
     assert signs == tuple(parity * x for x in signs_ref)
 
 
