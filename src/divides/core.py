@@ -105,7 +105,8 @@ def _dart_orbits(twin: list[int], n_dart: int, flips: tuple[int, ...]) -> list[l
 
     With flips (1, 2, 3) an orbit is a connected component of the graph; with
     (2,) it is a strand, since a branch crossing a double point continues
-    into the opposite slot and ends at a terminal.
+    into the opposite slot and ends at a terminal.  Validation walks the
+    strands only, and reads connectivity from them.
     """
     seen = [False] * len(twin)
     orbits = []
@@ -132,57 +133,73 @@ def _dart_orbits(twin: list[int], n_dart: int, flips: tuple[int, ...]) -> list[l
 def validate_divide(divide: Divide) -> list[str]:
     """All structural diagnostics for a divide; empty list means valid.
 
-    A valid divide has at least one double point, so that mu >= 1.  Each call
-    recomputes them; ``Divide.diagnostics`` keeps one call's result.
+    A valid divide has at least one double point, so that mu >= 1.  The
+    darts are walked once, into strands.  The graph is connected exactly when
+    the strands are, once the two strands through each double point are
+    joined, and the branches are checked against the strands by strand
+    number, without sorting ids.  Each call recomputes the diagnostics;
+    ``Divide.diagnostics`` keeps one call's result.
     """
     diags: list[str] = []
-    dps = list(divide.double_points)
-    terms = list(divide.terminals)
-    if len(set(dps)) != len(dps):
+    dps, terms = divide.double_points, divide.terminals
+    dp_set, term_set = set(dps), set(terms)
+    if len(dp_set) != len(dps):
         diags.append("duplicate ids among double points")
-    if len(set(terms)) != len(terms):
+    if len(term_set) != len(terms):
         diags.append("duplicate ids among terminals")
-    if set(dps) & set(terms):
+    shared_ids = not dp_set.isdisjoint(term_set)
+    if shared_ids:
         diags.append("duplicate ids: vertex appears as both double point and terminal")
-    edge_ids = [e.id for e in divide.edges]
-    if len(set(edge_ids)) != len(edge_ids):
+    edge_index = divide.edge_index  # its keys are the distinct edge ids
+    unique_ids = len(edge_index) == len(divide.edges)
+    if not unique_ids:
         diags.append("duplicate ids among edges")
 
     first = divide.first_dart
     n_dart = DOUBLE_POINT_DEGREE * len(dps)
     used: list[Optional[str]] = [None] * (n_dart + len(terms))  # edge id at each dart
+    n_used = 0
     for e in divide.edges:
         if len(e.ends) != 2:
             diags.append(f"edge '{e.id}' does not have exactly two ends")
             continue
         for v, s in e.ends:
-            if v not in first:
+            x = first.get(v)
+            if x is None:
                 diags.append(f"edge '{e.id}' references unknown vertex '{v}'")
                 continue
-            deg = DOUBLE_POINT_DEGREE if first[v] < n_dart else 1
-            if not (0 <= s < deg):
+            if not (0 <= s < (DOUBLE_POINT_DEGREE if x < n_dart else 1)):
                 diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
                 continue
-            x = first[v] + s
+            x += s
             if used[x] is not None:
                 diags.append(f"slot used twice: ({v}, {s}) by '{used[x]}' and '{e.id}'")
             else:
                 used[x] = e.id
-    for names, want in ((dps, list(range(DOUBLE_POINT_DEGREE))), (terms, [0])):
-        for v in names:
-            x = first[v]
-            deg = DOUBLE_POINT_DEGREE if x < n_dart else 1
-            have = [s for s in range(deg) if used[x + s] is not None]
-            if have != want:
-                diags.append(f"degree mismatch at vertex '{v}': slots {have}")
+                n_used += 1
+    # With every dart used and no id both a double point and a terminal, each
+    # vertex has exactly its slots; otherwise each vertex is checked.
+    if n_used != len(used) or shared_ids:
+        for names, want in ((dps, list(range(DOUBLE_POINT_DEGREE))), (terms, [0])):
+            for v in names:
+                x = first[v]
+                deg = DOUBLE_POINT_DEGREE if x < n_dart else 1
+                have = [s for s in range(deg) if used[x + s] is not None]
+                if have != want:
+                    diags.append(f"degree mismatch at vertex '{v}': slots {have}")
 
-    # Connectivity of the underlying graph; from here on, with no diagnostic
-    # so far, every dart is the end of exactly one edge.
-    twin = [0] * len(used)
+    # Strands, and connectivity through them; from here on, with no
+    # diagnostic so far, every dart is the end of exactly one edge.
     if divide.edges and not diags:
+        twin = [0] * len(used)
         for x, y in divide.edge_darts:
             twin[x], twin[y] = y, x
-        if len(_dart_orbits(twin, n_dart, (1, 2, 3))) != 1:
+        strands = _dart_orbits(twin, n_dart, (2,))
+        strand_of = twin  # twin is not read again
+        for k, strand in enumerate(strands):
+            for x in strand:
+                strand_of[x] = k
+        if _joined_strand_count(strand_of, len(strands), n_dart) != 1:
             diags.append("disconnected graph")
         elif not dps:  # one chord: mu = 2d - r + 1 = 0
             diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
@@ -193,21 +210,67 @@ def validate_divide(divide: Divide) -> list[str]:
     # orbit of two involutions, twin (no fixed point) and x -> x ^ 2 (fixed
     # only at terminals), so it touches 0 or 2 terminal ends: each branch is
     # then a circle or an interval.
-    if sorted(eid for b in divide.branches for eid in b) != sorted(edge_ids):
+    branch_ids = [eid for b in divide.branches for eid in b]
+    if unique_ids:
+        partition = (len(branch_ids) == len(edge_index)
+                     and all(map(edge_index.__contains__, branch_ids)))
+    else:
+        partition = sorted(branch_ids) == sorted(e.id for e in divide.edges)
+    if not partition:
         diags.append("branch partition invalid: does not partition the edge set")
-    elif not diags:
-        declared = sorted(sorted(b) for b in divide.branches)
-        computed = sorted(sorted({used[x] for x in strand})
-                          for strand in _dart_orbits(twin, n_dart, (2,)))
-        if declared != computed:
-            diags.append("branch partition invalid: disagrees with strand continuation")
+    elif not diags and not _branches_are_strands(divide, strand_of, len(strands)):
+        diags.append("branch partition invalid: disagrees with strand continuation")
 
     seed = divide.sign_seed
     if seed.side not in ("left", "right") or seed.sign not in (1, -1):
         diags.append("malformed sign seed")
-    elif seed.edge not in set(edge_ids):
+    elif seed.edge not in edge_index:
         diags.append(f"malformed sign seed: unknown edge '{seed.edge}'")
     return diags
+
+
+def _joined_strand_count(strand_of: list[int], n_strand: int, n_dart: int) -> int:
+    """The number of classes of strands once, at each double point, the
+    strand through its darts 4i and 4i + 2 is joined to the one through
+    4i + 1 and 4i + 3: the number of connected components of the graph."""
+    root = list(range(n_strand))
+    count = n_strand
+    for x in range(0, n_dart, DOUBLE_POINT_DEGREE):
+        a, b = strand_of[x], strand_of[x + 1]
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            count -= 1
+    return count
+
+
+def _branches_are_strands(divide: Divide, strand_of: list[int], n_strand: int) -> bool:
+    """Whether the branches are the strands, for a divide whose branches
+    partition its edges, each id once: the edges of every branch lie on one
+    strand, and there are as many branches as strands.
+
+    Every strand is then a union of nonempty branches, at least one, so the
+    counts agree only when no branch is empty and each strand is exactly one
+    branch: the branches match the strands one to one.
+    """
+    if len(divide.branches) != n_strand:
+        return False
+    first, edge_index = divide.first_dart, divide.edge_index
+    for branch in divide.branches:
+        strand = -1
+        for eid in branch:
+            (v, s), _end = edge_index[eid].ends
+            k = strand_of[first[v] + s]
+            if k != strand:
+                if strand >= 0:
+                    return False
+                strand = k
+    return True
 
 
 # ---------------------------------------------------------------------------

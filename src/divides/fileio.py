@@ -61,17 +61,22 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
     if not isinstance(eid, str):
         diags.append(f"edge {eid!r}: id must be a string")
         return None
+    # Decoded JSON has exact types, and ``type(x) is int`` excludes bools as
+    # ``_is_int`` does: two [str, int] ends are one edge, checked in one pass.
+    if type(ends) is list and len(ends) == 2:
+        a, b = ends
+        if (type(a) is list and type(b) is list and len(a) == 2 and len(b) == 2
+                and type(a[0]) is str and type(a[1]) is int
+                and type(b[0]) is str and type(b[1]) is int):
+            return EdgeDef(eid, ((a[0], a[1]), (b[0], b[1])))
     if not isinstance(ends, list) or not all(
         isinstance(end, list) and len(end) == 2 and isinstance(end[0], str) and _is_int(end[1])
         for end in ends
     ):
         diags.append(f"edge {eid!r}: ends must be [vertex, slot] pairs")
-        return None
-    if len(ends) != 2:
+    else:
         diags.append(f"edge {eid!r} must have exactly two ends")
-        return None
-    (u, su), (v, sv) = ends
-    return EdgeDef(id=eid, ends=((u, su), (v, sv)))
+    return None
 
 
 def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:

@@ -14,16 +14,17 @@ Edelsbrunner and Muecke, ACM TOG 9 (1990)).  ``Fraction``s appear only where
 that ray's hit is placed among the crossings of its branch.  The rotation at
 a crossing follows from the signs of the two segment directions.  Disc
 boundary crossings are quadratic irrationals, kept as integer
-``QuadPoint``s; their angular order is decided exactly with sign
-computations in Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
+``QuadPoint``s.  Their angular order comes first from an integer key, the
+half-plane and the floor of the abscissa taken with ``isqrt``; only
+neighbours with equal keys are compared exactly, with sign computations in
+Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple, Union
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
@@ -145,6 +146,48 @@ def compare_circle_points(p: QuadPoint, q: QuadPoint) -> int:
     return -c  # cross > 0 means p at the smaller angle
 
 
+def _floor_quad(a: int, b: int, d: int, scale: int) -> int:
+    """floor((a + b*sqrt(d)) / scale) for integers with d >= 0, scale > 0."""
+    m = b * b * d
+    root = isqrt(m)  # floor(|b| sqrt(d))
+    if b < 0:
+        root = -root if root * root == m else -root - 1
+    return (a + root) // scale
+
+
+def circle_order(points: list[QuadPoint], scales: list[int]) -> list[int]:
+    """Indices of ``points`` in the order ``compare_circle_points`` gives.
+
+    Point k is (x, y) * scales[k], scales[k] > 0, and every (x, y) lies on
+    one circle about the origin.  There x falls on the half of angles
+    [0, pi) and rises on [pi, 2 pi), so the integer key (half, -floor(x))
+    or (half, floor(x)) orders points whose keys differ (a filtered exact
+    predicate: Fortune and Van Wyk, ACM TOG 15 (1996)).  One insertion pass
+    then orders each run of equal keys with ``compare_circle_points`` on
+    neighbours.  Coincident points raise DivideError.
+    """
+    keys = []
+    for p, scale in zip(points, scales):
+        half = p.half()
+        x = _floor_quad(p.ax, p.bx, p.d, scale)
+        keys.append((half, x if half else -x))
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    for i in range(1, len(order)):
+        k = i
+        while k and keys[order[k - 1]] == keys[order[k]]:
+            c = compare_circle_points(points[order[k - 1]], points[order[k]])
+            if c < 0:
+                break
+            if c == 0:
+                # Not reached from ``ingest_polyline``: two clips at one
+                # boundary point are two segments meeting there, already
+                # rejected as an intersection on the disc boundary.
+                raise DivideError("coincident boundary terminals")
+            order[k - 1], order[k] = order[k], order[k - 1]
+            k -= 1
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Segments
 
@@ -261,33 +304,32 @@ def ingest_polyline(
     # lines meet at a1 + (ns/den) d1 = a2 + (nt/den) d2, den > 0.  The point
     # is (px/den, py/den), keyed by its reduced triple.
     crossings: dict[tuple[int, int, int], list[tuple[int, int, int, int, int]]] = {}
-    for i, s1 in enumerate(segs):
-        _first, count, closed = spans[s1.branch]
-        (ax, ay), d1 = s1.a, s1.d
-        for j in range(i + 1, len(segs)):
-            s2 = segs[j]
-            if s2.branch == s1.branch and (j - i == 1 or (closed and j - i == count - 1)):
+    flat = [(seg.branch, seg.a[0], seg.a[1], seg.d[0], seg.d[1]) for seg in segs]
+    for i, (b1, ax, ay, dx1, dy1) in enumerate(flat):
+        _first, count, closed = spans[b1]
+        n1 = dx1 * dx1 + dy1 * dy1
+        for j, (b2, bx, by, dx2, dy2) in enumerate(flat[i + 1:], i + 1):
+            if b2 == b1 and (j - i == 1 or (closed and j - i == count - 1)):
                 continue  # adjacent segments
-            d2 = s2.d
-            den = _cross(d1, d2)
-            w = _sub(s2.a, s1.a)
+            den = dx1 * dy2 - dy1 * dx2
+            wx, wy = bx - ax, by - ay
             if den == 0:
-                if _cross(d1, w) != 0:
+                if dx1 * wy - dy1 * wx != 0:
                     continue  # parallel, disjoint lines
                 # collinear: check overlap along d1
-                t0, t1 = _dot(w, d1), _dot(_sub(s2.b, s1.a), d1)
+                t0, t1 = wx * dx1 + wy * dy1, (wx + dx2) * dx1 + (wy + dy2) * dy1
                 lo, hi = min(t0, t1), max(t0, t1)
-                if hi < 0 or lo > _norm2(d1):
+                if hi < 0 or lo > n1:
                     continue
-                if hi == 0 or lo == _norm2(d1):
+                if hi == 0 or lo == n1:
                     raise DivideError("intersection at a polyline vertex")
                 raise DivideError("tangency or overlapping segments")
-            ns, nt = _cross(w, d2), _cross(w, d1)
+            ns, nt = wx * dy2 - wy * dx2, wx * dy1 - wy * dx1
             if den < 0:
                 den, ns, nt = -den, -ns, -nt
             if not (0 <= ns <= den and 0 <= nt <= den):
                 continue
-            px, py = ax * den + ns * d1[0], ay * den + ns * d1[1]
+            px, py = ax * den + ns * dx1, ay * den + ns * dy1
             pn, rn = px * px + py * py, r2 * den * den
             if pn > rn:
                 continue  # outside the disc; not part of the divide
@@ -311,12 +353,13 @@ def ingest_polyline(
         crossings,
         key=lambda p: (order_key(p[0], p[2], shift), order_key(p[1], p[2], shift)),
     )
+    names = [f"x{k}" for k in range(len(points_sorted))]
     seg_events: list[list[tuple[int, int, int, str, int]]] = [[] for _ in segs]
-    for k, p in enumerate(points_sorted):
+    for vid, p in zip(names, points_sorted):
         ((i, s, j, t, den),) = crossings[p]
         out_i, out_j = _out_slots(segs[i].d, segs[j].d)
-        seg_events[i].append((order_key(s, den, shift), s, den, f"x{k}", out_i))
-        seg_events[j].append((order_key(t, den, shift), t, den, f"x{k}", out_j))
+        seg_events[i].append((order_key(s, den, shift), s, den, vid, out_i))
+        seg_events[j].append((order_key(t, den, shift), t, den, vid, out_j))
     for events in seg_events:
         events.sort()
 
@@ -324,6 +367,7 @@ def ingest_polyline(
     # Crossings on the out-of-disc side of a clip were already skipped.
     ends: list[tuple[int, bool]] = []  # (branch, whether the end terminal)
     clips: list[QuadPoint] = []
+    scales: list[int] = []
     for b_idx, (first, count, closed) in enumerate(spans):
         if not closed:
             # A one-segment branch has both ends outside the disc.  It meets
@@ -339,14 +383,10 @@ def ingest_polyline(
             ends += [(b_idx, False), (b_idx, True)]
             last = segs[first + count - 1]
             clips += [_terminal(segs[first], r2, False), _terminal(last, r2, True)]
-    order = sorted(
-        range(len(clips)),
-        key=functools.cmp_to_key(lambda a, b: compare_circle_points(clips[a], clips[b])),
-    )
-    for a, b in zip(order, order[1:]):
-        if compare_circle_points(clips[a], clips[b]) == 0:
-            raise DivideError("coincident boundary terminals")
-    terminal_id = {ends[rec]: f"t{pos}" for pos, rec in enumerate(order)}
+            scales += [2 * _norm2(segs[first].d), 2 * _norm2(last.d)]
+    order = circle_order(clips, scales)
+    term_names = [f"t{pos}" for pos in range(len(order))]
+    terminal_id = {ends[rec]: tid for rec, tid in zip(order, term_names)}
 
     # Walk each branch once: an edge runs from one stop's outgoing end to the
     # next stop's incoming end.
@@ -370,7 +410,7 @@ def ingest_polyline(
         ids = []
         for out_end, in_end in zip(outs, ins):
             ids.append(f"e{len(edges)}")
-            edges.append(EdgeDef(id=ids[-1], ends=(out_end, in_end)))
+            edges.append(EdgeDef(ids[-1], (out_end, in_end)))
         branch_edge_ids.append(ids)
         branch_stops.append([(k, n, den) for k, n, den, _vid, _slot in events])
 
@@ -388,8 +428,8 @@ def ingest_polyline(
 
     divide = Divide(
         name=name,
-        double_points=tuple(f"x{k}" for k in range(len(points_sorted))),
-        terminals=tuple(f"t{pos}" for pos in range(len(order))),
+        double_points=tuple(names),
+        terminals=tuple(term_names),
         edges=tuple(edges),
         branches=tuple(tuple(ids) for ids in branch_edge_ids),
         sign_seed=SignSeed(edge=hit_edge, side=side, sign=seed_sign),

@@ -11,8 +11,10 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from divides import (
+    Divide,
     DivideError,
     EdgeDef,
+    SignSeed,
     MilnorLattice,
     builtin_entries,
     gen_a,
@@ -22,6 +24,7 @@ from divides import (
     intmat,
     seifert_matrix,
 )
+from divides.core import DOUBLE_POINT_DEGREE, _dart_orbits
 from divides.lattice import PL_SIGN
 from divides.report import run_pipeline
 
@@ -177,3 +180,248 @@ def dart_numbers(divide) -> dict:
     n_dart = 4 * len(divide.double_points)
     darts.update(((t, 0), n_dart + j) for j, t in enumerate(divide.terminals))
     return darts
+
+
+def validate_divide_reference(divide) -> list:
+    """``validate_divide`` written plainly, as the reference the package's
+    one is tested against: connectivity from a second orbit walk with all
+    slot changes, and the branches compared with the strands as sorted lists
+    of edge ids."""
+    diags: list[str] = []
+    dps = list(divide.double_points)
+    terms = list(divide.terminals)
+    if len(set(dps)) != len(dps):
+        diags.append("duplicate ids among double points")
+    if len(set(terms)) != len(terms):
+        diags.append("duplicate ids among terminals")
+    if set(dps) & set(terms):
+        diags.append("duplicate ids: vertex appears as both double point and terminal")
+    edge_ids = [e.id for e in divide.edges]
+    if len(set(edge_ids)) != len(edge_ids):
+        diags.append("duplicate ids among edges")
+
+    first = divide.first_dart
+    n_dart = DOUBLE_POINT_DEGREE * len(dps)
+    used = [None] * (n_dart + len(terms))  # edge id at each dart
+    for e in divide.edges:
+        if len(e.ends) != 2:
+            diags.append(f"edge '{e.id}' does not have exactly two ends")
+            continue
+        for v, s in e.ends:
+            if v not in first:
+                diags.append(f"edge '{e.id}' references unknown vertex '{v}'")
+                continue
+            deg = DOUBLE_POINT_DEGREE if first[v] < n_dart else 1
+            if not (0 <= s < deg):
+                diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
+                continue
+            x = first[v] + s
+            if used[x] is not None:
+                diags.append(f"slot used twice: ({v}, {s}) by '{used[x]}' and '{e.id}'")
+            else:
+                used[x] = e.id
+    for names, want in ((dps, list(range(DOUBLE_POINT_DEGREE))), (terms, [0])):
+        for v in names:
+            x = first[v]
+            deg = DOUBLE_POINT_DEGREE if x < n_dart else 1
+            have = [s for s in range(deg) if used[x + s] is not None]
+            if have != want:
+                diags.append(f"degree mismatch at vertex '{v}': slots {have}")
+
+    twin = [0] * len(used)
+    if divide.edges and not diags:
+        for x, y in divide.edge_darts:
+            twin[x], twin[y] = y, x
+        if len(_dart_orbits(twin, n_dart, (1, 2, 3))) != 1:
+            diags.append("disconnected graph")
+        elif not dps:
+            diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
+    elif not divide.edges:
+        diags.append("divide has no edges")
+
+    if sorted(eid for b in divide.branches for eid in b) != sorted(edge_ids):
+        diags.append("branch partition invalid: does not partition the edge set")
+    elif not diags:
+        declared = sorted(sorted(b) for b in divide.branches)
+        computed = sorted(sorted({used[x] for x in strand})
+                          for strand in _dart_orbits(twin, n_dart, (2,)))
+        if declared != computed:
+            diags.append("branch partition invalid: disagrees with strand continuation")
+
+    seed = divide.sign_seed
+    if seed.side not in ("left", "right") or seed.sign not in (1, -1):
+        diags.append("malformed sign seed")
+    elif seed.edge not in set(edge_ids):
+        diags.append(f"malformed sign seed: unknown edge '{seed.edge}'")
+    return diags
+
+
+# Mutations of a divide, each a function of (divide, rng) that returns a new
+# divide, valid or not.  Together they reach every diagnostic family of
+# ``validate_divide``.
+
+
+def _with_end(divide, i, which, end):
+    e = divide.edges[i]
+    ends = tuple(end if w == which else old for w, old in enumerate(e.ends))
+    return divide._replace(edges=divide.edges[:i] + (EdgeDef(e.id, ends),) + divide.edges[i + 1:])
+
+
+def _swap_ends(divide, rng):
+    """Exchange an end of one edge with an end of another, or reverse an edge."""
+    i, j = rng.randrange(len(divide.edges)), rng.randrange(len(divide.edges))
+    if i == j:
+        e = divide.edges[i]
+        edges = divide.edges[:i] + (EdgeDef(e.id, e.ends[::-1]),) + divide.edges[i + 1:]
+        return divide._replace(edges=edges)
+    a, b = rng.randrange(len(divide.edges[i].ends)), rng.randrange(len(divide.edges[j].ends))
+    end_a, end_b = divide.edges[i].ends[a], divide.edges[j].ends[b]
+    return _with_end(_with_end(divide, i, a, end_b), j, b, end_a)
+
+
+def _change_slot(divide, rng):
+    i = rng.randrange(len(divide.edges))
+    which = rng.randrange(len(divide.edges[i].ends))
+    v, _s = divide.edges[i].ends[which]
+    return _with_end(divide, i, which, (v, rng.randrange(-1, 5)))
+
+
+def _change_vertex(divide, rng):
+    i = rng.randrange(len(divide.edges))
+    which = rng.randrange(len(divide.edges[i].ends))
+    _v, s = divide.edges[i].ends[which]
+    v = rng.choice(divide.double_points + divide.terminals + ("nowhere",))
+    return _with_end(divide, i, which, (v, s))
+
+
+def _change_end_count(divide, rng):
+    i = rng.randrange(len(divide.edges))
+    e = divide.edges[i]
+    ends = e.ends[:1] if rng.random() < 0.5 else e.ends + e.ends[:1]
+    return divide._replace(edges=divide.edges[:i] + (EdgeDef(e.id, ends),) + divide.edges[i + 1:])
+
+
+def _duplicate_edge_id(divide, rng):
+    i, j = rng.randrange(len(divide.edges)), rng.randrange(len(divide.edges))
+    edges = list(divide.edges)
+    edges[i] = EdgeDef(edges[j].id, edges[i].ends)
+    return divide._replace(edges=tuple(edges))
+
+
+def _duplicate_vertex_id(divide, rng):
+    """Rename one double point or terminal to another vertex's id."""
+    names = divide.double_points + divide.terminals
+    k, other = rng.randrange(len(names)), rng.choice(names)
+    names = names[:k] + (other,) + names[k + 1:]
+    d = len(divide.double_points)
+    return divide._replace(double_points=names[:d], terminals=names[d:])
+
+
+def _move_branch_edge(divide, rng):
+    branches = [list(b) for b in divide.branches]
+    if not any(branches):
+        return _add_empty_branch(divide, rng)
+    src = rng.choice([k for k, b in enumerate(branches) if b])
+    eid = branches[src].pop(rng.randrange(len(branches[src])))
+    dst = rng.randrange(len(branches) + 1)
+    if dst == len(branches):
+        branches.append([])
+    branches[dst].insert(rng.randrange(len(branches[dst]) + 1), eid)
+    return divide._replace(branches=tuple(map(tuple, branches)))
+
+
+def _split_branch(divide, rng):
+    k = rng.randrange(len(divide.branches))
+    b = divide.branches[k]
+    cut = rng.randrange(len(b) + 1)
+    branches = divide.branches[:k] + (b[:cut], b[cut:]) + divide.branches[k + 1:]
+    return divide._replace(branches=branches)
+
+
+def _merge_branches(divide, rng):
+    if len(divide.branches) < 2:
+        return _split_branch(divide, rng)
+    k, j = sorted(rng.sample(range(len(divide.branches)), 2))
+    b = divide.branches
+    return divide._replace(branches=b[:k] + (b[k] + b[j],) + b[k + 1:j] + b[j + 1:])
+
+
+def _add_empty_branch(divide, rng):
+    k = rng.randrange(len(divide.branches) + 1)
+    return divide._replace(branches=divide.branches[:k] + ((),) + divide.branches[k:])
+
+
+def _change_branch_ids(divide, rng):
+    """Repeat an edge id in a branch, or add an id that names no edge."""
+    k = rng.randrange(len(divide.branches))
+    extra = rng.choice([eid for b in divide.branches for eid in b] + ["nothing"])
+    return divide._replace(branches=divide.branches[:k] + (divide.branches[k] + (extra,),)
+                           + divide.branches[k + 1:])
+
+
+def _drop_edge(divide, rng):
+    i = rng.randrange(len(divide.edges))
+    eid = divide.edges[i].id
+    divide = divide._replace(edges=divide.edges[:i] + divide.edges[i + 1:])
+    if rng.random() < 0.5:
+        divide = divide._replace(branches=tuple(tuple(x for x in b if x != eid)
+                                                for b in divide.branches))
+    return divide
+
+
+def _drop_everything(divide, rng):
+    """No edges, or no double points."""
+    if rng.random() < 0.5:
+        return divide._replace(edges=(), branches=())
+    return divide._replace(double_points=())
+
+
+def _change_seed(divide, rng):
+    edge = rng.choice([e.id for e in divide.edges] + ["nothing"])
+    return divide._replace(sign_seed=SignSeed(
+        edge, rng.choice(("left", "right", "up")), rng.choice((1, -1, 0))))
+
+
+def _disjoint_union(divide, rng):
+    """The divide beside a renamed copy of itself: a disconnected graph."""
+    def ren(v):
+        return v + "'"
+    copy = tuple(EdgeDef(ren(e.id), tuple((ren(v), s) for v, s in e.ends)) for e in divide.edges)
+    return divide._replace(
+        double_points=divide.double_points + tuple(map(ren, divide.double_points)),
+        terminals=divide.terminals + tuple(map(ren, divide.terminals)),
+        edges=divide.edges + copy,
+        branches=divide.branches + tuple(tuple(map(ren, b)) for b in divide.branches),
+    )
+
+
+MUTATIONS = (
+    _swap_ends, _change_slot, _change_vertex, _change_end_count, _duplicate_edge_id,
+    _duplicate_vertex_id, _move_branch_edge, _split_branch, _merge_branches,
+    _add_empty_branch, _change_branch_ids, _drop_edge, _drop_everything, _change_seed,
+    _disjoint_union,
+)
+
+
+def mutated(divide, rng, count: int):
+    """``divide`` after ``count`` mutations drawn by ``rng``; a mutation that
+    needs an edge or a vertex the divide no longer has is skipped."""
+    for _ in range(count):
+        mutation = rng.choice(MUTATIONS)
+        if divide.edges and divide.branches and (divide.double_points or divide.terminals):
+            divide = mutation(divide, rng)
+    return divide
+
+
+def one_chord():
+    """A single chord: valid but for its mu = 0."""
+    return Divide("chord", (), ("ta", "tb"), (EdgeDef("e", (("ta", 0), ("tb", 0))),),
+                  (("e",),), SignSeed("e", "left", 1))
+
+
+def line_through_triangle():
+    """A line crossed twice by a closed triangle: an interval and a circle."""
+    return ingest_polyline(
+        [([(-10, 0), (10, 0)], False), ([(0, -3), (3, 3), (-3, 3)], True)],
+        disc_radius=8, seed_point=(0, 5), seed_sign=1,
+    )

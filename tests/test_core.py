@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -30,7 +31,11 @@ from conftest import (
     dart_numbers,
     entry,
     generic_chords,
+    line_through_triangle,
+    mutated,
+    one_chord,
     pipeline,
+    validate_divide_reference,
     with_slots_permuted,
 )
 
@@ -148,6 +153,68 @@ def test_diagnostics_are_validate_divide():
     for divide in [e.divide for e in builtin_entries()] + _broken_divides():
         assert divide.diagnostics == tuple(validate_divide(divide))
         assert divide.diagnostics is divide.diagnostics  # kept, not recomputed
+
+
+# Divides the mutations start from: the built-in corpus, generic chords, a
+# line through a closed triangle (a circle branch) and a single chord.
+MUTATION_BASES = ([e.divide for e in builtin_entries()]
+                  + [generic_chords(k, 0) for k in (3, 4, 5)]
+                  + [line_through_triangle(), one_chord()])
+
+# The diagnostic families of validate_divide, each by the start of its text.
+DIAGNOSTIC_FAMILIES = (
+    "duplicate ids among double points",
+    "duplicate ids among terminals",
+    "duplicate ids: vertex appears as both",
+    "duplicate ids among edges",
+    "does not have exactly two ends",
+    "references unknown vertex",
+    "out of range at vertex",
+    "slot used twice",
+    "degree mismatch",
+    "disconnected graph",
+    "mu = 0",
+    "divide has no edges",
+    "branch partition invalid: does not partition",
+    "branch partition invalid: disagrees",
+    "malformed sign seed: unknown edge",
+    "malformed sign seed",
+)
+
+
+def _family(message: str) -> str:
+    return next(f for f in DIAGNOSTIC_FAMILIES if f in message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(MUTATION_BASES))), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_validate_divide_matches_reference_on_mutants(base, count, rng):
+    """End swaps, slot and vertex changes, repeated ids, branch moves, splits,
+    merges, empty branches, dropped edges and seed changes: the diagnostics
+    equal the reference's, in order."""
+    divide = mutated(MUTATION_BASES[base], rng, count)
+    assert validate_divide(divide) == validate_divide_reference(divide)
+
+
+def test_mutants_reach_every_diagnostic_family():
+    rng = random.Random("validate-mutants")
+    reached = set()
+    for _ in range(3000):
+        divide = mutated(rng.choice(MUTATION_BASES), rng, rng.randint(1, 3))
+        diags = validate_divide(divide)
+        assert diags == validate_divide_reference(divide)
+        reached.update(map(_family, diags))
+    assert reached == set(DIAGNOSTIC_FAMILIES)
+
+
+def test_empty_branch_beside_merged_strands_is_rejected():
+    """Two strands declared as one branch and an empty one: as many branches
+    as strands, each strand inside one branch, yet not the strands."""
+    a1 = gen_a(1).divide
+    broken = a1._replace(branches=((), a1.branches[0] + a1.branches[1]))
+    assert validate_divide(broken) == [
+        "branch partition invalid: disagrees with strand continuation"]
 
 
 def test_malformed_seed_rejected():

@@ -207,6 +207,15 @@ def test_parse_divide_total_on_well_typed_polylines(branches, radius, point, sig
          "edge 'e': ends must be [vertex, slot] pairs"),
         ("sign_seed", {"edge": "e", "side": "left", "sign": []},
          "malformed sign seed: sign must be '+' or '-'"),
+        ("edges", [{"id": "e", "ends": [["c1", True], ["c1", 2]]}],
+         "edge 'e': ends must be [vertex, slot] pairs"),
+        ("edges", [{"id": "e", "ends": [[1, 0], ["c1", 2]]}],
+         "edge 'e': ends must be [vertex, slot] pairs"),
+        ("edges", [{"id": 1, "ends": [["c1", 0], ["c1", 2]]}], "edge 1: id must be a string"),
+        ("edges", [{"id": "e", "ends": [["c1", 0, 1], ["c1", 2]]}],
+         "edge 'e': ends must be [vertex, slot] pairs"),
+        ("edges", [{"id": "e", "ends": [["c1", 0], ["c1", 1], ["c1", 2]]}],
+         "edge 'e' must have exactly two ends"),
     ],
 )
 def test_parse_map_type_errors_are_diagnostics(key, value, message):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +21,10 @@ from divides.core import validate_divide
 from divides.corpus import A4_SNAKE_POLYLINE
 from divides.geometry import (
     QuadPoint,
+    _Seg,
+    _floor_quad,
+    _terminal,
+    circle_order,
     compare_circle_points,
     order_key,
     order_shift,
@@ -73,6 +79,90 @@ def test_ingest_two_diagonals_is_a1():
     assert len(d.branches) == 2
     fs = trace_faces(d)
     assert fs.region_indices == ()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-50, 50), st.integers(0, 10**4),
+       st.integers(1, 200))
+def test_floor_quad_is_the_floor(a, b, d, scale):
+    """n = floor((a + b sqrt(d)) / scale): a + b sqrt(d) - n scale lies in
+    [0, scale), decided by exact signs."""
+    n = _floor_quad(a, b, d, scale)
+    assert sign_quad(a - n * scale, b, d) >= 0
+    assert sign_quad(a - (n + 1) * scale, b, d) < 0
+
+
+def _line_clips(lines, r2):
+    """Both points where each line a + t d meets the circle |p|^2 = r2, as
+    ``_terminal`` scales them, with their scales; lines that miss the
+    circle or touch it are left out."""
+    points, scales = [], []
+    for ax, ay, dx, dy in lines:
+        if (dx, dy) == (0, 0):
+            continue
+        seg = _Seg(0, (ax, ay), (ax + dx, ay + dy), (dx, dy))
+        try:
+            clips = [_terminal(seg, r2, False), _terminal(seg, r2, True)]
+        except DivideError:
+            continue
+        points += clips
+        scales += [2 * (dx * dx + dy * dy)] * 2
+    return points, scales
+
+
+def _exact_order(points):
+    by_angle = functools.cmp_to_key(lambda a, b: compare_circle_points(points[a], points[b]))
+    return sorted(range(len(points)), key=by_angle)
+
+
+def _has_coincident(points, order):
+    return any(compare_circle_points(points[a], points[b]) == 0 for a, b in zip(order, order[1:]))
+
+
+def test_circle_order_breaks_key_ties_exactly():
+    """On radius 3 the key (half, floor of x) takes at most 14 values, so 60
+    chord ends share keys; the order is still the exact one."""
+    rng = random.Random("circle-order")
+    lines = []
+    while True:
+        line = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-40, 40), rng.randint(-40, 40))
+        points, scales = _line_clips(lines + [line], 9)
+        if not _has_coincident(points, _exact_order(points)):
+            lines.append(line)
+        if len(points) >= 60:
+            break
+    points, scales = _line_clips(lines, 9)
+    assert len(points) == 60
+    assert circle_order(points, scales) == _exact_order(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), max_size=20))
+def test_circle_order_is_the_exact_order(lines):
+    """Lines through small integer points meet the circle of radius 3 in
+    many shared keys and, now and then, in one point."""
+    points, scales = _line_clips(lines, 9)
+    want = _exact_order(points)
+    if _has_coincident(points, want):
+        with pytest.raises(DivideError, match="^coincident boundary terminals$"):
+            circle_order(points, scales)
+    else:
+        assert circle_order(points, scales) == want
+
+
+def test_circle_order_rejects_coincident_points():
+    # both segments leave the disc of radius 5 at (5, 0)
+    points, scales = _line_clips([(-10, 0, 20, 0), (0, -10, 10, 20)], 25)
+    with pytest.raises(DivideError, match="^coincident boundary terminals$"):
+        circle_order(points, scales)
+
+
+def test_shared_boundary_point_is_rejected_before_the_terminal_order():
+    """Ingestion rejects two ends at one boundary point as a crossing on the
+    boundary, before the terminals are ordered."""
+    with pytest.raises(DivideError, match="^intersection on the disc boundary$"):
+        ingest_polyline([([(-10, 0), (10, 0)], False), ([(0, -10), (10, 10)], False)],
+                        5, (0, 1), 1)
 
 
 def test_ingest_terminal_order_is_ccw():
