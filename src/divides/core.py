@@ -147,8 +147,7 @@ def validate_divide(divide: Divide) -> list[str]:
         diags.append("duplicate ids among double points")
     if len(term_set) != len(terms):
         diags.append("duplicate ids among terminals")
-    shared_ids = not dp_set.isdisjoint(term_set)
-    if shared_ids:
+    if not dp_set.isdisjoint(term_set):
         diags.append("duplicate ids: vertex appears as both double point and terminal")
     edge_index = divide.edge_index  # its keys are the distinct edge ids
     unique_ids = len(edge_index) == len(divide.edges)
@@ -177,9 +176,10 @@ def validate_divide(divide: Divide) -> list[str]:
             else:
                 used[x] = e.id
                 n_used += 1
-    # With every dart used and no id both a double point and a terminal, each
-    # vertex has exactly its slots; otherwise each vertex is checked.
-    if n_used != len(used) or shared_ids:
+    # With every dart used, each vertex has exactly its slots; otherwise each
+    # vertex is checked.  A repeated vertex id keeps one dart number in
+    # ``first_dart``, so it leaves the other vertex's darts unused.
+    if n_used != len(used):
         for names, want in ((dps, list(range(DOUBLE_POINT_DEGREE))), (terms, [0])):
             for v in names:
                 x = first[v]
@@ -213,7 +213,7 @@ def validate_divide(divide: Divide) -> list[str]:
     branch_ids = [eid for b in divide.branches for eid in b]
     if unique_ids:
         partition = (len(branch_ids) == len(edge_index)
-                     and all(map(edge_index.__contains__, branch_ids)))
+                     and edge_index.keys() == set(branch_ids))
     else:
         partition = sorted(branch_ids) == sorted(e.id for e in divide.edges)
     if not partition:

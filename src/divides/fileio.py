@@ -62,21 +62,18 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
         diags.append(f"edge {eid!r}: id must be a string")
         return None
     # Decoded JSON has exact types, and ``type(x) is int`` excludes bools as
-    # ``_is_int`` does: two [str, int] ends are one edge, checked in one pass.
-    if type(ends) is list and len(ends) == 2:
-        a, b = ends
-        if (type(a) is list and type(b) is list and len(a) == 2 and len(b) == 2
-                and type(a[0]) is str and type(a[1]) is int
-                and type(b[0]) is str and type(b[1]) is int):
-            return EdgeDef(eid, ((a[0], a[1]), (b[0], b[1])))
-    if not isinstance(ends, list) or not all(
-        isinstance(end, list) and len(end) == 2 and isinstance(end[0], str) and _is_int(end[1])
-        for end in ends
-    ):
-        diags.append(f"edge {eid!r}: ends must be [vertex, slot] pairs")
-    else:
+    # ``_is_int`` does.  Each end is checked once; ``ends`` that is not a list
+    # is checked as one end that is not a pair.
+    for end in ends if type(ends) is list else (None,):
+        if not (type(end) is list and len(end) == 2
+                and type(end[0]) is str and type(end[1]) is int):
+            diags.append(f"edge {eid!r}: ends must be [vertex, slot] pairs")
+            return None
+    if len(ends) != 2:
         diags.append(f"edge {eid!r} must have exactly two ends")
-    return None
+        return None
+    (u, su), (v, sv) = ends
+    return EdgeDef(eid, ((u, su), (v, sv)))
 
 
 def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:

@@ -352,11 +352,18 @@ def _add_empty_branch(divide, rng):
 
 
 def _change_branch_ids(divide, rng):
-    """Repeat an edge id in a branch, or add an id that names no edge."""
+    """Repeat an edge id in a branch or add an id that names no edge, either
+    beside the branch's ids or in place of one of them; in place, the branch
+    list keeps its length."""
     k = rng.randrange(len(divide.branches))
+    b = divide.branches[k]
     extra = rng.choice([eid for b in divide.branches for eid in b] + ["nothing"])
-    return divide._replace(branches=divide.branches[:k] + (divide.branches[k] + (extra,),)
-                           + divide.branches[k + 1:])
+    if b and rng.random() < 0.5:
+        i = rng.randrange(len(b))
+        b = b[:i] + (extra,) + b[i + 1:]
+    else:
+        b = b + (extra,)
+    return divide._replace(branches=divide.branches[:k] + (b,) + divide.branches[k + 1:])
 
 
 def _drop_edge(divide, rng):

@@ -217,6 +217,15 @@ def test_empty_branch_beside_merged_strands_is_rejected():
         "branch partition invalid: disagrees with strand continuation"]
 
 
+def test_branch_repeating_one_edge_and_missing_another_is_rejected():
+    """As many branch ids as edges, all of them edge ids, yet one repeated:
+    not a partition of the edge set."""
+    broken = gen_a(1).divide._replace(branches=(("l0", "l0"), ("a", "b")))
+    assert validate_divide(broken) == [
+        "branch partition invalid: does not partition the edge set"]
+    assert validate_divide_reference(broken) == validate_divide(broken)
+
+
 def test_malformed_seed_rejected():
     d = gen_a(1).divide
     broken = d._replace(sign_seed=SignSeed(edge="nope", side="left", sign=-1))
