@@ -167,6 +167,9 @@ def validate_divide(divide: Divide) -> list[str]:
             if x is None:
                 diags.append(f"edge '{e.id}' references unknown vertex '{v}'")
                 continue
+            if type(s) is not int:
+                diags.append(f"edge '{e.id}': slot {s!r} is not an int at vertex '{v}'")
+                continue
             if not (0 <= s < (DOUBLE_POINT_DEGREE if x < n_dart else 1)):
                 diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
                 continue

@@ -5,15 +5,18 @@ exact integer.  Rank is integer elimination on sparse rows, each divided
 by the gcd of its entries.  The characteristic polynomial is the Hessenberg
 recurrence taken once, modulo a Mersenne prime above twice a proven bound
 on its coefficients (Cohen, *A Course in Computational Algebraic Number
-Theory*, 2.2), and read as symmetric residues.  The order of a matrix comes
-from the cyclotomic factors of that polynomial and one check by binary
-powering.  A factor Phi_k is divided out only when Phi_k(2) divides the
-value at 2 of what remains: f = Phi_k q with q in Z[t] gives f(2) =
-Phi_k(2) q(2).  Nothing here touches floating point or rationals.
+Theory*, 2.2), and read as symmetric residues; that pass also leaves the
+unit vectors whose Krylov spaces span Q^n.  The order of a matrix comes from
+the cyclotomic factors of that polynomial and, when one repeats, an exact
+sparse check of their product on those start vectors alone.  A factor Phi_k
+is divided out only when Phi_k(2) divides the value at 2 of what remains:
+f = Phi_k q with q in Z[t] gives f(2) = Phi_k(2) q(2).  Nothing here
+touches floating point or rationals.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -24,10 +27,6 @@ Mat = tuple[tuple[int, ...], ...]
 
 def freeze(rows: Sequence[Sequence[int]]) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -45,6 +44,14 @@ def mul(a: Mat, b: Mat) -> Mat:
                 acc = [s + x * y for s, y in zip(acc, b_row)]
         out.append(tuple(acc))
     return tuple(out)
+
+
+Columns = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def column_nonzeros(a: Mat) -> Columns:
+    """For each column k of a, the pairs (i, a[i][k]) with a[i][k] != 0."""
+    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*a))
 
 
 def trace(a: Mat) -> int:
@@ -105,20 +112,55 @@ def coefficient_bound(a: Mat) -> int:
     return bound
 
 
-def _charpoly_mod(a: Mat, p: int) -> list[int]:
-    """det(tI - a) mod p, descending powers, via upper Hessenberg form."""
+class CharPoly(tuple):
+    """det(tI - M) from ``charpoly(M)``: the tuple of its int coefficients by
+    descending power, which it iterates, compares and is written as.
+
+    ``starts`` are the indices s of the unit vectors e_s that begin the
+    unreduced diagonal blocks of charpoly's Hessenberg form of M; their
+    Krylov vectors M^k e_s span Q^n.  ``matrix_order`` reads them.
+    """
+
+    starts: tuple[int, ...]
+
+    def __new__(cls, coefficients, starts):
+        self = super().__new__(cls, coefficients)
+        self.starts = tuple(starts)
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.starts
+
+
+def _charpoly_mod(a: Mat, p: int) -> tuple[list[int], list[int]]:
+    """det(tI - a) mod p, descending powers, via upper Hessenberg form H =
+    Q^-1 a Q, and the Krylov start indices.
+
+    Step m swaps columns m and pivot >= m of Q, then adds multiples of later
+    columns to column m only, so when step m begins each column j >= m of Q
+    is still a unit vector e_perm[j].  An unreduced diagonal block of H
+    starts at 0, at each step m that finds no pivot, and at n - 1 when
+    H[n-1][n-2] = 0; column m of Q is then e_perm[m], the start it records.
+    In a block starting at m, H^k e_m has its last nonzero in row m + k, so
+    the Krylov vectors of the starts are Q times a triangular matrix with
+    nonzero diagonal: they span F_p^n, and the integer a^k e_s span Q^n.
+    """
     n = len(a)
     h = [[x % p for x in row] for row in a]
+    perm = list(range(n))
+    starts = [0] if n else []
     # Similarity transforms that clear column m-1 below its subdiagonal.
     for m in range(1, n - 1):
         col = m - 1
         pivot = next((i for i in range(m, n) if h[i][col]), None)
         if pivot is None:
+            starts.append(perm[m])
             continue
         if pivot != m:
             h[pivot], h[m] = h[m], h[pivot]
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
+            perm[pivot], perm[m] = perm[m], perm[pivot]
         h_m = h[m]
         inv = pow(h_m[col], -1, p)
         for i in range(m + 1, n):
@@ -131,6 +173,8 @@ def _charpoly_mod(a: Mat, p: int) -> list[int]:
             for row in h:
                 if row[i]:
                     row[m] = (row[m] + u * row[i]) % p
+    if n > 1 and not h[n - 1][n - 2]:
+        starts.append(perm[n - 1])
     # p_{m+1} = (t - h[m][m]) p_m - sum_{i<m} h[i][m] h[i+1][i] ... h[m][m-1] p_i,
     # each p_k a coefficient list in ascending powers.
     polys: list[list[int]] = [[1]]
@@ -150,11 +194,12 @@ def _charpoly_mod(a: Mat, p: int) -> list[int]:
                 for j, c in enumerate(polys[i]):
                     nxt[j] -= f * c
         polys.append([c % p for c in nxt])
-    return polys[n][::-1]
+    return polys[n][::-1], starts
 
 
-def charpoly(a: Mat) -> tuple[int, ...]:
-    """Characteristic polynomial det(tI - M), coefficients by descending power.
+def charpoly(a: Mat) -> CharPoly:
+    """Characteristic polynomial det(tI - M), coefficients by descending power,
+    with the Krylov start indices of its Hessenberg pass.
 
     Computed modulo the least Mersenne prime p = 2^e - 1, e in
     MERSENNE_EXPONENTS, with p > 2B + 1 for the coefficient bound B, and read
@@ -166,7 +211,8 @@ def charpoly(a: Mat) -> tuple[int, ...]:
         p = (1 << e) - 1
         if p > need:
             half = p // 2
-            return tuple(c - p if c > half else c for c in _charpoly_mod(a, p))
+            coefficients, starts = _charpoly_mod(a, p)
+            return CharPoly((c - p if c > half else c for c in coefficients), starts)
     raise DivideError(
         f"characteristic polynomial: the coefficient bound 2B + 1 has {need.bit_length()} "
         f"bits, beyond the largest modulus 2^{MERSENNE_EXPONENTS[-1]} - 1"
@@ -240,20 +286,40 @@ def _cyclotomic_at_2(k: int, primes: list[int]) -> int:
     return num // den
 
 
-def _power(m: Mat, e: int) -> Mat:
-    """m**e for e >= 1 by binary powering from the first factor: e.bit_length()
-    - 1 squarings and e.bit_count() - 1 further products."""
-    result = None
-    while True:
-        if e & 1:
-            result = m if result is None else mul(result, m)
-        e >>= 1
-        if not e:
-            return result
-        m = mul(m, m)
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two coefficient lists, both by descending power."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def matrix_order(m: Mat, char_poly: Sequence[int]) -> int | None:
+def _vanishes_on(m: Mat, q: Sequence[int], starts: Sequence[int]) -> bool:
+    """Whether q(m) e_s = 0 for every start s, for monic q in descending powers.
+
+    Horner in exact ints, w <- m w + c e_s, reading the nonzeros of each
+    column of m; it stops at the first start with a nonzero result.
+    """
+    n = len(m)
+    cols = column_nonzeros(m)
+    for s in starts:
+        w = [0] * n
+        w[s] = 1
+        for c in q[1:]:
+            nxt = [0] * n
+            for j, y in enumerate(w):
+                if y:
+                    for i, x in cols[j]:
+                        nxt[i] += x * y
+            nxt[s] += c
+            w = nxt
+        if any(w):
+            return False
+    return True
+
+
+def matrix_order(m: Mat, char_poly: CharPoly) -> int | None:
     """The least N >= 1 with m^N = identity, or None when the order is infinite.
 
     char_poly must be charpoly(m).
@@ -264,12 +330,15 @@ def matrix_order(m: Mat, char_poly: Sequence[int]) -> int | None:
     bounds the search); a factor left over means infinite order.  Otherwise
     the order is a multiple of N = lcm of the k found.  When no Phi_k repeats,
     the characteristic polynomial divides t^N - 1 and Cayley-Hamilton gives
-    m^N = identity; else m^N is computed, and if it is not the identity, m is
-    not diagonalisable and has no finite order.
+    m^N = identity.  Else m^N = identity exactly when the squarefree
+    q = prod Phi_k, which divides t^N - 1, has q(m) = 0.  q(m) commutes with
+    m, so it vanishes on the span of the Krylov vectors m^j e_s of
+    char_poly.starts, which is Q^n, once q(m) e_s = 0 for every start s;
+    a start with q(m) e_s != 0 leaves a Jordan block and infinite order.
 
     A division is tried only while Phi_k(2) divides rest(2), an exact int kept
-    in step with rest.  Monic Phi_k dividing rest in Z[t] leaves a quotient q
-    in Z[t], so rest(2) = Phi_k(2) q(2): every skipped division would have
+    in step with rest.  Monic Phi_k dividing rest in Z[t] leaves a quotient g
+    in Z[t], so rest(2) = Phi_k(2) g(2): every skipped division would have
     failed, and the result is that of dividing by every Phi_k.  When
     rest(2) = 0 every k passes.
     """
@@ -278,6 +347,7 @@ def matrix_order(m: Mat, char_poly: Sequence[int]) -> int | None:
     for c in rest:
         value = 2 * value + c
     order = 1
+    factors = []  # the Phi_k found, each once
     repeated = False
     k = 1
     while len(rest) > 1 and k <= max(6, (len(rest) - 1) ** 2):
@@ -299,10 +369,11 @@ def matrix_order(m: Mat, char_poly: Sequence[int]) -> int | None:
                     found += 1
         if found:
             order = lcm(order, k)
+            factors.append(phi)
             repeated = repeated or found > 1
         k += 1
     if len(rest) > 1:
         return None
-    if not repeated or _power(m, order) == identity(len(m)):
+    if not repeated or _vanishes_on(m, reduce(_poly_mul, factors), char_poly.starts):
         return order
     return None

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import intmat
 from .agdiagram import AGDiagram
 from .core import DivideError
-from .intmat import Mat
+from .intmat import Columns, Mat, column_nonzeros
 
 DIM_N = 2  # plane curves: singularities of functions of two variables
 PL_SIGN = -1  # the transvection sign (-1)^(n(n-1)/2) for n = DIM_N
@@ -74,14 +74,6 @@ class MilnorLattice(_LatticeFields):
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
     i_mat = intersection_matrix(ag)
     return MilnorLattice(i_mat=i_mat, s_mat=seifert_matrix(i_mat))
-
-
-Columns = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def column_nonzeros(i_mat: Mat) -> Columns:
-    """For each column k of I, the pairs (m, I[m][k]) with I[m][k] != 0."""
-    return tuple(tuple((m, x) for m, x in enumerate(col) if x) for col in zip(*i_mat))
 
 
 def monodromy(lattice: MilnorLattice) -> Mat:

@@ -61,6 +61,10 @@ def lattice_of(i_mat) -> MilnorLattice:
     return MilnorLattice(i_mat, seifert_matrix(i_mat))
 
 
+def identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def transvection(i_mat, k):
     """Matrix of x -> x + PL_SIGN * (x . V_k) * V_k in the cycle basis.
 

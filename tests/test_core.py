@@ -78,6 +78,18 @@ def test_terminal_slot_out_of_range_rejected():
     ]
 
 
+@pytest.mark.parametrize("slot", ["0", 0.0, True], ids=["str", "float", "bool"])
+def test_slot_that_is_not_an_int_is_a_diagnostic(slot):
+    # A hand-built divide: parsing admits only int slots, a Divide does not.
+    d = gen_a(1).divide
+    tl_end, _c1_end = d.edges[0].ends
+    broken = d._replace(edges=(EdgeDef("l0", (tl_end, ("c1", slot))),) + d.edges[1:])
+    assert validate_divide(broken) == [
+        f"edge 'l0': slot {slot!r} is not an int at vertex 'c1'",
+        "degree mismatch at vertex 'c1': slots [0, 1, 3]",
+    ]
+
+
 def test_disconnected_rejected():
     # two separate crossing pairs, never touching: two copies of A_1
     a = gen_a(1).divide

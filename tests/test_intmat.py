@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import functools
+import json
 import operator
+import pickle
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -12,7 +15,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from divides import DivideError, gen_a, intmat, monodromy
-from conftest import charpoly_moduli, generic_chords, lattice_of, pipeline, transvection
+from conftest import (
+    charpoly_moduli, generic_chords, identity, lattice_of, pipeline, transvection,
+)
 
 SMALL = st.integers(-6, 6)
 SPARSE = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3))
@@ -197,7 +202,7 @@ def _antisym(n, xs):
 
 
 def _transvection_product(i_mat):
-    m = intmat.identity(len(i_mat))
+    m = identity(len(i_mat))
     for k in range(len(i_mat)):
         m = intmat.mul(m, transvection(i_mat, k))
     return m
@@ -239,24 +244,16 @@ def test_order_of_a_n_is_brieskorn_pham():
     assert brieskorn_pham_order(33, 2) == 66
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 6, 33, 66])
-def test_power_starts_from_the_first_factor(monkeypatch, e):
+@pytest.mark.parametrize("k", range(3, 8))
+def test_order_of_chords_is_brieskorn_pham(k):
+    # The eigenvalues of x^k + y^k are zeta^(s + t) for 1 <= s, t < k, zeta a
+    # primitive k-th root of unity; 1 among them at least twice, so a
+    # cyclotomic factor repeats and the order comes from the check on the starts.
     from divides.report import run_pipeline
 
-    m = run_pipeline(generic_chords(6, 0)).m_desc
-    want = m
-    for _ in range(e - 1):
-        want = intmat.mul(want, m)
-    calls = []
-    real_mul = intmat.mul
-
-    def counting_mul(a, b):
-        calls.append(None)
-        return real_mul(a, b)
-
-    monkeypatch.setattr(intmat, "mul", counting_mul)
-    assert intmat._power(m, e) == want
-    assert len(calls) == e.bit_length() - 1 + e.bit_count() - 1
+    for seed in (0, 1):
+        result = run_pipeline(generic_chords(k, seed))
+        assert result.cpo.order == brieskorn_pham_order(k, k), (k, seed)
 
 
 def order(m) -> int | None:
@@ -323,8 +320,94 @@ def test_order_of_cyclotomic_blocks(ks):
     product = functools.reduce(operator.mul, factors)
     not_cyclotomic = (sympy.Poly(T - 2), sympy.Poly(T**2 - 3 * T + 1))
     for poly in [factors[0] ** 2] + [product * f for f in not_cyclotomic]:
-        poly = coefficients(poly)
-        assert intmat.matrix_order(companion(poly), poly) is None
+        assert order(companion(coefficients(poly))) is None
+
+
+def conjugated(m, moves) -> intmat.Mat:
+    """U m U^-1, U the product of the elementary matrices I + c e_i e_j^T
+    for the (i, j, c) in ``moves`` with i != j: unimodular."""
+    rows = [list(row) for row in m]
+    for i, j, c in moves:
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    return intmat.freeze(rows)
+
+
+@st.composite
+def cyclotomic_blocks(draw):
+    """(M, ks, jordan): companions of Phi_k, or of Phi_k^2 where ``jordan``
+    names a block, on the diagonal and conjugated by a unimodular matrix;
+    the k are those with phi(k) <= 4, so M has at most 40 rows."""
+    ks = draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12)), min_size=1, max_size=5))
+    squared = draw(st.lists(st.booleans(), min_size=len(ks), max_size=len(ks)))
+    blocks = [companion(coefficients(cyclotomic(k) ** (1 + sq))) for k, sq in zip(ks, squared)]
+    m = block_diagonal(blocks)
+    n = len(m)
+    index = st.integers(0, n - 1)
+    moves = draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=2 * n))
+    return conjugated(m, moves), ks, any(squared)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic_blocks())
+def test_order_of_conjugated_cyclotomic_blocks(drawn):
+    # With no Jordan block M is diagonalisable over C with roots of unity of
+    # the orders in ks; a companion of Phi_k^2 has a 2 x 2 Jordan block at
+    # each root of Phi_k.
+    m, ks, jordan = drawn
+    assert order(m) == (None if jordan else lcm(*ks))
+
+
+# A Jordan block seen only from one start of the Hessenberg pass: the middle
+# block of diag(1) + J_2(1) + (1); the final 1 x 1 block, which the loop over
+# the subdiagonal never reaches; and a start e_1 that the pass reaches at
+# position 2, after it swapped rows and columns 1 and 2.
+ONE_START_JORDAN = {
+    "middle": ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    "final": ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
+    "swapped": ((-1, 0, 0), (0, 1, 0), (-2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_START_JORDAN)
+def test_jordan_block_seen_from_one_start(name):
+    m = ONE_START_JORDAN[name]
+    assert order(m) is None
+    # lcm K is 1 or 2 here, so M^2 != Id is what infinite order means
+    assert intmat.mul(m, m) != identity(len(m))
+
+
+def test_charpoly_starts_of_the_named_cases():
+    assert intmat.charpoly(ONE_START_JORDAN["middle"]).starts == (0, 1, 2, 3)
+    assert intmat.charpoly(ONE_START_JORDAN["final"]).starts == (0, 1, 2)
+    assert intmat.charpoly(ONE_START_JORDAN["swapped"]).starts == (0, 1)
+    assert intmat.charpoly(((2,),)).starts == (0,)
+    assert intmat.charpoly(()).starts == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(square(SPARSE, max_n=8), square(SMALL), cyclotomic_blocks().map(lambda d: d[0])))
+def test_krylov_vectors_of_the_starts_span(m):
+    n = len(m)
+    starts = intmat.charpoly(m).starts
+    krylov = []
+    for s in starts:
+        v = [int(i == s) for i in range(n)]
+        for _ in range(n):
+            krylov.append(v)
+            v = [sum(x * y for x, y in zip(row, v)) for row in m]
+    assert sympy.Matrix(krylov).rank() == n
+
+
+def test_charpoly_is_its_coefficient_tuple():
+    m = ((0, -1), (1, 0))
+    cp = intmat.charpoly(m)
+    assert cp == (1, 0, 1) and tuple(cp) == (1, 0, 1) and hash(cp) == hash((1, 0, 1))
+    assert json.dumps(cp) == "[1, 0, 1]"
+    for copied in (copy.copy(cp), copy.deepcopy(cp), pickle.loads(pickle.dumps(cp))):
+        assert copied == cp and copied.starts == cp.starts
 
 
 def test_order_filter_skips_the_failing_divisions(monkeypatch):
@@ -369,17 +452,7 @@ def test_order_of_conjugated_permutation(perm, moves, negate):
     p = intmat.freeze([[int(perm[j] == i) for j in range(n)] for i in range(n)])
     if negate:
         p = tuple(tuple(-x for x in row) for row in p)
-    u = u_inv = intmat.identity(n)
-    for i, j, c in moves:
-        if i == j:
-            continue
-        e = [list(row) for row in intmat.identity(n)]
-        e[i][j] = c
-        e_inv = [list(row) for row in intmat.identity(n)]
-        e_inv[i][j] = -c
-        u = intmat.mul(u, intmat.freeze(e))
-        u_inv = intmat.mul(intmat.freeze(e_inv), u_inv)
-    m = intmat.mul(intmat.mul(u, p), u_inv)
+    m = conjugated(p, moves)
     seen, cycle_lengths = set(), []
     for start in range(n):
         length, cur = 0, start

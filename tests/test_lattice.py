@@ -25,7 +25,7 @@ from divides.core import DivideError
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
 from conftest import (
-    charpoly_moduli, entry, generic_chords, lattice_of, pipeline, transvection,
+    charpoly_moduli, entry, generic_chords, identity, lattice_of, pipeline, transvection,
 )
 
 
@@ -140,7 +140,7 @@ def test_identity_suite_reports_failures_without_aborting():
 
 
 def _product(factors, mu):
-    m = intmat.identity(mu)
+    m = identity(mu)
     for t in factors:
         m = intmat.mul(m, t)
     return m
@@ -290,7 +290,7 @@ def test_hurwitz_moves_keep_the_monodromy(name, picks):
     lat = _start_lattice(name)
     mu = lat.mu
     i_mat = [list(row) for row in lat.i_mat]
-    basis = [list(row) for row in intmat.identity(mu)]
+    basis = [list(row) for row in identity(mu)]
     for pick in picks:
         pairs = [(a, b) for a in range(mu) for b in range(a + 1, mu) if i_mat[a][b]]
         a, b = pairs[pick % len(pairs)]
