@@ -16,6 +16,7 @@ slot, where the strand through it continues, is dart x ^ 2.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional
 
 DOUBLE_POINT_DEGREE = 4
@@ -99,35 +100,28 @@ class Divide(_DivideFields):
         return tuple((first[u] + su, first[v] + sv) for (u, su), (v, sv) in ends)
 
 
-def _dart_orbits(twin: list[int], n_dart: int, flips: tuple[int, ...]) -> list[list[int]]:
-    """Orbits of the darts under the edge involution x -> twin[x] and, at a
-    double point (x < n_dart), the slot changes x -> x ^ k for k in ``flips``.
+def _strands(twin: list[int], n_dart: int) -> tuple[list[int], int]:
+    """(strand_of, n_strand): the strand number of every dart, and the count.
 
-    With flips (1, 2, 3) an orbit is a connected component of the graph; with
-    (2,) it is a strand, since a branch crossing a double point continues
-    into the opposite slot and ends at a terminal.  Validation walks the
-    strands only, and reads connectivity from them.
+    A strand alternates the edge involution x -> twin[x], which must have no
+    fixed point, with the step x -> x ^ 2 to the opposite slot of a double
+    point (x < n_dart), where a branch continues.  A strand through a
+    terminal is an interval that ends at another terminal, and it is walked
+    once from its first terminal; the darts left lie on circles, each walked
+    until it closes.  Numbers are written straight into ``strand_of``.
     """
-    seen = [False] * len(twin)
-    orbits = []
-    for start in range(len(twin)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for x in orbit:  # the orbit grows while it is read
-            y = twin[x]
-            if not seen[y]:
-                seen[y] = True
-                orbit.append(y)
-            if x < n_dart:
-                for k in flips:
-                    y = x ^ k
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-        orbits.append(orbit)
-    return orbits
+    strand_of = [-1] * len(twin)
+    n_strand = 0
+    for x in chain(range(n_dart, len(twin)), range(n_dart)):
+        if strand_of[x] < 0:
+            while strand_of[x] < 0:
+                y = twin[x]
+                strand_of[x] = strand_of[y] = n_strand
+                if y >= n_dart:
+                    break
+                x = y ^ 2
+            n_strand += 1
+    return strand_of, n_strand
 
 
 def validate_divide(divide: Divide) -> list[str]:
@@ -197,12 +191,8 @@ def validate_divide(divide: Divide) -> list[str]:
         twin = [0] * len(used)
         for x, y in divide.edge_darts:
             twin[x], twin[y] = y, x
-        strands = _dart_orbits(twin, n_dart, (2,))
-        strand_of = twin  # twin is not read again
-        for k, strand in enumerate(strands):
-            for x in strand:
-                strand_of[x] = k
-        if _joined_strand_count(strand_of, len(strands), n_dart) != 1:
+        strand_of, n_strand = _strands(twin, n_dart)
+        if _joined_strand_count(strand_of, n_strand, n_dart) != 1:
             diags.append("disconnected graph")
         elif not dps:  # one chord: mu = 2d - r + 1 = 0
             diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
@@ -221,11 +211,11 @@ def validate_divide(divide: Divide) -> list[str]:
         partition = sorted(branch_ids) == sorted(e.id for e in divide.edges)
     if not partition:
         diags.append("branch partition invalid: does not partition the edge set")
-    elif not diags and not _branches_are_strands(divide, strand_of, len(strands)):
+    elif not diags and not _branches_are_strands(divide, strand_of, n_strand):
         diags.append("branch partition invalid: disagrees with strand continuation")
 
     seed = divide.sign_seed
-    if seed.side not in ("left", "right") or seed.sign not in (1, -1):
+    if seed.side not in ("left", "right") or type(seed.sign) is not int or abs(seed.sign) != 1:
         diags.append("malformed sign seed")
     elif seed.edge not in edge_index:
         diags.append(f"malformed sign seed: unknown edge '{seed.edge}'")

@@ -361,17 +361,6 @@ def gen_depth1() -> CorpusEntry:
     return CorpusEntry(name="depth1", divide=divide, expected=expected, sources=sources)
 
 
-A4_SNAKE_POLYLINE = {
-    "branches": [
-        {"points": [[-10, 0], [4, 0], [4, 2], [2, 2], [2, -2], [0, -2], [0, 9]],
-         "closed": False},
-    ],
-    "disc_radius": 8,
-    "seed_point": (3, 1),
-    "seed_sign": -1,
-}
-
-
 def builtin_entries() -> list[CorpusEntry]:
     """All built-in corpus entries: A_1 to A_12, E6, depth-1."""
     entries = [gen_a(n) for n in range(1, 13)]

@@ -10,26 +10,25 @@ more than 2**-S, so their keys differ and keep their order.  The witness
 face is found by one ray from the witness toward the first crossing, pushed
 an infinitesimal distance to its right so that it meets no crossing or
 vertex; its tie-breaks are exact integer sign rules (symbolic perturbation,
-Edelsbrunner and Muecke, ACM TOG 9 (1990)).  ``Fraction``s appear only where
-that ray's hit is placed among the crossings of its branch.  The rotation at
+Edelsbrunner and Muecke, ACM TOG 9 (1990)).  A point lies left of that ray
+when its cross product with the ray's direction is >= 0, so a point on the
+ray's line counts as left; a crossing on the hit segment lies before the hit
+exactly when it is on the same side as the segment's start.  The rotation at
 a crossing follows from the signs of the two segment directions.  Disc
 boundary crossings are quadratic irrationals, kept as integer
 ``QuadPoint``s.  Their angular order comes first from an integer key, the
 half-plane and the floor of the abscissa taken with ``isqrt``; only
 neighbours with equal keys are compared exactly, with sign computations in
-Q(sqrt(D1), sqrt(D2)).  No floating point is used anywhere.
+Q(sqrt(D1), sqrt(D2)).  Only integers are used: no fraction, no float.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
 
-Rational = Union[int, Fraction]
 IntPoint = tuple[int, int]
 
 
@@ -49,8 +48,14 @@ def _norm2(a: IntPoint) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _sign(x: Rational) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """n/den in lowest terms, as "n" or "n/den", for den > 0."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def order_shift(max_den: int) -> int:
@@ -61,7 +66,7 @@ def order_shift(max_den: int) -> int:
 def order_key(n: int, den: int, shift: int) -> int:
     """floor(n * 2**shift / den) for den > 0.
 
-    Sorting fractions n/den by this key sorts them as ``Fraction``s when
+    Sorting fractions n/den by this key sorts them by value when
     2**shift > den**2 for all of them: distinct ones differ by at least
     1/(den1*den2) > 2**-shift, so their scaled values are more than 1 apart.
     """
@@ -72,7 +77,7 @@ def order_key(n: int, den: int, shift: int) -> int:
 # Signs of expressions a + b*sqrt(D) and p + q*sqrt(D1) + r*sqrt(D2) + s*sqrt(D1*D2)
 
 
-def sign_quad(a: Rational, b: Rational, d: Rational) -> int:
+def sign_quad(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for d >= 0."""
     if d < 0:
         raise ValueError("negative radicand")
@@ -89,9 +94,7 @@ def sign_quad(a: Rational, b: Rational, d: Rational) -> int:
     return sa if t > 0 else sb
 
 
-def sign_quad2(
-    p: Rational, q: Rational, r: Rational, s: Rational, d1: Rational, d2: Rational
-) -> int:
+def sign_quad2(p: int, q: int, r: int, s: int, d1: int, d2: int) -> int:
     """Exact sign of p + q*sqrt(d1) + r*sqrt(d2) + s*sqrt(d1*d2)."""
     sx = sign_quad(p, q, d1)
     sy = sign_quad(r, s, d1)
@@ -113,11 +116,11 @@ def sign_quad2(
 class QuadPoint(NamedTuple):
     """Point with coordinates (ax + bx*sqrt(d), ay + by*sqrt(d))."""
 
-    ax: Rational
-    bx: Rational
-    ay: Rational
-    by: Rational
-    d: Rational
+    ax: int
+    bx: int
+    ay: int
+    by: int
+    d: int
 
     def half(self) -> int:
         sy = sign_quad(self.ay, self.by, self.d)
@@ -343,23 +346,23 @@ def ingest_polyline(
 
     for (px, py, den), recs in crossings.items():
         if len(recs) > 1:
-            raise DivideError(f"triple point at ({Fraction(px, den)}, {Fraction(py, den)})")
+            raise DivideError(f"triple point at ({_ratio_text(px, den)}, {_ratio_text(py, den)})")
 
-    # Events per segment: (order key of the parameter, numerator, denominator,
-    # crossing id, slot of the outgoing end).  No denominator, reduced or not,
-    # exceeds the largest raw one, so one shift serves every key.
+    # Events per segment: (order key of the parameter, crossing index, slot of
+    # the outgoing end).  No denominator, reduced or not, exceeds the largest
+    # raw one, so one shift serves every key.
     shift = order_shift(max((recs[0][4] for recs in crossings.values()), default=1))
     points_sorted = sorted(
         crossings,
         key=lambda p: (order_key(p[0], p[2], shift), order_key(p[1], p[2], shift)),
     )
     names = [f"x{k}" for k in range(len(points_sorted))]
-    seg_events: list[list[tuple[int, int, int, str, int]]] = [[] for _ in segs]
-    for vid, p in zip(names, points_sorted):
+    seg_events: list[list[tuple[int, int, int]]] = [[] for _ in segs]
+    for x, p in enumerate(points_sorted):
         ((i, s, j, t, den),) = crossings[p]
         out_i, out_j = _out_slots(segs[i].d, segs[j].d)
-        seg_events[i].append((order_key(s, den, shift), s, den, vid, out_i))
-        seg_events[j].append((order_key(t, den, shift), t, den, vid, out_j))
+        seg_events[i].append((order_key(s, den, shift), x, out_i))
+        seg_events[j].append((order_key(t, den, shift), x, out_j))
     for events in seg_events:
         events.sort()
 
@@ -392,12 +395,10 @@ def ingest_polyline(
     # next stop's incoming end.
     edges: list[EdgeDef] = []
     branch_edge_ids: list[list[str]] = []
-    branch_stops: list[list[tuple[int, int, int]]] = []  # (segment, ns, den) per crossing
     for b_idx, (first, count, closed) in enumerate(spans):
-        events = [(k, n, den, vid, slot) for k in range(first, first + count)
-                  for _key, n, den, vid, slot in seg_events[k]]
-        outs = [(vid, slot) for _k, _n, _den, vid, slot in events]
-        ins = [(vid, (slot + 2) % 4) for _k, _n, _den, vid, slot in events]
+        events = [ev for k in range(first, first + count) for ev in seg_events[k]]
+        outs = [(names[x], slot) for _key, x, slot in events]
+        ins = [(names[x], (slot + 2) % 4) for _key, x, slot in events]
         if closed:
             if not events:
                 raise DivideError(
@@ -412,19 +413,20 @@ def ingest_polyline(
             ids.append(f"e{len(edges)}")
             edges.append(EdgeDef(ids[-1], (out_end, in_end)))
         branch_edge_ids.append(ids)
-        branch_stops.append([(k, n, den) for k, n, den, _vid, _slot in events])
 
     # Seed: the face of the witness, from the first hit of one ray.  The
-    # stops before the hit are found by bisection, with a Fraction for each
-    # stop it reads.
-    k, t, after, side = _first_hit(segs, r2, seed_point, points_sorted)
-    b_idx = segs[k].branch
-    ids = branch_edge_ids[b_idx]
-    before = bisect_left(
-        branch_stops[b_idx], (k, t, after),
-        key=lambda stop: (stop[0], Fraction(stop[1], stop[2]), False),
-    )
-    hit_edge = ids[(before - 1) % len(ids)] if spans[b_idx][2] else ids[before]
+    # branch's stops before the hit are those of its earlier segments and
+    # those of the hit segment on the side of the segment's start.
+    k, v, side = _first_hit(segs, r2, seed_point, points_sorted)
+    first, _count, closed = spans[segs[k].branch]
+    ids = branch_edge_ids[segs[k].branch]
+    wx, wy = seed_point
+    start_left = _cross(v, _sub(segs[k].a, seed_point)) >= 0
+    before = sum(len(seg_events[m]) for m in range(first, k))
+    for _key, x, _slot in seg_events[k]:
+        px, py, den = points_sorted[x]
+        before += (_cross(v, (px - wx * den, py - wy * den)) >= 0) == start_left
+    hit_edge = ids[(before - 1) % len(ids)] if closed else ids[before]
 
     divide = Divide(
         name=name,
@@ -441,20 +443,20 @@ def ingest_polyline(
 
 def _first_hit(
     segs: list[_Seg], r2: int, w: IntPoint, crossings: list[tuple[int, int, int]]
-) -> tuple[int, Fraction, bool, str]:
-    """(segment k, parameter t0, whether the hit lies just after t0 rather
-    than just before it, side of the witness w) of the first hit of one ray.
+) -> tuple[int, IntPoint, str]:
+    """(segment k, ray direction v, side of the witness w) of the first hit.
 
     The ray runs from w toward the first crossing (px/den, py/den), along
     v = (px - w_x den, py - w_y den), pushed an infinitesimal eps to its
-    right.  So a point p lies left of it when cross(v, p - w) >= 0, and a
-    segment a + t d is crossed when its two ends disagree on that.  It is
-    crossed at the ray parameter s0 + eps s1 and at t0 - eps |v|^2 / c, with
-    c = cross(v, d), s0 = cross(a - w, d) / c, s1 = -dot(v, d) / c and
-    t0 = cross(a - w, v) / c.  A segment through the target crosses the ray
-    there, inside the disc, so a hit exists at or before the target.
-    Without a crossing the divide has mu = 0 and is rejected whatever its
-    seed, which then names the first edge.
+    right.  So a point p lies left of it when cross(v, p - w) >= 0, a point
+    on the ray's line included, and a segment a + t d is crossed when its
+    two ends disagree on that.  It is crossed at the ray parameter
+    s0 + eps s1, with c = cross(v, d), s0 = cross(a - w, d) / c and
+    s1 = -dot(v, d) / c; hits are ordered by the ``order_key``s of s0 and
+    s1 over |c|.  A segment through the target crosses the ray there,
+    inside the disc, so a hit exists at or before the target.  Without a
+    crossing the divide has mu = 0 and is rejected whatever its seed, which
+    then names the first edge.
     """
     if _norm2(w) >= r2:
         raise DivideError("witness point must lie strictly inside the disc")
@@ -465,20 +467,22 @@ def _first_hit(
     if not segs:
         raise DivideError("divide has no edges")
     if not crossings:
-        return 0, Fraction(0), True, "left"
+        return 0, (0, 0), "left"
 
     px, py, den = crossings[0]
     v = (px - w[0] * den, py - w[1] * den)
-    hits = []  # (s0, s1, segment)
+    hits = []  # (numerator of s0, numerator of s1, |c|, segment)
     for k, seg in enumerate(segs):
         u = _sub(seg.a, w)
         if (_cross(v, u) >= 0) != (_cross(v, _sub(seg.b, w)) >= 0):
-            c = _cross(v, seg.d)
-            s0 = Fraction(_cross(u, seg.d), c)
-            if s0 > 0:
-                hits.append((s0, Fraction(-_dot(v, seg.d), c), k))
-    _s0, _s1, k = min(hits)
+            c, n0, n1 = _cross(v, seg.d), _cross(u, seg.d), -_dot(v, seg.d)
+            if c < 0:
+                c, n0, n1 = -c, -n0, -n1
+            if n0 > 0:
+                hits.append((n0, n1, c, k))
+    shift = order_shift(max(c for _n0, _n1, c, _k in hits))
+    _key0, _key1, k = min((order_key(n0, c, shift), order_key(n1, c, shift), k)
+                          for n0, n1, c, k in hits)
     seg = segs[k]
-    c = _cross(v, seg.d)
     side = "left" if _cross(seg.d, _sub(w, seg.a)) > 0 else "right"
-    return k, Fraction(_cross(_sub(seg.a, w), v), c), c < 0, side
+    return k, v, side

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tempfile
+from collections import deque
 
 import pytest
 from hypothesis import settings
@@ -24,7 +25,7 @@ from divides import (
     intmat,
     seifert_matrix,
 )
-from divides.core import DOUBLE_POINT_DEGREE, _dart_orbits
+from divides.core import DOUBLE_POINT_DEGREE
 from divides.lattice import PL_SIGN
 from divides.report import run_pipeline
 
@@ -186,11 +187,35 @@ def dart_numbers(divide) -> dict:
     return darts
 
 
+def orbits_by_bfs(twin, n_dart, flips):
+    """Orbits of the darts under the edge involution x -> twin[x] and, at a
+    double point (x < n_dart), the slot changes x -> x ^ k for k in
+    ``flips``, by breadth-first search over an explicit neighbour list of
+    each dart.  With flips (1, 2, 3) an orbit is a connected component of
+    the graph; with (2,) it is a strand."""
+    neighbours = [[twin[x]] + ([x ^ k for k in flips] if x < n_dart else [])
+                  for x in range(len(twin))]
+    seen, orbits = set(), []
+    for start in range(len(twin)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit, queue = {start}, deque([start])
+        while queue:
+            for y in neighbours[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    orbit.add(y)
+                    queue.append(y)
+        orbits.append(orbit)
+    return orbits
+
+
 def validate_divide_reference(divide) -> list:
     """``validate_divide`` written plainly, as the reference the package's
-    one is tested against: connectivity from a second orbit walk with all
-    slot changes, and the branches compared with the strands as sorted lists
-    of edge ids."""
+    one is tested against: connectivity from an orbit walk with all slot
+    changes, the branches compared with the strands as sorted lists of edge
+    ids, both walks being ``orbits_by_bfs``."""
     diags: list[str] = []
     dps = list(divide.double_points)
     terms = list(divide.terminals)
@@ -236,7 +261,7 @@ def validate_divide_reference(divide) -> list:
     if divide.edges and not diags:
         for x, y in divide.edge_darts:
             twin[x], twin[y] = y, x
-        if len(_dart_orbits(twin, n_dart, (1, 2, 3))) != 1:
+        if len(orbits_by_bfs(twin, n_dart, (1, 2, 3))) != 1:
             diags.append("disconnected graph")
         elif not dps:
             diags.append("mu = 0: a divide without double points has an empty Milnor lattice")
@@ -248,12 +273,13 @@ def validate_divide_reference(divide) -> list:
     elif not diags:
         declared = sorted(sorted(b) for b in divide.branches)
         computed = sorted(sorted({used[x] for x in strand})
-                          for strand in _dart_orbits(twin, n_dart, (2,)))
+                          for strand in orbits_by_bfs(twin, n_dart, (2,)))
         if declared != computed:
             diags.append("branch partition invalid: disagrees with strand continuation")
 
     seed = divide.sign_seed
-    if seed.side not in ("left", "right") or seed.sign not in (1, -1):
+    sign_ok = type(seed.sign) is int and seed.sign in (1, -1)
+    if seed.side not in ("left", "right") or not sign_ok:
         diags.append("malformed sign seed")
     elif seed.edge not in set(edge_ids):
         diags.append(f"malformed sign seed: unknown edge '{seed.edge}'")
@@ -428,6 +454,16 @@ def one_chord():
     """A single chord: valid but for its mu = 0."""
     return Divide("chord", (), ("ta", "tb"), (EdgeDef("e", (("ta", 0), ("tb", 0))),),
                   (("e",),), SignSeed("e", "left", 1))
+
+
+# The A_4 snake x^5 + y^2 as one integer polyline: ``ingest_polyline``'s
+# keyword arguments.
+A4_SNAKE_POLYLINE = {
+    "branches": [([(-10, 0), (4, 0), (4, 2), (2, 2), (2, -2), (0, -2), (0, 9)], False)],
+    "disc_radius": 8,
+    "seed_point": (3, 1),
+    "seed_sign": -1,
+}
 
 
 def line_through_triangle():

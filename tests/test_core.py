@@ -246,6 +246,16 @@ def test_malformed_seed_rejected():
     assert any("malformed sign seed" in m for m in validate_divide(broken))
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0], ids=str)
+def test_seed_sign_that_is_not_an_int_is_malformed(sign):
+    # A hand-built seed: parsing admits only "+" and "-", a SignSeed does not.
+    broken = gen_a(3).divide._replace(sign_seed=SignSeed(edge="l0", side="left", sign=sign))
+    assert validate_divide(broken) == ["malformed sign seed"]
+    assert validate_divide_reference(broken) == ["malformed sign seed"]
+    with pytest.raises(DivideError, match="^malformed sign seed$"):
+        assign_signs(broken, trace_faces(broken))
+
+
 def test_trace_faces_a1():
     d = gen_a(1).divide
     fs = trace_faces(d)

@@ -18,7 +18,6 @@ from divides import (
     trace_faces,
 )
 from divides.core import validate_divide
-from divides.corpus import A4_SNAKE_POLYLINE
 from divides.geometry import (
     QuadPoint,
     _Seg,
@@ -33,32 +32,32 @@ from divides.geometry import (
 )
 from divides.report import run_pipeline
 import conftest
-from conftest import CHORD_DRAWS, chord_polylines
+from conftest import A4_SNAKE_POLYLINE, CHORD_DRAWS, chord_polylines
 
 
 F = Fraction
 
 
 def test_sign_quad():
-    assert sign_quad(F(0), F(0), F(2)) == 0
-    assert sign_quad(F(-3), F(2), F(2)) == -1  # 2*sqrt(2) < 3
-    assert sign_quad(F(-2), F(2), F(2)) == 1  # 2*sqrt(2) > 2
-    assert sign_quad(F(-2), F(1), F(4)) == 0  # sqrt(4) = 2
-    assert sign_quad(F(5), F(-1), F(16)) == 1
+    assert sign_quad(0, 0, 2) == 0
+    assert sign_quad(-3, 2, 2) == -1  # 2*sqrt(2) < 3
+    assert sign_quad(-2, 2, 2) == 1  # 2*sqrt(2) > 2
+    assert sign_quad(-2, 1, 4) == 0  # sqrt(4) = 2
+    assert sign_quad(5, -1, 16) == 1
 
 
 def test_sign_quad2():
     # sqrt(2) + sqrt(3) - sqrt(2*3) + 1 > 0 and its negation < 0
-    assert sign_quad2(F(1), F(1), F(1), F(-1), F(2), F(3)) == 1
-    assert sign_quad2(F(-1), F(-1), F(-1), F(1), F(2), F(3)) == -1
+    assert sign_quad2(1, 1, 1, -1, 2, 3) == 1
+    assert sign_quad2(-1, -1, -1, 1, 2, 3) == -1
     # sqrt(2)*sqrt(8) - 4 = 0
-    assert sign_quad2(F(-4), F(0), F(0), F(1), F(2), F(8)) == 0
+    assert sign_quad2(-4, 0, 0, 1, 2, 8) == 0
 
 
 def test_circle_point_order():
     # exact points on a radius-5 circle, no irrational parts needed
     def pt(x, y):
-        return QuadPoint(ax=F(x), bx=F(0), ay=F(y), by=F(0), d=F(0))
+        return QuadPoint(ax=x, bx=0, ay=y, by=0, d=0)
 
     east, north, west, south = pt(5, 0), pt(0, 5), pt(-5, 0), pt(0, -5)
     ring = [east, north, west, south]
@@ -283,15 +282,8 @@ def _seeded(branches, witness):
     return d, assign_signs(d, trace_faces(d)).sign
 
 
-def _ingest_spec(spec, **kwargs):
-    branches = [(b["points"], b["closed"]) for b in spec["branches"]]
-    return ingest_polyline(
-        branches, spec["disc_radius"], spec["seed_point"], spec["seed_sign"], **kwargs
-    )
-
-
 def test_a4_snake_polyline_is_a4():
-    snake = run_pipeline(_ingest_spec(A4_SNAKE_POLYLINE, name="a4-snake"))
+    snake = run_pipeline(ingest_polyline(**A4_SNAKE_POLYLINE, name="a4-snake"))
     a4 = run_pipeline(gen_a(4).divide)
     assert (snake.inv.d, snake.inv.r, snake.inv.mu) == (2, 1, 4)
     assert snake.inv == a4.inv

@@ -86,14 +86,16 @@ def test_polyline_parse_loads_geometry_and_lazy_names_resolve(tmp_path):
         before = "divides.geometry" in sys.modules
         divide, diags = divides.parse_divide(open("poly.json").read())
         after = "divides.geometry" in sys.modules
+        fractions = "fractions" in sys.modules
         same = {name: getattr(divides, name) is getattr(sys.modules["divides." + mod], name)
                 for name, mod in json.loads(sys.argv[1]).items()}
-        print(json.dumps({"before": before, "after": after, "diags": diags,
-                          "name": divide.name, "same": same}))
+        print(json.dumps({"before": before, "after": after, "fractions": fractions,
+                          "diags": diags, "name": divide.name, "same": same}))
     """, json.dumps(LAZY))
     assert got == {
         "before": False,
         "after": True,
+        "fractions": False,
         "diags": [],
         "name": "two-chords",
         "same": dict.fromkeys(LAZY, True),

@@ -1,4 +1,4 @@
-"""The indexes of FaceSet and AGDiagram, the orbit walk of validation and
+"""The indexes of FaceSet and AGDiagram, the strand walk of validation and
 the int-keyed AG edge count agree with plain scans and references."""
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from divides import (
     trace_faces,
 )
 from divides.agdiagram import AGEdge, AGVertex
-from divides.core import _dart_orbits
+from divides.core import _strands
 
 from conftest import (
     CORPUS_NAMES,
@@ -28,6 +28,7 @@ from conftest import (
     dart_numbers,
     entry,
     generic_chords,
+    orbits_by_bfs,
     with_slots_permuted,
 )
 
@@ -201,44 +202,25 @@ def test_depth_labels_match_bfs_on_large_diagrams(case):
         assert depth_labels(ag, exposed).diagram_depth >= 2
 
 
-def _orbits_by_bfs(twin, n_dart, flips):
-    """The orbit partition by breadth-first search over an explicit
-    neighbour list of each dart."""
-    neighbours = [[twin[x]] + ([x ^ k for k in flips] if x < n_dart else [])
-                  for x in range(len(twin))]
-    seen, orbits = set(), []
-    for start in range(len(twin)):
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit, queue = {start}, deque([start])
-        while queue:
-            for y in neighbours[queue.popleft()]:
-                if y not in seen:
-                    seen.add(y)
-                    orbit.add(y)
-                    queue.append(y)
-        orbits.append(orbit)
-    return orbits
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 4), st.sampled_from([(1, 2, 3), (2,)]),
-       st.randoms(use_true_random=False))
-def test_dart_orbits_match_bfs_partition(d, half_t, flips, rng):
+@given(st.integers(0, 6), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_strands_match_bfs_partition(d, half_t, rng):
     """On a random fixed-point-free involution over 4d darts at double
-    points and 2 * half_t terminal darts, ``_dart_orbits`` partitions the
-    darts as a plain BFS does, each orbit listed from its least dart."""
+    points and 2 * half_t terminal darts, ``_strands`` numbers the strands
+    0, 1, ... and gives two darts one number exactly when a plain BFS puts
+    them in one strand."""
     n_dart = 4 * d
     darts = list(range(n_dart + 2 * half_t))
     rng.shuffle(darts)
     twin = [0] * len(darts)
     for x, y in zip(darts[::2], darts[1::2]):
         twin[x], twin[y] = y, x
-    got = _dart_orbits(twin, n_dart, flips)
-    assert [set(orbit) for orbit in got] == _orbits_by_bfs(twin, n_dart, flips)
-    assert sorted(x for orbit in got for x in orbit) == sorted(darts)
-    assert all(orbit[0] == min(orbit) for orbit in got)
+    strand_of, n_strand = _strands(twin, n_dart)
+    assert all(0 <= k < n_strand for k in strand_of)
+    got = [set() for _ in range(n_strand)]
+    for x, k in enumerate(strand_of):
+        got[k].add(x)
+    assert sorted(map(sorted, got)) == sorted(map(sorted, orbits_by_bfs(twin, n_dart, (2,))))
 
 
 def _ag_edges_by_tuples(signed, ag):

@@ -5,7 +5,7 @@ digested through ``divide_to_text``, a rejected one through its joined
 diagnostics; the sha256 of that text is compared with the one recorded in
 ``golden/ingest.sha256``.  The inputs are about 2000 random open and closed
 polylines (1 to 4 branches in a disc of radius 4 to 12), the arrangements of
-``generic_chords`` for k = 3 to 12 and ``corpus.A4_SNAKE_POLYLINE``.  To
+``generic_chords`` for k = 3 to 12 and ``A4_SNAKE_POLYLINE``.  To
 rewrite the digests after an intended change of ingestion:
 
     PYTHONPATH=src python tests/test_ingest_golden.py
@@ -20,9 +20,8 @@ from pathlib import Path
 import pytest
 
 from divides import DivideError, divide_to_text, ingest_polyline
-from divides.corpus import A4_SNAKE_POLYLINE
 
-from conftest import chord_polylines
+from conftest import A4_SNAKE_POLYLINE, chord_polylines
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "ingest.sha256"
 N_RANDOM = 2000
@@ -68,13 +67,7 @@ def cases() -> dict[str, dict]:
     out = {f"random{n}": _random_polyline(rng) for n in range(N_RANDOM)}
     for k in CHORD_KS:
         out[f"chords{k}"] = chord_polylines(k, 0)
-    snake = A4_SNAKE_POLYLINE
-    out["a4-snake"] = {
-        "branches": [(b["points"], b["closed"]) for b in snake["branches"]],
-        "disc_radius": snake["disc_radius"],
-        "seed_point": snake["seed_point"],
-        "seed_sign": snake["seed_sign"],
-    }
+    out["a4-snake"] = A4_SNAKE_POLYLINE
     return out
 
 
