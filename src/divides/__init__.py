@@ -53,10 +53,8 @@ from .lattice import (
     MilnorLattice,
     char_poly_and_order,
     identity_suite,
-    intersection_matrix,
     milnor_lattice,
     monodromy,
-    seifert_matrix,
 )
 from .report import build_report, check_entry, run_pipeline
 
@@ -112,7 +110,6 @@ __all__ = [
     "builtin_entries",
     "identity_suite",
     "ingest_polyline",
-    "intersection_matrix",
     "invariants",
     "milnor_lattice",
     "monodromy",
@@ -120,7 +117,6 @@ __all__ = [
     "pl_variation",
     "quiver_dot",
     "run_pipeline",
-    "seifert_matrix",
     "to_dot",
     "trace_faces",
     "validate_divide",

@@ -120,16 +120,21 @@ def exceptional_certificate(lattice: MilnorLattice, ag: AGDiagram) -> Certificat
     """Certify the one-directional vanishing pattern against the AG diagram.
 
     Passes iff E = 2 Id - S has unit diagonal, vanishes strictly below it,
-    and the magnitude of every strictly-upper entry equals the AG
-    multiplicity.  Each entry of E is read from S where it is checked.
+    and the magnitude of every strictly-upper entry (i, j) equals the
+    multiplicity of the first edge stored as (i, j), or 0 when there is
+    none; an edge stored with u > v sets no expectation.  Each entry of E is
+    read from S where it is checked.
     """
+    expected = {(u, v): m for u, v, m in reversed(ag.edges) if u < v}
     violations = []
     for i, row in enumerate(lattice.s_mat):
         for j, s in enumerate(row):
-            x = 2 * (i == j) - s
-            expected = 1 if i == j else (0 if i > j else ag.multiplicity(i, j))
-            if (abs(x) if i < j else x) != expected:
-                violations.append((i, j, expected, x))
+            if i < j:
+                want = expected.get((i, j), 0)
+                if abs(s) != want:
+                    violations.append((i, j, want, -s))
+            elif s != (i == j):  # E[i][j] = 2 (i == j) - s must be (i == j)
+                violations.append((i, j, int(i == j), 2 * (i == j) - s))
     return CertificateVerdict(passed=not violations, violations=tuple(violations))
 
 

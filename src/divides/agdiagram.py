@@ -35,10 +35,9 @@ class _AGFields(NamedTuple):
 class AGDiagram(_AGFields):
     """Vertices in the total order and edges between their positions.
 
-    The adjacency and multiplicity indexes are each built once, on their
-    first query, so each later query is a dictionary lookup and an index
-    that is never queried is never built.  Equality and hashing read the
-    fields only.
+    It has one index, the adjacency index, built on its first query, so each
+    later query is a dictionary lookup and a diagram that is never queried
+    never builds it.  Equality and hashing read the fields only.
     """
 
     @cached_property
@@ -48,13 +47,6 @@ class AGDiagram(_AGFields):
             adjacent.setdefault(e.u, []).append(e.v)
             adjacent.setdefault(e.v, []).append(e.u)
         return {p: tuple(sorted(ns)) for p, ns in adjacent.items()}
-
-    @cached_property
-    def _multiplicity(self) -> dict[tuple[int, int], int]:
-        multiplicity: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            multiplicity.setdefault((e.u, e.v), e.multiplicity)
-        return multiplicity
 
     @property
     def mu(self) -> int:
@@ -69,9 +61,6 @@ class AGDiagram(_AGFields):
     def neighbors(self, pos: int) -> list[int]:
         """Positions joined to ``pos``, ascending, once per edge."""
         return list(self._adjacent.get(pos, ()))
-
-    def multiplicity(self, i: int, j: int) -> int:
-        return self._multiplicity.get((min(i, j), max(i, j)), 0)
 
 
 def build_ag(

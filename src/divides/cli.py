@@ -127,7 +127,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    to_stdout = [args.json, args.dot_ag, args.dot_quiver].count("-")
+    outputs = {"--json": args.json, "--dot-ag": args.dot_ag, "--dot-quiver": args.dot_quiver}
+    for option, path in outputs.items():
+        if path == "":
+            print(f"error: {option} needs a file path or '-'", file=sys.stderr)
+            return EXIT_INVALID
+    to_stdout = list(outputs.values()).count("-")
     if to_stdout > 1:
         print("error: at most one of --json, --dot-ag and --dot-quiver may be '-'",
               file=sys.stderr)

@@ -25,10 +25,6 @@ from .core import DivideError
 Mat = tuple[tuple[int, ...], ...]
 
 
-def freeze(rows: Sequence[Sequence[int]]) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 

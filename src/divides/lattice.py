@@ -1,9 +1,10 @@
 """Milnor lattice of the ordered distinguished collection.
 
-Intersection matrix from the AG diagram, the upper unipotent Seifert matrix
-S of the variation operator, the homological monodromy M as the product of
-the Picard-Lefschetz transvections, and the exact identity suite relating
-them.
+The intersection matrix I and the upper unipotent Seifert matrix S of the
+variation operator, both written from the AG edges in one pass; the
+homological monodromy M as the product of the Picard-Lefschetz
+transvections; and the exact identity suite relating them.  The rule: an AG
+edge (u, v, m) with u < v writes I[v][u] = m, I[u][v] = -m and S[u][v] = m.
 For plane curves the classical dictionary reads I = -S + S^T, var = -S^{-1}
 and M = S^{-1} S^T (Lamotke, Math. Z. 143 (1975); Arnold, Gusein-Zade and
 Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
@@ -21,36 +22,6 @@ from .intmat import Columns, Mat, column_nonzeros
 
 DIM_N = 2  # plane curves: singularities of functions of two variables
 PL_SIGN = -1  # the transvection sign (-1)^(n(n-1)/2) for n = DIM_N
-
-
-def intersection_matrix(ag: AGDiagram) -> Mat:
-    """Antisymmetric intersection matrix in the AG vertex order.
-
-    For an edge between order positions i < j the higher type meets the
-    lower type positively: I[j][i] = +multiplicity, I[i][j] = -multiplicity.
-    """
-    mu = ag.mu
-    rows = [[0] * mu for _ in range(mu)]
-    for e in ag.edges:
-        if ag.vertices[e.u].vtype == ag.vertices[e.v].vtype:
-            raise DivideError("same-type AG edge cannot enter the lattice")
-        rows[e.v][e.u] = e.multiplicity
-        rows[e.u][e.v] = -e.multiplicity
-    return intmat.freeze(rows)
-
-
-def seifert_matrix(i_mat: Mat) -> Mat:
-    """Unipotent upper-triangular Seifert matrix determined by I.
-
-    S[i][i] = 1, S[i][j] = -I[i][j] above the diagonal and 0 below, so that
-    I = -S + S^T holds entrywise exactly when I is antisymmetric.
-    """
-    mu = len(i_mat)
-    if any(i_mat[j][i] != -i_mat[i][j] for i in range(mu) for j in range(i, mu)):
-        raise DivideError("intersection matrix is not antisymmetric")
-    return intmat.freeze(
-        [[1 if i == j else (-i_mat[i][j] if j > i else 0) for j in range(mu)] for i in range(mu)]
-    )
 
 
 class _LatticeFields(NamedTuple):
@@ -72,8 +43,25 @@ class MilnorLattice(_LatticeFields):
 
 
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
-    i_mat = intersection_matrix(ag)
-    return MilnorLattice(i_mat=i_mat, s_mat=seifert_matrix(i_mat))
+    """I and S in one pass over the AG edges.
+
+    An edge (u, v, m) with u < v writes I[v][u] = m, I[u][v] = -m and
+    S[u][v] = m: the higher type meets the lower type positively.  S has
+    unit diagonal and zeros below it, so I = -S + S^T.  Any edge writes S at
+    (min(u, v), max(u, v)) as -I there, and of the edges joining one pair
+    the last one stands.
+    """
+    mu, vertices = ag.mu, ag.vertices
+    i_rows = [[0] * mu for _ in range(mu)]
+    s_rows = [[0] * k + [1] + [0] * (mu - 1 - k) for k in range(mu)]
+    for u, v, m in ag.edges:
+        if vertices[u].vtype == vertices[v].vtype:
+            raise DivideError("same-type AG edge cannot enter the lattice")
+        i_rows[v][u] = m
+        i_rows[u][v] = -m
+        a, b = min(u, v), max(u, v)
+        s_rows[a][b] = -i_rows[a][b]
+    return MilnorLattice(i_mat=tuple(map(tuple, i_rows)), s_mat=tuple(map(tuple, s_rows)))
 
 
 def monodromy(lattice: MilnorLattice) -> Mat:

@@ -12,6 +12,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from divides import (
+    AGDiagram,
     Divide,
     DivideError,
     EdgeDef,
@@ -23,8 +24,8 @@ from divides import (
     gen_e6,
     ingest_polyline,
     intmat,
-    seifert_matrix,
 )
+from divides.agdiagram import AGEdge, AGVertex
 from divides.core import DOUBLE_POINT_DEGREE
 from divides.lattice import PL_SIGN
 from divides.report import run_pipeline
@@ -34,9 +35,14 @@ from divides.report import run_pipeline
 settings.register_profile("divides", database=None)
 settings.load_profile("divides")
 # Hypothesis also caches the constants of the source under its home directory
-# (from collection on); keep that in a temporary directory removed at exit.
+# (from collection on); keep that in a temporary directory removed when the
+# session ends.
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,9 +63,44 @@ def pipeline(name: str):
 CORPUS_NAMES = [e.name for e in builtin_entries()]
 
 
+def freeze(rows):
+    """A matrix of lists as a tuple of tuples of ints."""
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def intersection_reference(ag):
+    """Dense I from the AG edges, one edge at a time: I[v][u] = m and
+    I[u][v] = -m for an edge (u, v, m); a later edge of a pair overwrites."""
+    mu = ag.mu
+    rows = [[0] * mu for _ in range(mu)]
+    for e in ag.edges:
+        if ag.vertices[e.u].vtype == ag.vertices[e.v].vtype:
+            raise DivideError("same-type AG edge cannot enter the lattice")
+        rows[e.v][e.u] = e.multiplicity
+        rows[e.u][e.v] = -e.multiplicity
+    return freeze(rows)
+
+
+def seifert_reference(i_mat):
+    """S from I: unit diagonal, S[i][j] = -I[i][j] above it and 0 below,
+    after checking every pair for antisymmetry."""
+    mu = len(i_mat)
+    if any(i_mat[j][i] != -i_mat[i][j] for i in range(mu) for j in range(i, mu)):
+        raise DivideError("intersection matrix is not antisymmetric")
+    return freeze(
+        [[1 if i == j else (-i_mat[i][j] if j > i else 0) for j in range(mu)] for i in range(mu)]
+    )
+
+
+def lattice_reference(ag) -> MilnorLattice:
+    """The Milnor lattice built in two passes, I from the edges and then S
+    from I: the reference ``milnor_lattice`` is checked against."""
+    return lattice_of(intersection_reference(ag))
+
+
 def lattice_of(i_mat) -> MilnorLattice:
     """The Milnor lattice of an antisymmetric I."""
-    return MilnorLattice(i_mat, seifert_matrix(i_mat))
+    return MilnorLattice(i_mat, seifert_reference(i_mat))
 
 
 def identity(n: int):
@@ -75,7 +116,25 @@ def transvection(i_mat, k):
     rows = [[int(i == j) for j in range(mu)] for i in range(mu)]
     for j in range(mu):
         rows[k][j] += PL_SIGN * i_mat[j][k]
-    return intmat.freeze(rows)
+    return freeze(rows)
+
+
+def random_within_type_orders(ag, rng) -> dict:
+    """A ``build_ag`` reorder: a random 1-based permutation of each type."""
+    perms = {}
+    for t in ("-", "0", "+"):
+        n = sum(v.vtype == t for v in ag.vertices)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        perms[t] = tuple(perm)
+    return perms
+
+
+def hand_built_ag(kinds, edges):
+    """An ``AGDiagram`` with vertices of the types ``kinds`` and the edges
+    ``(u, v, multiplicity)`` as given, in any order and with any repeats."""
+    vertices = tuple(AGVertex(f"v{t}_{i}", t, ("region", i)) for i, t in enumerate(kinds, 1))
+    return AGDiagram(vertices=vertices, edges=tuple(AGEdge(*e) for e in edges))
 
 
 def position(ag, label: str) -> int:

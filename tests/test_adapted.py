@@ -10,15 +10,15 @@ from divides import (
     MilnorLattice,
     depth1_cone,
     exceptional_certificate,
+    milnor_lattice,
     pl_variation,
     quiver_dot,
     verify_adapted,
 )
 from divides.core import DivideError
 from divides.report import run_pipeline
-from divides import intmat
 from divides.lattice import PL_SIGN
-from conftest import CORPUS_NAMES, generic_chords, pipeline, position
+from conftest import CORPUS_NAMES, freeze, generic_chords, hand_built_ag, pipeline, position
 
 
 def _columns(lat):
@@ -111,10 +111,58 @@ def test_certificate_flags_lower_entry():
     r = pipeline("a3")
     s = [list(row) for row in r.lattice.s_mat]
     s[2][0] = -1  # E[2][0] = 1
-    bad = r.lattice._replace(s_mat=intmat.freeze(s))
+    bad = r.lattice._replace(s_mat=freeze(s))
     verdict = exceptional_certificate(bad, r.ag)
     assert not verdict.passed
     assert verdict.violations == ((2, 0, 0, 1),)
+
+
+def _a3_certificate_with(i, j, value):
+    """The certificate of A_3, whose edges are (0, 1, 1) and (0, 2, 1), with
+    S[i][j] set to ``value``."""
+    r = pipeline("a3")
+    assert r.ag.edges == ((0, 1, 1), (0, 2, 1))
+    s = [list(row) for row in r.lattice.s_mat]
+    s[i][j] = value
+    return exceptional_certificate(r.lattice._replace(s_mat=freeze(s)), r.ag)
+
+
+@pytest.mark.parametrize(
+    "i, j, value, violations",
+    [
+        (1, 1, 2, ((1, 1, 1, 0),)),  # a diagonal entry of S set to 2
+        (0, 2, 2, ((0, 2, 1, -2),)),  # magnitude 2 on a multiplicity-1 edge
+        (1, 2, 1, ((1, 2, 0, -1),)),  # a nonzero upper entry where there is no edge
+    ],
+    ids=["diagonal", "magnitude", "no-edge"],
+)
+def test_certificate_flags_each_kind_of_entry(i, j, value, violations):
+    verdict = _a3_certificate_with(i, j, value)
+    assert not verdict.passed
+    assert verdict.violations == violations
+
+
+def test_certificate_reports_the_sign_of_an_upper_entry_without_asserting_it():
+    # E[0][1] = +1 instead of -1: the magnitude is the multiplicity, so the
+    # certificate passes
+    verdict = _a3_certificate_with(0, 1, -1)
+    assert verdict.passed and verdict.violations == ()
+
+
+def test_certificate_expects_nothing_of_a_reversed_edge():
+    # an edge stored with u > v sets no expectation, so S[0][1] = -1 is
+    # flagged against multiplicity 0
+    ag = hand_built_ag(("-", "0"), [(1, 0, 1)])
+    verdict = exceptional_certificate(milnor_lattice(ag), ag)
+    assert verdict.violations == ((0, 1, 0, 1),)
+
+
+def test_certificate_expects_the_first_edge_of_a_repeated_pair():
+    # (0, 3, 2) comes before (0, 3, 5): S[0][3] = 5 is checked against 2
+    ag = hand_built_ag(("-", "0", "+", "0"),
+                       [(2, 3, 1), (0, 3, 2), (1, 2, 1), (0, 1, 3), (0, 3, 5), (0, 2, 1)])
+    verdict = exceptional_certificate(milnor_lattice(ag), ag)
+    assert verdict.violations == ((0, 3, 2, -5),)
 
 
 def test_quiver_dot_counts():
@@ -171,7 +219,7 @@ def test_depth1_cone_sum_property():
         s = [list(row) for row in r.lattice.s_mat]
         for col in moved:
             s[0][col] += 1
-        got = depth1_cone(r.ag, r.depths, r.lattice._replace(s_mat=intmat.freeze(s)),
+        got = depth1_cone(r.ag, r.depths, r.lattice._replace(s_mat=freeze(s)),
                           cone.vertex)
         assert (got.a_prime == cone.a_prime) == (len(moved) == 2)
         assert not got.passed, moved
@@ -256,7 +304,7 @@ def test_verify_adapted_reads_the_intersection_matrix_it_is_given(name):
             rows = [list(row) for row in lat.i_mat]
             rows[m][k] += 1
             rows[k][m] -= 1
-            bad = MilnorLattice(i_mat=intmat.freeze(rows), s_mat=lat.s_mat)
+            bad = MilnorLattice(i_mat=freeze(rows), s_mat=lat.s_mat)
             assert not verify_adapted(bad).passed, (m, k)
 
 

@@ -320,6 +320,25 @@ def test_dot_to_stdout_is_exactly_the_dot(tmp_path, capsys, option):
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [(["--json", ""], "--json"), (["--json="], "--json"), (["--js", ""], "--json"),
+     (["--dot-ag", ""], "--dot-ag"), (["--dot-ag="], "--dot-ag"),
+     (["--dot-quiver", ""], "--dot-quiver"), (["--json", "-", "--dot-quiver="], "--dot-quiver")],
+    ids=["json", "json=", "js", "dot-ag", "dot-ag=", "dot-quiver", "dot-quiver=-after-json-stdout"],
+)
+def test_an_empty_output_path_is_refused(tmp_path, capsys, argv, option):
+    # refused before the divide file is read, as a file that is there or not
+    path = tmp_path / "a3.json"
+    path.write_text(divide_to_text(gen_a(3).divide))
+    for divide_path in (path, tmp_path / "missing.json"):
+        code, out, err = _run(capsys, "report", str(divide_path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} needs a file path or '-'\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
     "dashes",
     [("--json", "--dot-ag"), ("--json", "--dot-quiver"), ("--dot-ag", "--dot-quiver"),
      ("--json", "--dot-ag", "--dot-quiver")],

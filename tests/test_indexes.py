@@ -29,6 +29,7 @@ from conftest import (
     entry,
     generic_chords,
     orbits_by_bfs,
+    random_within_type_orders,
     with_slots_permuted,
 )
 
@@ -48,16 +49,6 @@ def _signed_and_ag(case):
     return signed, build_ag(signed)
 
 
-def _random_perms(ag, rng):
-    perms = {}
-    for t in ("-", "0", "+"):
-        n = sum(v.vtype == t for v in ag.vertices)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        perms[t] = tuple(perm)
-    return perms
-
-
 def _assert_ag_indexes_match_scans(ag):
     mu = ag.mu
     for pos in [-1, mu] + list(range(mu)):
@@ -65,11 +56,6 @@ def _assert_ag_indexes_match_scans(ag):
             [e.v for e in ag.edges if e.u == pos] + [e.u for e in ag.edges if e.v == pos]
         )
         assert ag.neighbors(pos) == scan
-    for i in range(mu):
-        for j in range(mu):
-            a, b = min(i, j), max(i, j)
-            scan = next((e.multiplicity for e in ag.edges if (e.u, e.v) == (a, b)), 0)
-            assert ag.multiplicity(i, j) == scan
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -78,7 +64,7 @@ def test_ag_indexes_match_scans(case):
     _assert_ag_indexes_match_scans(ag)
     rng = random.Random(str(case))
     for _ in range(3):
-        _assert_ag_indexes_match_scans(build_ag(signed, _random_perms(ag, rng)))
+        _assert_ag_indexes_match_scans(build_ag(signed, random_within_type_orders(ag, rng)))
 
 
 def test_ag_indexes_survive_a_reorder_that_moves_an_edge():
@@ -90,7 +76,7 @@ def test_ag_indexes_survive_a_reorder_that_moves_an_edge():
 
 def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
     # the queries answer as the scans did: neighbors ascending and once per
-    # edge, the first edge of a pair wins
+    # edge
     kinds = [("a", "-"), ("b", "0"), ("a", "+"), ("c", "0")]
     vertices = tuple(
         AGVertex(label=label, vtype=t, origin=("region", i))
@@ -103,7 +89,6 @@ def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
     ag = AGDiagram(vertices=vertices, edges=edges)
     _assert_ag_indexes_match_scans(ag)
     assert ag.neighbors(0) == [1, 2, 3, 3]
-    assert ag.multiplicity(3, 0) == 2
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -272,21 +257,14 @@ def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case,
 
 @pytest.mark.parametrize("case", ["e6", "depth1", (12, 0)], ids=str)
 def test_screen_leaves_unqueried_ag_indexes_unbuilt(case):
-    """A screen (build_ag, exposure_set, depth_labels) builds the adjacency
-    index only; the multiplicity index waits for its first query, which
-    builds it once.  Built indexes do not enter equality."""
+    """build_ag leaves the adjacency index unbuilt; a screen (exposure_set,
+    depth_labels) builds it once.  Built indexes do not enter equality."""
     signed, ag = _signed_and_ag(case)
-
-    def built():
-        return {name for name in ("_adjacent", "_multiplicity") if name in vars(ag)}
-
-    assert built() == set()
+    assert "_adjacent" not in vars(ag)
     depth_labels(ag, exposure_set(signed, ag))
-    assert built() == {"_adjacent"}
-    ag.multiplicity(0, 1)
-    assert built() == {"_adjacent", "_multiplicity"}
-    index = ag._multiplicity
-    ag.multiplicity(1, 0)
-    assert ag._multiplicity is index
+    assert set(vars(ag)) == {"_adjacent"}
+    index = ag._adjacent
+    ag.neighbors(0)
+    assert ag._adjacent is index
     fresh = AGDiagram(vertices=ag.vertices, edges=ag.edges)
     assert fresh == ag and hash(fresh) == hash(ag)

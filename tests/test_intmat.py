@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from divides import DivideError, gen_a, intmat, monodromy
 from conftest import (
-    charpoly_moduli, generic_chords, identity, lattice_of, pipeline, transvection,
+    charpoly_moduli, freeze, generic_chords, identity, lattice_of, pipeline, transvection,
 )
 
 SMALL = st.integers(-6, 6)
@@ -29,7 +29,7 @@ def square(entries, max_n=6, min_n=1):
     return st.integers(min_n, max_n).flatmap(
         lambda n: st.lists(
             st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-        ).map(intmat.freeze)
+        ).map(freeze)
     )
 
 
@@ -39,7 +39,7 @@ def rectangular(entries):
             st.lists(entries, min_size=rc[1], max_size=rc[1]),
             min_size=rc[0],
             max_size=rc[0],
-        ).map(intmat.freeze)
+        ).map(freeze)
     )
 
 
@@ -83,7 +83,7 @@ def sparse_antisymmetric(draw, entries):
     for i, j, x in draw(st.lists(pairs, max_size=4 * n)):
         if i != j:
             rows[i][j], rows[j][i] = x, -x
-    return intmat.freeze(rows)
+    return freeze(rows)
 
 
 NEAR_1E20 = st.tuples(st.integers(-1000, 1000), st.sampled_from((1, -1))).map(
@@ -198,7 +198,7 @@ def _antisym(n, xs):
         for j in range(i):
             rows[i][j] = next(it)
             rows[j][i] = -rows[i][j]
-    return intmat.freeze(rows)
+    return freeze(rows)
 
 
 def _transvection_product(i_mat):
@@ -291,7 +291,7 @@ def block_diagonal(blocks) -> intmat.Mat:
     for b in blocks:
         rows += [[0] * at + list(row) + [0] * (n - at - len(b)) for row in b]
         at += len(b)
-    return intmat.freeze(rows)
+    return freeze(rows)
 
 
 def test_cyclotomic_at_2_is_the_value_at_2():
@@ -332,7 +332,7 @@ def conjugated(m, moves) -> intmat.Mat:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
             for row in rows:
                 row[j] -= c * row[i]
-    return intmat.freeze(rows)
+    return freeze(rows)
 
 
 @st.composite
@@ -449,7 +449,7 @@ def test_finite_orders():
 def test_order_of_conjugated_permutation(perm, moves, negate):
     # U P U^-1 for a permutation matrix P and unimodular U has the order of P
     n = len(perm)
-    p = intmat.freeze([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+    p = freeze([[int(perm[j] == i) for j in range(n)] for i in range(n)])
     if negate:
         p = tuple(tuple(-x for x in row) for row in p)
     m = conjugated(p, moves)

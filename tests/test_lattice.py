@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 import sympy
@@ -12,11 +13,9 @@ from divides import (
     char_poly_and_order,
     gen_a,
     identity_suite,
-    intersection_matrix,
     invariants,
     milnor_lattice,
     monodromy,
-    seifert_matrix,
     trace_faces,
     verify_adapted,
 )
@@ -25,7 +24,18 @@ from divides.core import DivideError
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
 from conftest import (
-    charpoly_moduli, entry, generic_chords, identity, lattice_of, pipeline, transvection,
+    CORPUS_NAMES,
+    charpoly_moduli,
+    entry,
+    freeze,
+    generic_chords,
+    hand_built_ag,
+    identity,
+    lattice_of,
+    lattice_reference,
+    pipeline,
+    random_within_type_orders,
+    transvection,
 )
 
 
@@ -124,7 +134,7 @@ def test_intersection_rank_at_large_mu(make, mu):
     divide = make()
     signed = assign_signs(divide, trace_faces(divide))
     inv = invariants(signed)
-    i_mat = intersection_matrix(build_ag(signed))
+    i_mat = milnor_lattice(build_ag(signed)).i_mat
     assert len(i_mat) == inv.mu == mu
     assert intmat.rank(i_mat) == mu - inv.r + 1
 
@@ -194,9 +204,61 @@ def test_determinants_one_everywhere(corpus_names):
         assert sympy.Matrix(pipeline(name).m_desc).det() == 1
 
 
-def test_seifert_rejects_asymmetric_input():
-    with pytest.raises(DivideError):
-        seifert_matrix(((0, 1), (1, 0)))
+# Hand-built diagrams with edges out of order, reversed (u > v) or repeated;
+# of the edges joining one pair, the last one written stands.
+HAND_BUILT = {
+    "reversed": (("-", "0"), [(1, 0, 1)]),
+    "repeated": (("-", "0", "+", "0"),
+                 [(2, 3, 1), (0, 3, 2), (1, 2, 1), (0, 1, 3), (0, 3, 5), (0, 2, 1)]),
+    "reversed_then_forward": (("-", "0", "+"), [(2, 0, 1), (1, 2, 3), (0, 2, 4), (1, 0, 2)]),
+    "forward_then_reversed": (("-", "0", "+"), [(0, 2, 4), (2, 0, 1), (0, 1, 2)]),
+}
+
+
+def _assert_lattice_matches_reference(ag):
+    lat = milnor_lattice(ag)
+    assert lat == lattice_reference(ag)
+    assert all(type(x) is int for m in lat for row in m for x in row)
+
+
+CHORDS = [(k, seed) for k in range(3, 8) for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + CHORDS, ids=str)
+def test_milnor_lattice_matches_the_reference(case):
+    # each case also under three random within-type orders
+    divide = entry(case).divide if isinstance(case, str) else generic_chords(*case)
+    signed = assign_signs(divide, trace_faces(divide))
+    ag = build_ag(signed)
+    _assert_lattice_matches_reference(ag)
+    rng = random.Random(str(case))
+    for _ in range(3):
+        _assert_lattice_matches_reference(build_ag(signed, random_within_type_orders(ag, rng)))
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_milnor_lattice_matches_the_reference_on_hand_built_diagrams(name):
+    _assert_lattice_matches_reference(hand_built_ag(*HAND_BUILT[name]))
+
+
+def test_milnor_lattice_of_a_reversed_edge():
+    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["reversed"]))
+    assert lat.i_mat == ((0, 1), (-1, 0))
+    assert lat.s_mat == ((1, -1), (0, 1))
+
+
+def test_milnor_lattice_of_a_repeated_pair_keeps_the_last_edge():
+    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["repeated"]))
+    assert (lat.i_mat[3][0], lat.i_mat[0][3], lat.s_mat[0][3]) == (5, -5, 5)
+    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["reversed_then_forward"]))
+    assert (lat.i_mat[2][0], lat.i_mat[0][2], lat.s_mat[0][2]) == (4, -4, 4)
+    assert (lat.i_mat[1][0], lat.i_mat[0][1], lat.s_mat[0][1]) == (-2, 2, -2)
+
+
+def test_same_type_edge_cannot_enter_the_lattice():
+    with pytest.raises(DivideError) as caught:
+        milnor_lattice(hand_built_ag(("-", "-"), [(0, 1, 1)]))
+    assert str(caught.value) == "same-type AG edge cannot enter the lattice"
 
 
 def test_lattice_from_ag_has_labels():
@@ -296,7 +358,7 @@ def test_hurwitz_moves_keep_the_monodromy(name, picks):
         a, b = pairs[pick % len(pairs)]
         for i in range(b - 1, a - 1, -1):
             hurwitz_move(i_mat, basis, i)
-    p, moved = intmat.freeze(basis), lattice_of(intmat.freeze(i_mat))
+    p, moved = freeze(basis), lattice_of(freeze(i_mat))
     assert moved.i_mat == intmat.mul(intmat.mul(intmat.transpose(p), lat.i_mat), p)
     m, m_moved = monodromy(lat), monodromy(moved)
     assert intmat.mul(m, p) == intmat.mul(p, m_moved)

@@ -115,6 +115,6 @@ def test_equality_and_hash_ignore_built_indexes():
     ag1, ag2 = build_ag(signed), build_ag(signed)
     assert type(ag1) is AGDiagram
     e = ag1.edges[0]
-    assert ag1.neighbors(e.u) and ag1.multiplicity(e.u, e.v) == e.multiplicity
+    assert e.v in ag1.neighbors(e.u)
     assert "_adjacent" in vars(ag1) and not vars(ag2)
     assert ag1 == ag2 and hash(ag1) == hash(ag2)
