@@ -121,11 +121,10 @@ def exceptional_certificate(lattice: MilnorLattice, ag: AGDiagram) -> Certificat
 
     Passes iff E = 2 Id - S has unit diagonal, vanishes strictly below it,
     and the magnitude of every strictly-upper entry (i, j) equals the
-    multiplicity of the first edge stored as (i, j), or 0 when there is
-    none; an edge stored with u > v sets no expectation.  Each entry of E is
-    read from S where it is checked.
+    multiplicity of the edge (i, j), or 0 when there is none.  Each entry of
+    E is read from S where it is checked.
     """
-    expected = {(u, v): m for u, v, m in reversed(ag.edges) if u < v}
+    expected = {(u, v): m for u, v, m in ag.edges}
     violations = []
     for i, row in enumerate(lattice.s_mat):
         for j, s in enumerate(row):

@@ -35,6 +35,12 @@ class _AGFields(NamedTuple):
 class AGDiagram(_AGFields):
     """Vertices in the total order and edges between their positions.
 
+    The edge rule: the edges are strictly increasing in (u, v), each has
+    0 <= u < v < mu, and each joins two vertices of different types.
+    ``build_ag`` writes them so for every divide that ``assign_signs``
+    signed, and ``milnor_lattice`` refuses an edge list that breaks the rule;
+    the constructor accepts any edge list.
+
     It has one index, the adjacency index, built on its first query, so each
     later query is a dictionary lookup and a diagram that is never queried
     never builds it.  Equality and hashing read the fields only.
@@ -113,25 +119,15 @@ def build_ag(
             pos = pos_of_dp[x // DOUBLE_POINT_DEGREE]
             key = pos_of_region[f] * mu + pos if sign[f] == -1 else pos * mu + pos_of_region[f]
             counts[key] = counts.get(key, 0) + 1
-    same_type = False
     for x, y in divide.edge_darts:
         a, b = face_of[x], face_of[y]
         if a in pos_of_region and b in pos_of_region:
             pa, pb = pos_of_region[a], pos_of_region[b]
-            same_type = same_type or sign[a] == sign[b]
             key = pa * mu + pb if pa < pb else pb * mu + pa
             counts[key] = counts.get(key, 0) + 1
 
     triples = ((key // mu, key % mu, counts[key]) for key in sorted(counts))
-    edges = tuple(map(AGEdge._make, triples))
-    if same_type:
-        for u, v, _m in edges:
-            if vertices[u].vtype == vertices[v].vtype:
-                raise DivideError(
-                    f"AG edge between same-type vertices {vertices[u].label}, "
-                    f"{vertices[v].label}"
-                )
-    return AGDiagram(vertices=tuple(vertices), edges=edges)
+    return AGDiagram(vertices=tuple(vertices), edges=tuple(map(AGEdge._make, triples)))
 
 
 def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:

@@ -31,19 +31,36 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str, diags: list[str]) 
             diags.append(f"unknown key '{key}' in {where}")
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_str_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _is_int_pair(value: Any) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+    # Decoded JSON has exact types, so ``type(x) is int`` excludes bools.
+    return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
 
 
-def _sign(seed_obj: dict, diags: list[str]) -> Optional[int]:
+def _header(obj: dict, keys: set[str], where: str, diags: list[str]) -> bool:
+    """False when the keys of ``obj`` are not exactly ``keys``; else True,
+    after checking that the name is a string."""
+    _reject_unknown(obj, keys, where, diags)
+    for key in sorted(keys):
+        if key not in obj:
+            diags.append(f"missing key '{key}'")
+    if diags:
+        return False
+    if not isinstance(obj["name"], str):
+        diags.append("name must be a string")
+    return True
+
+
+def _seed_sign(seed_obj: Any, keys: set[str], diags: list[str]) -> Optional[int]:
+    """The sign of a sign seed, an object with keys among ``keys``; None
+    when it is not an object or its sign is not '+' or '-'."""
+    if not isinstance(seed_obj, dict):
+        diags.append("malformed sign seed: sign_seed must be an object")
+        return None
+    _reject_unknown(seed_obj, keys, "sign_seed", diags)
     sign_text = seed_obj.get("sign")
     if not isinstance(sign_text, str) or sign_text not in _SIGNS:
         diags.append("malformed sign seed: sign must be '+' or '-'")
@@ -61,9 +78,8 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
     if not isinstance(eid, str):
         diags.append(f"edge {eid!r}: id must be a string")
         return None
-    # Decoded JSON has exact types, and ``type(x) is int`` excludes bools as
-    # ``_is_int`` does.  Each end is checked once; ``ends`` that is not a list
-    # is checked as one end that is not a pair.
+    # Each end is checked once; ``ends`` that is not a list is checked as one
+    # end that is not a pair.
     for end in ends if type(ends) is list else (None,):
         if not (type(end) is list and len(end) == 2
                 and type(end[0]) is str and type(end[1]) is int):
@@ -77,14 +93,8 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
 
 
 def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
-    _reject_unknown(obj, _MAP_KEYS, "map divide", diags)
-    for key in sorted(_MAP_KEYS):
-        if key not in obj:
-            diags.append(f"missing key '{key}'")
-    if diags:
+    if not _header(obj, _MAP_KEYS, "map divide", diags):
         return None
-    if not isinstance(obj["name"], str):
-        diags.append("name must be a string")
     for key in ("double_points", "terminals"):
         if not _is_str_list(obj[key]):
             diags.append(f"{key} must be a list of strings")
@@ -100,11 +110,7 @@ def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
     if not isinstance(branches, list) or not all(map(_is_str_list, branches)):
         diags.append("branches must be a list of lists of edge ids")
     seed_obj = obj["sign_seed"]
-    if not isinstance(seed_obj, dict):
-        diags.append("malformed sign seed: sign_seed must be an object")
-        return None
-    _reject_unknown(seed_obj, {"edge", "side", "sign"}, "sign_seed", diags)
-    sign = _sign(seed_obj, diags)
+    sign = _seed_sign(seed_obj, {"edge", "side", "sign"}, diags)
     if sign is None:
         return None
     if not (isinstance(seed_obj.get("edge"), str) and isinstance(seed_obj.get("side"), str)):
@@ -126,14 +132,8 @@ def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:
 def _parse_polyline(obj: dict, diags: list[str]) -> Optional[Divide]:
     from .geometry import ingest_polyline  # local import to keep core light
 
-    _reject_unknown(obj, _POLY_KEYS, "polyline divide", diags)
-    for key in sorted(_POLY_KEYS):
-        if key not in obj:
-            diags.append(f"missing key '{key}'")
-    if diags:
+    if not _header(obj, _POLY_KEYS, "polyline divide", diags):
         return None
-    if not isinstance(obj["name"], str):
-        diags.append("name must be a string")
     branches = []
     if isinstance(obj["branches"], list):
         for i, b in enumerate(obj["branches"]):
@@ -151,16 +151,12 @@ def _parse_polyline(obj: dict, diags: list[str]) -> Optional[Divide]:
     else:
         diags.append("branches must be a list")
     seed_obj = obj["sign_seed"]
-    if not isinstance(seed_obj, dict):
-        diags.append("malformed sign seed: sign_seed must be an object")
-        return None
-    _reject_unknown(seed_obj, {"point", "sign"}, "sign_seed", diags)
-    sign = _sign(seed_obj, diags)
+    sign = _seed_sign(seed_obj, {"point", "sign"}, diags)
     if sign is None:
         return None
     if not _is_int_pair(seed_obj.get("point")):
         diags.append("malformed sign seed: point must be an [x, y] integer pair")
-    if not _is_int(obj["disc_radius"]):
+    if type(obj["disc_radius"]) is not int:
         diags.append("disc_radius must be an integer")
     if diags:
         return None

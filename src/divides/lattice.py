@@ -3,8 +3,8 @@
 The intersection matrix I and the upper unipotent Seifert matrix S of the
 variation operator, both written from the AG edges in one pass; the
 homological monodromy M as the product of the Picard-Lefschetz
-transvections; and the exact identity suite relating them.  The rule: an AG
-edge (u, v, m) with u < v writes I[v][u] = m, I[u][v] = -m and S[u][v] = m.
+transvections; and the exact identity suite relating them.  An AG edge
+(u, v, m), u < v, writes I[v][u] = S[u][v] = m and I[u][v] = -m.
 For plane curves the classical dictionary reads I = -S + S^T, var = -S^{-1}
 and M = S^{-1} S^T (Lamotke, Math. Z. 143 (1975); Arnold, Gusein-Zade and
 Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
@@ -43,24 +43,27 @@ class MilnorLattice(_LatticeFields):
 
 
 def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
-    """I and S in one pass over the AG edges.
+    """I and S in one pass over the AG edges, which it holds to the edge rule
+    of ``AGDiagram``.
 
-    An edge (u, v, m) with u < v writes I[v][u] = m, I[u][v] = -m and
-    S[u][v] = m: the higher type meets the lower type positively.  S has
-    unit diagonal and zeros below it, so I = -S + S^T.  Any edge writes S at
-    (min(u, v), max(u, v)) as -I there, and of the edges joining one pair
-    the last one stands.
+    An edge (u, v, m) writes I[v][u] = S[u][v] = m and I[u][v] = -m: the
+    higher type meets the lower type positively.  S has unit diagonal and
+    zeros below it, so I = -S + S^T.
     """
     mu, vertices = ag.mu, ag.vertices
     i_rows = [[0] * mu for _ in range(mu)]
     s_rows = [[0] * k + [1] + [0] * (mu - 1 - k) for k in range(mu)]
+    last = ()  # sorts before every pair
     for u, v, m in ag.edges:
+        if not (0 <= u < v < mu and last < (u, v)):
+            raise DivideError(f"AG edge ({u}, {v}) is out of range or out of order")
+        last = (u, v)
         if vertices[u].vtype == vertices[v].vtype:
-            raise DivideError("same-type AG edge cannot enter the lattice")
-        i_rows[v][u] = m
+            raise DivideError(
+                f"AG edge between same-type vertices {vertices[u].label}, {vertices[v].label}"
+            )
+        i_rows[v][u] = s_rows[u][v] = m
         i_rows[u][v] = -m
-        a, b = min(u, v), max(u, v)
-        s_rows[a][b] = -i_rows[a][b]
     return MilnorLattice(i_mat=tuple(map(tuple, i_rows)), s_mat=tuple(map(tuple, s_rows)))
 
 

@@ -70,12 +70,10 @@ def freeze(rows):
 
 def intersection_reference(ag):
     """Dense I from the AG edges, one edge at a time: I[v][u] = m and
-    I[u][v] = -m for an edge (u, v, m); a later edge of a pair overwrites."""
+    I[u][v] = -m for an edge (u, v, m)."""
     mu = ag.mu
     rows = [[0] * mu for _ in range(mu)]
     for e in ag.edges:
-        if ag.vertices[e.u].vtype == ag.vertices[e.v].vtype:
-            raise DivideError("same-type AG edge cannot enter the lattice")
         rows[e.v][e.u] = e.multiplicity
         rows[e.u][e.v] = -e.multiplicity
     return freeze(rows)
@@ -132,7 +130,7 @@ def random_within_type_orders(ag, rng) -> dict:
 
 def hand_built_ag(kinds, edges):
     """An ``AGDiagram`` with vertices of the types ``kinds`` and the edges
-    ``(u, v, multiplicity)`` as given, in any order and with any repeats."""
+    ``(u, v, multiplicity)`` as given."""
     vertices = tuple(AGVertex(f"v{t}_{i}", t, ("region", i)) for i, t in enumerate(kinds, 1))
     return AGDiagram(vertices=vertices, edges=tuple(AGEdge(*e) for e in edges))
 

@@ -16,7 +16,6 @@ from divides import (
     trace_faces,
 )
 from divides.agdiagram import AGDiagram, AGEdge, AGVertex
-from divides.core import SignedDivide
 from divides.report import run_pipeline
 from conftest import CORPUS_NAMES, entry, generic_chords, pipeline, position
 
@@ -78,17 +77,6 @@ def test_edges_join_distinct_types(corpus_names):
         ag = pipeline(name).ag
         for e in ag.edges:
             assert ag.vertices[e.u].vtype != ag.vertices[e.v].vtype
-
-
-def test_build_ag_rejects_an_edge_between_same_type_regions():
-    # every face of e6 signed -1: regions that share a divide edge are both
-    # minus regions
-    divide = entry("e6").divide
-    faces = trace_faces(divide)
-    signed = SignedDivide(divide, faces, (-1,) * len(faces.faces))
-    with pytest.raises(DivideError) as caught:
-        build_ag(signed)
-    assert str(caught.value) == "AG edge between same-type vertices v-_1, v-_2"
 
 
 def test_exposure_e6_all():

@@ -11,6 +11,7 @@ from divides import (
     assign_signs,
     build_ag,
     char_poly_and_order,
+    exceptional_certificate,
     gen_a,
     identity_suite,
     invariants,
@@ -20,7 +21,8 @@ from divides import (
     verify_adapted,
 )
 from divides import intmat
-from divides.core import DivideError
+from divides.agdiagram import AGEdge
+from divides.core import DivideError, SignedDivide
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import run_pipeline
 from conftest import (
@@ -204,15 +206,9 @@ def test_determinants_one_everywhere(corpus_names):
         assert sympy.Matrix(pipeline(name).m_desc).det() == 1
 
 
-# Hand-built diagrams with edges out of order, reversed (u > v) or repeated;
-# of the edges joining one pair, the last one written stands.
-HAND_BUILT = {
-    "reversed": (("-", "0"), [(1, 0, 1)]),
-    "repeated": (("-", "0", "+", "0"),
-                 [(2, 3, 1), (0, 3, 2), (1, 2, 1), (0, 1, 3), (0, 3, 5), (0, 2, 1)]),
-    "reversed_then_forward": (("-", "0", "+"), [(2, 0, 1), (1, 2, 3), (0, 2, 4), (1, 0, 2)]),
-    "forward_then_reversed": (("-", "0", "+"), [(0, 2, 4), (2, 0, 1), (0, 1, 2)]),
-}
+# A sorted hand-built diagram whose types are not in the order build_ag
+# gives them: "+" at position 2 comes before "0" at position 3.
+HAND_BUILT = (("-", "0", "+", "0"), [(0, 1, 3), (0, 2, 1), (0, 3, 2), (1, 2, 1), (2, 3, 1)])
 
 
 def _assert_lattice_matches_reference(ag):
@@ -236,29 +232,79 @@ def test_milnor_lattice_matches_the_reference(case):
         _assert_lattice_matches_reference(build_ag(signed, random_within_type_orders(ag, rng)))
 
 
-@pytest.mark.parametrize("name", HAND_BUILT)
-def test_milnor_lattice_matches_the_reference_on_hand_built_diagrams(name):
-    _assert_lattice_matches_reference(hand_built_ag(*HAND_BUILT[name]))
+def test_milnor_lattice_matches_the_reference_on_a_hand_built_diagram():
+    _assert_lattice_matches_reference(hand_built_ag(*HAND_BUILT))
 
 
-def test_milnor_lattice_of_a_reversed_edge():
-    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["reversed"]))
-    assert lat.i_mat == ((0, 1), (-1, 0))
-    assert lat.s_mat == ((1, -1), (0, 1))
+# Edge lists that break the edge rule of AGDiagram, and the diagnostic of each.
+BROKEN_EDGES = {
+    "reversed": (("-", "0"), [(1, 0, 1)], "AG edge (1, 0) is out of range or out of order"),
+    "repeated": (("-", "0", "+", "0"), [(0, 1, 3), (0, 3, 2), (0, 3, 5)],
+                 "AG edge (0, 3) is out of range or out of order"),
+    "out_of_order": (("-", "0", "+"), [(0, 2, 4), (0, 1, 2)],
+                     "AG edge (0, 1) is out of range or out of order"),
+    "negative": (("-", "0"), [(-1, 0, 1)], "AG edge (-1, 0) is out of range or out of order"),
+    "loop": (("-", "0"), [(0, 1, 1), (1, 1, 1)], "AG edge (1, 1) is out of range or out of order"),
+    "at_mu": (("-", "0", "+"), [(0, 1, 1), (1, 3, 1)],
+              "AG edge (1, 3) is out of range or out of order"),
+    "same_type": (("-", "-"), [(0, 1, 1)], "AG edge between same-type vertices v-_1, v-_2"),
+}
 
 
-def test_milnor_lattice_of_a_repeated_pair_keeps_the_last_edge():
-    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["repeated"]))
-    assert (lat.i_mat[3][0], lat.i_mat[0][3], lat.s_mat[0][3]) == (5, -5, 5)
-    lat = milnor_lattice(hand_built_ag(*HAND_BUILT["reversed_then_forward"]))
-    assert (lat.i_mat[2][0], lat.i_mat[0][2], lat.s_mat[0][2]) == (4, -4, 4)
-    assert (lat.i_mat[1][0], lat.i_mat[0][1], lat.s_mat[0][1]) == (-2, 2, -2)
-
-
-def test_same_type_edge_cannot_enter_the_lattice():
+@pytest.mark.parametrize("name", BROKEN_EDGES)
+def test_milnor_lattice_refuses_an_edge_list_that_breaks_the_rule(name):
+    kinds, edges, message = BROKEN_EDGES[name]
     with pytest.raises(DivideError) as caught:
-        milnor_lattice(hand_built_ag(("-", "-"), [(0, 1, 1)]))
-    assert str(caught.value) == "same-type AG edge cannot enter the lattice"
+        milnor_lattice(hand_built_ag(kinds, edges))
+    assert str(caught.value) == message
+
+
+def test_milnor_lattice_refuses_a_same_type_edge_from_a_hand_signed_divide():
+    # every face of e6 signed -1: regions that share a divide edge are both
+    # minus regions; build_ag writes their edge and the lattice refuses it
+    divide = entry("e6").divide
+    faces = trace_faces(divide)
+    ag = build_ag(SignedDivide(divide, faces, (-1,) * len(faces.faces)))
+    with pytest.raises(DivideError) as caught:
+        milnor_lattice(ag)
+    assert str(caught.value) == "AG edge between same-type vertices v-_1, v-_2"
+
+
+@functools.lru_cache(maxsize=None)
+def _ag_of(case):
+    divide = entry(case).divide if isinstance(case, str) else generic_chords(*case)
+    return build_ag(assign_signs(divide, trace_faces(divide)))
+
+
+# a1 and a2 have fewer than two edges to swap
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([n for n in CORPUS_NAMES if n not in ("a1", "a2")] + CHORDS[::3]),
+    how=st.sampled_from(("swap", "reverse", "duplicate", "out_of_range")),
+    data=st.data(),
+)
+def test_a_corrupted_edge_list_cannot_enter_the_lattice(case, how, data):
+    ag = _ag_of(case)
+    lat = milnor_lattice(ag)
+    assert lat == lattice_reference(ag)
+    assert exceptional_certificate(lat, ag).violations == ()
+
+    edges = list(ag.edges)
+    i = data.draw(st.integers(0, len(edges) - 1), label="i")
+    u, v, m = edges[i]
+    if how == "swap":
+        j = data.draw(st.integers(0, len(edges) - 1).filter(lambda j: j != i), label="j")
+        edges[i], edges[j] = edges[j], edges[i]
+    elif how == "reverse":
+        edges[i] = AGEdge(v, u, m)
+    elif how == "duplicate":
+        edges.insert(i, edges[i])
+    else:
+        bad = data.draw(st.integers(-2, -1) | st.integers(ag.mu, ag.mu + 1), label="bad")
+        at_u = data.draw(st.booleans(), label="at u")
+        edges[i] = AGEdge(bad, v, m) if at_u else AGEdge(u, bad, m)
+    with pytest.raises(DivideError):
+        milnor_lattice(ag._replace(edges=tuple(edges)))
 
 
 def test_lattice_from_ag_has_labels():
