@@ -9,24 +9,17 @@ variations are -e_j), the Euler-characteristic quiver read from S with the
 certificate of the exceptional collection pattern, and the depth-1 cone
 classes, all in exact integer arithmetic.
 
-Records are ``typing.NamedTuple``s; ``ingest_polyline`` and the corpus names
-(``CorpusEntry``, ``builtin_entries``, ``gen_a``, ``gen_e6``, ``gen_depth1``)
-load their modules on first use, so a run that reads no polyline and no
-built-in divide never imports them.
+Records are ``typing.NamedTuple``s.  ``import divides`` loads ``core``,
+``fileio`` and ``agdiagram``, the screening core (parse to depth labels) that
+every use needs.  The other names load their modules on first use: the
+report stack (``lattice``, ``intmat``, ``adapted``, ``report``), ``geometry``
+for ``ingest_polyline`` and ``corpus`` for the built-in divides, so a run
+that builds no lattice, reads no polyline and no built-in divide never
+imports them.
 """
 
 __version__ = "0.3.0"
 
-from .adapted import (
-    Depth1Cone,
-    EulerQuiver,
-    depth1_cone,
-    euler_quiver,
-    exceptional_certificate,
-    pl_variation,
-    quiver_dot,
-    verify_adapted,
-)
 from .agdiagram import (
     AGDiagram,
     DepthLabels,
@@ -49,17 +42,25 @@ from .core import (
     validate_divide,
 )
 from .fileio import divide_to_text, parse_divide
-from .lattice import (
-    MilnorLattice,
-    char_poly_and_order,
-    identity_suite,
-    milnor_lattice,
-    monodromy,
-)
-from .report import build_report, check_entry, run_pipeline
 
 # Public name -> the module that defines it, imported on first use (PEP 562).
 _LAZY = {
+    "Depth1Cone": "adapted",
+    "EulerQuiver": "adapted",
+    "depth1_cone": "adapted",
+    "euler_quiver": "adapted",
+    "exceptional_certificate": "adapted",
+    "pl_variation": "adapted",
+    "quiver_dot": "adapted",
+    "verify_adapted": "adapted",
+    "MilnorLattice": "lattice",
+    "char_poly_and_order": "lattice",
+    "identity_suite": "lattice",
+    "milnor_lattice": "lattice",
+    "monodromy": "lattice",
+    "build_report": "report",
+    "check_entry": "report",
+    "run_pipeline": "report",
     "ingest_polyline": "geometry",
     "CorpusEntry": "corpus",
     "builtin_entries": "corpus",
@@ -77,6 +78,10 @@ def __getattr__(name: str):
     value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

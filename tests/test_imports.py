@@ -1,4 +1,5 @@
-"""The import graph: what ``import divides`` and a map-file report load.
+"""The import graph: what ``import divides``, a depth screening and a
+map-file report load.
 
 Each check runs a fresh interpreter without ``site``, so that only the
 package's own imports are seen.  The interpreters write only into the
@@ -23,8 +24,31 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # Modules that neither ``import divides`` nor a map-file report may load.
 HEAVY = ("dataclasses", "inspect", "fractions", "divides.geometry", "divides.corpus")
 
+# The screening core: the package modules ``import divides`` loads.
+CORE = ["divides.agdiagram", "divides.core", "divides.fileio"]
+
+# The report stack, which a run that builds no lattice never loads.
+REPORT_STACK = ("divides.lattice", "divides.intmat", "divides.adapted", "divides.report",
+                "hashlib")
+
 # Public names that load their module on first use.
 LAZY = {
+    "Depth1Cone": "adapted",
+    "EulerQuiver": "adapted",
+    "depth1_cone": "adapted",
+    "euler_quiver": "adapted",
+    "exceptional_certificate": "adapted",
+    "pl_variation": "adapted",
+    "quiver_dot": "adapted",
+    "verify_adapted": "adapted",
+    "MilnorLattice": "lattice",
+    "char_poly_and_order": "lattice",
+    "identity_suite": "lattice",
+    "milnor_lattice": "lattice",
+    "monodromy": "lattice",
+    "build_report": "report",
+    "check_entry": "report",
+    "run_pipeline": "report",
     "ingest_polyline": "geometry",
     "CorpusEntry": "corpus",
     "builtin_entries": "corpus",
@@ -64,6 +88,34 @@ def test_import_loads_no_heavy_module(tmp_path):
         print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
     """, *HEAVY)
     assert got == []
+
+
+def test_import_loads_the_screening_core_alone(tmp_path):
+    got = _fresh(tmp_path, """
+        import json, sys
+        import divides
+        print(json.dumps({"package": sorted(m for m in sys.modules if m.startswith("divides.")),
+                          "hashlib": "hashlib" in sys.modules}))
+    """)
+    assert got == {"package": CORE, "hashlib": False}
+
+
+def test_depth_screening_loads_no_report_module(tmp_path):
+    (tmp_path / "a12.json").write_text(divide_to_text(gen_a(12).divide))
+    (tmp_path / "poly.json").write_text(json.dumps(TWO_CHORDS))
+    got = _fresh(tmp_path, """
+        import json, sys
+        import divides
+        depths = []
+        for path in ("a12.json", "poly.json"):
+            divide, diags = divides.parse_divide(open(path).read())
+            signed = divides.assign_signs(divide, divides.trace_faces(divide))
+            ag = divides.build_ag(signed)
+            depths.append(divides.depth_labels(ag, divides.exposure_set(signed, ag)).diagram_depth)
+        print(json.dumps({"depths": depths,
+                          "loaded": [m for m in sys.argv[1:] if m in sys.modules]}))
+    """, *REPORT_STACK)
+    assert got == {"depths": [0, 0], "loaded": []}
 
 
 def test_map_file_report_loads_no_heavy_module(tmp_path):
@@ -114,3 +166,15 @@ def test_star_import_binds_all(tmp_path):
     """)
     assert got["bound"] == got["all"]
     assert set(LAZY) <= set(got["all"])
+
+
+def test_dir_lists_every_public_name_and_loads_nothing(tmp_path):
+    got = _fresh(tmp_path, """
+        import json, sys
+        import divides
+        before = sorted(sys.modules)
+        names = dir(divides)
+        print(json.dumps({"missing": sorted(set(divides.__all__) - set(names)),
+                          "loaded": sorted(set(sys.modules) - set(before))}))
+    """)
+    assert got == {"missing": [], "loaded": []}
