@@ -54,7 +54,6 @@ _LAZY = {
     "quiver_dot": "adapted",
     "verify_adapted": "adapted",
     "MilnorLattice": "lattice",
-    "char_poly_and_order": "lattice",
     "identity_suite": "lattice",
     "milnor_lattice": "lattice",
     "monodromy": "lattice",
@@ -84,46 +83,26 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
+# The eagerly imported names, then the lazy ones, which come from _LAZY.
 __all__ = [
     "AGDiagram",
-    "CorpusEntry",
-    "Depth1Cone",
     "DepthLabels",
     "Divide",
     "DivideError",
     "DivideInvariants",
     "EdgeDef",
-    "EulerQuiver",
     "FaceSet",
-    "MilnorLattice",
     "SignSeed",
     "SignedDivide",
     "assign_signs",
     "build_ag",
-    "build_report",
-    "char_poly_and_order",
-    "check_entry",
-    "depth1_cone",
     "depth_labels",
     "divide_to_text",
-    "euler_quiver",
-    "exceptional_certificate",
     "exposure_set",
-    "gen_a",
-    "gen_depth1",
-    "gen_e6",
-    "builtin_entries",
-    "identity_suite",
-    "ingest_polyline",
     "invariants",
-    "milnor_lattice",
-    "monodromy",
     "parse_divide",
-    "pl_variation",
-    "quiver_dot",
-    "run_pipeline",
     "to_dot",
     "trace_faces",
     "validate_divide",
-    "verify_adapted",
+    *_LAZY,
 ]

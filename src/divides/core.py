@@ -427,6 +427,7 @@ def assign_signs(divide: Divide, faces: FaceSet) -> SignedDivide:
 
 
 class DivideInvariants(NamedTuple):
+    # The report writes these fields, in this order, as its "invariants".
     d: int
     r: int
     mu: int

@@ -100,10 +100,6 @@ class IdentitySuite(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _fmt(m: Mat) -> str:
-    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in m) + "]"
-
-
 def identity_suite(lattice: MilnorLattice, m_desc: Mat, branch_count: int) -> IdentitySuite:
     """Evaluate the Seifert/monodromy identities in exact integers.
 
@@ -120,7 +116,7 @@ def identity_suite(lattice: MilnorLattice, m_desc: Mat, branch_count: int) -> Id
             key="seifert_monodromy",
             description="S M_desc = S^T",
             passed=sm == st,
-            detail="" if sm == st else f"got {_fmt(sm)} expected {_fmt(st)}",
+            detail="" if sm == st else f"got {list(map(list, sm))} expected {list(map(list, st))}",
         )
     )
 
@@ -146,15 +142,3 @@ def identity_suite(lattice: MilnorLattice, m_desc: Mat, branch_count: int) -> Id
     )
     return IdentitySuite(checks=tuple(checks))
 
-
-class CharPolyOrder(NamedTuple):
-    coefficients: tuple[int, ...]  # det(tI - M), descending powers, monic
-    order: int | None  # least k >= 1 with M^k = Id; None when the order is infinite
-
-
-def char_poly_and_order(m: Mat) -> CharPolyOrder:
-    coefficients = intmat.charpoly(m)
-    return CharPolyOrder(
-        coefficients=coefficients,
-        order=intmat.matrix_order(m, coefficients),
-    )

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import adapted as adapted_mod
 from . import agdiagram as ag_mod
+from . import intmat
 from . import lattice as lattice_mod
 from .core import (
     Divide,
@@ -24,7 +25,7 @@ from .core import (
     trace_faces,
 )
 from .fileio import json_text
-from .intmat import Mat
+from .intmat import CharPoly, Mat
 
 if TYPE_CHECKING:
     from .corpus import CorpusEntry
@@ -47,7 +48,8 @@ class PipelineResult(NamedTuple):
     lattice: lattice_mod.MilnorLattice
     m_desc: Mat
     suite: lattice_mod.IdentitySuite
-    cpo: lattice_mod.CharPolyOrder
+    char_poly: CharPoly
+    order: int | None  # least k >= 1 with M^k = Id; None when the order is infinite
     adapted_verdict: adapted_mod.AdaptedVerdict
     quiver: adapted_mod.EulerQuiver
     certificate: adapted_mod.CertificateVerdict
@@ -89,7 +91,8 @@ def run_pipeline(
     lat = lattice_mod.milnor_lattice(ag)
     m_desc = lattice_mod.monodromy(lat)
     suite = lattice_mod.identity_suite(lat, m_desc, inv.r)
-    cpo = lattice_mod.char_poly_and_order(m_desc)
+    char_poly = intmat.charpoly(m_desc)
+    order = intmat.matrix_order(m_desc, char_poly)
 
     verdict = adapted_mod.verify_adapted(lat)
     quiver = adapted_mod.euler_quiver(lat)
@@ -109,7 +112,8 @@ def run_pipeline(
         lattice=lat,
         m_desc=m_desc,
         suite=suite,
-        cpo=cpo,
+        char_poly=char_poly,
+        order=order,
         adapted_verdict=verdict,
         quiver=quiver,
         certificate=cert,
@@ -127,15 +131,7 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
     report = {
         "tool": {"name": TOOL_NAME, "version": version},
         "input": {"name": result.divide.name, "digest": digest},
-        "invariants": {
-            "d": result.inv.d,
-            "r": result.inv.r,
-            "mu": result.inv.mu,
-            "n_regions": result.inv.n_regions,
-            "genus": result.inv.genus,
-            "boundary_components": result.inv.boundary_components,
-            "euler_characteristic": result.inv.euler_characteristic,
-        },
+        "invariants": result.inv._asdict(),
         "ag": {
             "vertices": [
                 {
@@ -170,8 +166,8 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
             ],
         },
         "char_poly": {
-            "coefficients": result.cpo.coefficients,
-            "order": result.cpo.order,
+            "coefficients": result.char_poly,
+            "order": result.order,
             "max_power": REPORT_MAX_POWER,
         },
         "adapted": {

@@ -534,6 +534,19 @@ A4_SNAKE_POLYLINE = {
 }
 
 
+# Two crossing chords as the text of a polyline file: a valid divide, mu = 1.
+TWO_CHORDS = {
+    "name": "two-chords",
+    "mode": "polyline",
+    "branches": [
+        {"points": [[-12, 1], [12, -1]], "closed": False},
+        {"points": [[1, -12], [-1, 12]], "closed": False},
+    ],
+    "disc_radius": 10,
+    "sign_seed": {"point": [5, 5], "sign": "+"},
+}
+
+
 def line_through_triangle():
     """A line crossed twice by a closed triangle: an interval and a circle."""
     return ingest_polyline(

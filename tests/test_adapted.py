@@ -48,6 +48,12 @@ def test_pl_variation_a2():
     assert pl_variation((0, 0), i_mat) == (0, 0)
 
 
+def test_pl_variation_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DivideError,
+                       match="^intersection vector has length 1, expected 2$"):
+        pl_variation((1,), ((0, 1), (-1, 0)))
+
+
 def test_pl_variation_perturbed_fails():
     # column 1 of S becomes (2, 1)
     lat = pipeline("a2").lattice._replace(s_mat=((1, 2), (0, 1)))
@@ -182,6 +188,14 @@ def test_depth1_cone_rejects_depth0():
     r = pipeline("depth1")
     with pytest.raises(DivideError, match="not depth 1"):
         depth1_cone(r.ag, r.depths, r.lattice, 0)
+
+
+@pytest.mark.parametrize("pos", [-1, 10])
+def test_depth1_cone_rejects_a_position_out_of_range(pos):
+    r = pipeline("depth1")
+    assert r.ag.mu == 10
+    with pytest.raises(DivideError, match=f"^vertex position {pos} out of range$"):
+        depth1_cone(r.ag, r.depths, r.lattice, pos)
 
 
 def test_depth1_cone_sum_property():

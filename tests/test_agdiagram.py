@@ -219,7 +219,13 @@ def test_pipeline_passes_under_any_within_type_order(case_and_perms):
     case, perms = case_and_perms
     permuted = run_pipeline(_divide(case), reorder=perms)
     assert all(permuted.verdicts.values()), permuted.verdicts
-    assert permuted.cpo == run_pipeline(_divide(case)).cpo
+    plain = run_pipeline(_divide(case))
+    assert (permuted.char_poly, permuted.order) == (plain.char_poly, plain.order)
+
+
+def test_depth_labels_rejects_an_empty_exposed_set():
+    with pytest.raises(DivideError, match="^depth undefined: exposed set is empty$"):
+        depth_labels(pipeline("a3").ag, frozenset())
 
 
 def test_build_ag_rejects_a_non_permutation():

@@ -106,6 +106,23 @@ def test_report_rejects_a_type_reordered_twice(tmp_path, capsys):
     assert err == "error: --reorder given twice for type '0'\n"
 
 
+def test_report_rejects_an_unknown_reorder_type(tmp_path, capsys):
+    path = tmp_path / "a3.json"
+    path.write_text(divide_to_text(gen_a(3).divide))
+    code, out, err = _run(capsys, "report", str(path), "--reorder", "x:1")
+    assert (code, out, err) == (2, "", "error: bad --reorder spec 'x:1'\n")
+
+
+def test_report_into_a_missing_directory_exits_3(tmp_path, capsys):
+    path = tmp_path / "a3.json"
+    path.write_text(divide_to_text(gen_a(3).divide))
+    target = tmp_path / "missing" / "a3.report.json"
+    code, out, err = _run(capsys, "report", str(path), "--json", str(target))
+    assert code == 3
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_report_depth1_has_cone(tmp_path, capsys):
     from divides import gen_depth1
 

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import pytest
 
-from divides import builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6
+from divides import DivideError, builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6
 from divides.report import check_entry
 from conftest import entry, pipeline
 
@@ -33,6 +34,11 @@ def test_gen_a_small_cases():
         ("v-_2", "v0_1", 1),
         ("v-_2", "v0_2", 1),
     ]
+
+
+def test_gen_a_rejects_n_below_1():
+    with pytest.raises(DivideError, match="^n must be >= 1$"):
+        gen_a(0)
 
 
 def test_gen_e6_expected():

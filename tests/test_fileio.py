@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divides import divide_to_text, gen_a, gen_e6, parse_divide
 from divides.fileio import json_text
-from conftest import entry
+from conftest import TWO_CHORDS, entry
 
 
 def test_round_trip_all_corpus(corpus_names):
@@ -242,6 +242,28 @@ def test_parse_text_errors_are_diagnostics(text, message):
     d, diags = parse_divide(text)
     assert d is None
     assert any(m.startswith(message) for m in diags)
+
+
+@pytest.mark.parametrize(
+    "base, drop, replace, diags",
+    [
+        ("map", ("terminals",), {}, ["missing key 'terminals'"]),
+        ("map", ("terminals", "branches"), {},
+         ["missing key 'branches'", "missing key 'terminals'"]),
+        ("map", (), {"edges": {}}, ["edges must be a list"]),
+        ("polyline", ("disc_radius",), {}, ["missing key 'disc_radius'"]),
+        ("polyline", (), {"sign_seed": 5}, ["malformed sign seed: sign_seed must be an object"]),
+    ],
+    ids=["no-terminals", "no-terminals-no-branches", "edges-object", "no-disc-radius",
+         "sign-seed-int"],
+)
+def test_top_level_key_diagnostics_are_exact(base, drop, replace, diags):
+    obj = json.loads(divide_to_text(gen_e6().divide)) if base == "map" else dict(TWO_CHORDS)
+    assert parse_divide(json.dumps(obj))[0] is not None
+    for key in drop:
+        del obj[key]
+    obj.update(replace)
+    assert parse_divide(json.dumps(obj)) == (None, diags)
 
 
 # Text with control characters, non-ASCII letters and lone surrogates.

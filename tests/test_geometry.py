@@ -288,8 +288,8 @@ def test_a4_snake_polyline_is_a4():
     assert (snake.inv.d, snake.inv.r, snake.inv.mu) == (2, 1, 4)
     assert snake.inv == a4.inv
     assert snake.ag.census() == a4.ag.census()
-    assert snake.cpo.coefficients == a4.cpo.coefficients == (1, -1, 1, -1, 1)
-    assert snake.cpo.order == a4.cpo.order == 10
+    assert snake.char_poly == a4.char_poly == (1, -1, 1, -1, 1)
+    assert snake.order == a4.order == 10
     assert snake.all_passed
 
 

@@ -18,6 +18,8 @@ from pathlib import Path
 import divides
 from divides import divide_to_text, gen_a
 
+from conftest import TWO_CHORDS
+
 SRC = Path(divides.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -42,7 +44,6 @@ LAZY = {
     "quiver_dot": "adapted",
     "verify_adapted": "adapted",
     "MilnorLattice": "lattice",
-    "char_poly_and_order": "lattice",
     "identity_suite": "lattice",
     "milnor_lattice": "lattice",
     "monodromy": "lattice",
@@ -55,17 +56,6 @@ LAZY = {
     "gen_a": "corpus",
     "gen_e6": "corpus",
     "gen_depth1": "corpus",
-}
-
-TWO_CHORDS = {
-    "name": "two-chords",
-    "mode": "polyline",
-    "branches": [
-        {"points": [[-12, 1], [12, -1]], "closed": False},
-        {"points": [[1, -12], [-1, 12]], "closed": False},
-    ],
-    "disc_radius": 10,
-    "sign_seed": {"point": [5, 5], "sign": "+"},
 }
 
 

@@ -240,7 +240,7 @@ def test_order_of_a_n_is_brieskorn_pham():
 
     for n in range(1, 41):
         result = run_pipeline(gen_a(n).divide)
-        assert result.cpo.order == brieskorn_pham_order(n + 1, 2), n
+        assert result.order == brieskorn_pham_order(n + 1, 2), n
     assert brieskorn_pham_order(33, 2) == 66
 
 
@@ -253,7 +253,7 @@ def test_order_of_chords_is_brieskorn_pham(k):
 
     for seed in (0, 1):
         result = run_pipeline(generic_chords(k, seed))
-        assert result.cpo.order == brieskorn_pham_order(k, k), (k, seed)
+        assert result.order == brieskorn_pham_order(k, k), (k, seed)
 
 
 def order(m) -> int | None:
@@ -264,7 +264,7 @@ def test_infinite_orders_are_none():
     assert order(((1, 1), (0, 1))) is None  # Jordan block
     assert order(((-1, 1), (0, -1))) is None
     assert order(((2, 1), (1, 1))) is None  # not cyclotomic
-    assert pipeline("depth1").cpo.order is None
+    assert pipeline("depth1").order is None
 
 
 def cyclotomic(k: int) -> sympy.Poly:
@@ -437,7 +437,7 @@ def test_finite_orders():
     assert order(()) == 1
     assert order(((0, -1), (1, 0))) == 4
     assert order(((-1,),)) == 2
-    assert pipeline("e6").cpo.order == 12
+    assert pipeline("e6").order == 12
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 import pytest
@@ -8,9 +9,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from divides import (
+    __version__,
     assign_signs,
     build_ag,
-    char_poly_and_order,
     exceptional_certificate,
     gen_a,
     identity_suite,
@@ -24,7 +25,7 @@ from divides import intmat
 from divides.agdiagram import AGEdge
 from divides.core import DivideError, SignedDivide
 from divides.lattice import DIM_N, PL_SIGN
-from divides.report import run_pipeline
+from divides.report import build_report, report_json, run_pipeline
 from conftest import (
     CORPUS_NAMES,
     charpoly_moduli,
@@ -39,6 +40,7 @@ from conftest import (
     random_within_type_orders,
     transvection,
 )
+from test_golden import CONE_KEYS, V3_KEYS, _key_paths
 
 
 def test_pl_sign():
@@ -178,27 +180,24 @@ def test_seifert_monodromy_catches_wrong_twist_products(mutant):
     assert not check.passed
 
 
+def _char_poly_and_order(m):
+    char_poly = intmat.charpoly(m)
+    return char_poly, intmat.matrix_order(m, char_poly)
+
+
 def test_char_poly_and_order_examples():
-    r2 = pipeline("a2")
-    cpo = char_poly_and_order(r2.m_desc)
-    assert cpo.coefficients == (1, -1, 1)
-    assert cpo.order == 6
-    r1 = pipeline("a1")
-    cpo1 = char_poly_and_order(r1.m_desc)
-    assert cpo1.coefficients == (1, -1)
-    assert cpo1.order == 1
-    r4 = pipeline("a4")
-    assert char_poly_and_order(r4.m_desc).order == 10
+    assert _char_poly_and_order(pipeline("a2").m_desc) == ((1, -1, 1), 6)
+    assert _char_poly_and_order(pipeline("a1").m_desc) == ((1, -1), 1)
+    assert _char_poly_and_order(pipeline("a4").m_desc)[1] == 10
 
 
 def test_char_poly_order_exceeds_max():
-    cpo = char_poly_and_order(((1, 1), (0, 1)))
-    assert cpo.order is None
+    assert _char_poly_and_order(((1, 1), (0, 1)))[1] is None
 
 
 def test_e6_monodromy_order_divides_12():
     r = pipeline("e6")
-    assert r.cpo.order is not None and 12 % r.cpo.order == 0
+    assert r.order is not None and 12 % r.order == 0
 
 
 def test_determinants_one_everywhere(corpus_names):
@@ -346,7 +345,7 @@ def test_alexander_polynomial_of_seifert_form_is_char_poly(name, bp):
         r = run_pipeline(generic_chords(int(name[6:]), 0))
     else:
         r = pipeline(name)
-    coeffs, mu = r.cpo.coefficients, r.lattice.mu
+    coeffs, mu = r.char_poly, r.lattice.mu
     s = sympy.Matrix(r.lattice.s_mat)
     for t in range(mu + 1):
         want = sum(c * t ** (mu - i) for i, c in enumerate(coeffs))
@@ -360,7 +359,28 @@ def test_char_poly_of_a_n_beyond_2_61_is_brieskorn_pham(monkeypatch, n, e):
     used = charpoly_moduli(monkeypatch)
     r = run_pipeline(gen_a(n).divide)
     assert used == [(1 << e) - 1]
-    assert r.cpo.coefficients == _brieskorn_pham_charpoly(n + 1, 2)
+    assert r.char_poly == _brieskorn_pham_charpoly(n + 1, 2)
+
+
+def test_report_of_diagram_depth_2_notes_the_missing_towers(monkeypatch):
+    """Nine generic chords: mu = 64, diagram depth 2, a cone at each of the
+    23 depth-1 vertices and none at the 4 of depth 2."""
+    used = charpoly_moduli(monkeypatch)
+    result = run_pipeline(generic_chords(9, 0))
+    report = json.loads(report_json(build_report(result, __version__, "0" * 64)))
+    assert report["depth_note"] == (
+        "diagram depth exceeds 1: cone towers for deeper vertices are not constructed"
+    )
+    assert _key_paths(report) == V3_KEYS | CONE_KEYS | {"depth_note"}
+    depths = [v["depth"] for v in report["ag"]["vertices"]]
+    assert (report["ag"]["diagram_depth"], depths.count(1), depths.count(2)) == (2, 23, 4)
+    labels = [v["label"] for v in report["ag"]["vertices"]]
+    depth1 = [label for label, depth in zip(labels, depths) if depth == 1]
+    assert [c["vertex"] for c in report["depth1_cones"]] == depth1
+    assert result.all_passed
+    assert report["char_poly"]["coefficients"] == list(_brieskorn_pham_charpoly(9, 9))
+    assert report["char_poly"]["order"] == 9
+    assert used == [(1 << 521) - 1]
 
 
 def hurwitz_move(i_mat: list, basis: list, i: int) -> None:

@@ -48,7 +48,6 @@ def _records() -> dict[str, tuple]:
         "MilnorLattice": res.lattice,
         "IdentityCheck": res.suite.checks[0],
         "IdentitySuite": res.suite,
-        "CharPolyOrder": res.cpo,
         "AdaptedVerdict": res.adapted_verdict,
         "EulerQuiver": res.quiver,
         "CertificateVerdict": res.certificate,
