@@ -270,6 +270,14 @@ def _branches_are_strands(divide: Divide, strand_of: list[int], n_strand: int) -
 # Face tracing
 
 
+def clockwise_slot(x: int) -> int:
+    """The dart one slot clockwise of dart x at its double point, x < 4d.
+
+    Faces are walked by crossing an edge and then leaving its head by this
+    slot, so that the face stays on the left."""
+    return x - 1 if x % DOUBLE_POINT_DEGREE else x + DOUBLE_POINT_DEGREE - 1
+
+
 class Face(NamedTuple):
     index: int
     items: tuple[int, ...]  # darts and virtual arcs, numbered as in the module docstring
@@ -330,12 +338,14 @@ def trace_faces(divide: Divide) -> FaceSet:
     first_arc = n_dart + n_term
 
     def turn(x: int) -> int:
-        """The item after arriving at dart x: the slot before it at a double
-        point, the arc after it at a terminal."""
-        if x < n_dart:
-            return x - 1 if x % DOUBLE_POINT_DEGREE else x + DOUBLE_POINT_DEGREE - 1
-        return x + n_term
+        """The item after arriving at dart x: the slot clockwise of it at a
+        double point, the arc after it at a terminal."""
+        return clockwise_slot(x) if x < n_dart else x + n_term
 
+    # succ is a permutation: the edge involution has no fixed point on a
+    # valid divide, turn maps the darts one to one onto slots and arcs, and
+    # the arcs map one to one onto the terminal darts.  So each walk closes
+    # at its start.
     succ = [0] * (first_arc + n_term)
     for x, y in divide.edge_darts:
         succ[x], succ[y] = turn(y), turn(x)
@@ -348,15 +358,9 @@ def trace_faces(divide: Divide) -> FaceSet:
         if face_of[start] >= 0:
             continue
         index = len(faces)
-        cycle = [start]
-        face_of[start] = index
-        cur = succ[start]
-        while cur != start:
-            if face_of[cur] >= 0:
-                raise DivideError(
-                    "rotation system not planar-consistent: orbit through "
-                    f"{_item_tuple(divide, start)} re-enters {_item_tuple(divide, cur)}"
-                )
+        cycle = []
+        cur = start
+        while face_of[cur] < 0:
             cycle.append(cur)
             face_of[cur] = index
             cur = succ[cur]

@@ -14,20 +14,27 @@ Edelsbrunner and Muecke, ACM TOG 9 (1990)).  A point lies left of that ray
 when its cross product with the ray's direction is >= 0, so a point on the
 ray's line counts as left; a crossing on the hit segment lies before the hit
 exactly when it is on the same side as the segment's start.  The rotation at
-a crossing follows from the signs of the two segment directions.  Disc
-boundary crossings are quadratic irrationals, kept as integer
-``QuadPoint``s.  Their angular order comes first from an integer key, the
-half-plane and the floor of the abscissa taken with ``isqrt``; only
-neighbours with equal keys are compared exactly, with sign computations in
-Q(sqrt(D1), sqrt(D2)).  Only integers are used: no fraction, no float.
+a crossing follows from the signs of the two segment directions.  The
+points where open polylines cross the disc boundary, the terminals, are
+never computed: they all lie on the unbounded face of the map, and one walk
+around that face meets them in their order along the circle.  Only integers
+are used: no fraction, no float.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
-from .core import Divide, DivideError, EdgeDef, SignSeed
+from .core import (
+    DOUBLE_POINT_DEGREE,
+    Divide,
+    DivideError,
+    EdgeDef,
+    End,
+    SignSeed,
+    clockwise_slot,
+)
 
 IntPoint = tuple[int, int]
 
@@ -46,10 +53,6 @@ def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
 
 def _norm2(a: IntPoint) -> int:
     return a[0] * a[0] + a[1] * a[1]
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _ratio_text(n: int, den: int) -> str:
@@ -71,124 +74,6 @@ def order_key(n: int, den: int, shift: int) -> int:
     1/(den1*den2) > 2**-shift, so their scaled values are more than 1 apart.
     """
     return (n << shift) // den
-
-
-# ---------------------------------------------------------------------------
-# Signs of expressions a + b*sqrt(D) and p + q*sqrt(D1) + r*sqrt(D2) + s*sqrt(D1*D2)
-
-
-def sign_quad(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for d >= 0."""
-    if d < 0:
-        raise ValueError("negative radicand")
-    if b == 0 or d == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    sa, sb = _sign(a), _sign(b)
-    if sa == sb:
-        return sa
-    t = a * a - b * b * d
-    if t == 0:
-        return 0
-    return sa if t > 0 else sb
-
-
-def sign_quad2(p: int, q: int, r: int, s: int, d1: int, d2: int) -> int:
-    """Exact sign of p + q*sqrt(d1) + r*sqrt(d2) + s*sqrt(d1*d2)."""
-    sx = sign_quad(p, q, d1)
-    sy = sign_quad(r, s, d1)
-    if sy == 0:
-        return sx
-    if sx == 0:
-        return sy
-    if sx == sy:
-        return sx
-    # compare (p + q*sqrt(d1))^2 against d2*(r + s*sqrt(d1))^2
-    x2a, x2b = p * p + q * q * d1, 2 * p * q
-    y2a, y2b = (r * r + s * s * d1) * d2, 2 * r * s * d2
-    t = sign_quad(x2a - y2a, x2b - y2b, d1)
-    if t == 0:
-        return 0
-    return sx if t > 0 else sy
-
-
-class QuadPoint(NamedTuple):
-    """Point with coordinates (ax + bx*sqrt(d), ay + by*sqrt(d))."""
-
-    ax: int
-    bx: int
-    ay: int
-    by: int
-    d: int
-
-    def half(self) -> int:
-        sy = sign_quad(self.ay, self.by, self.d)
-        if sy > 0:
-            return 0
-        if sy < 0:
-            return 1
-        return 0 if sign_quad(self.ax, self.bx, self.d) > 0 else 1
-
-
-def _cross_sign_quadpoints(p: QuadPoint, q: QuadPoint) -> int:
-    """Sign of p.x*q.y - p.y*q.x."""
-    c0 = p.ax * q.ay - p.ay * q.ax
-    c1 = p.bx * q.ay - p.by * q.ax  # sqrt(p.d)
-    c2 = p.ax * q.by - p.ay * q.bx  # sqrt(q.d)
-    c3 = p.bx * q.by - p.by * q.bx  # sqrt(p.d*q.d)
-    return sign_quad2(c0, c1, c2, c3, p.d, q.d)
-
-
-def compare_circle_points(p: QuadPoint, q: QuadPoint) -> int:
-    """Order two nonzero points by angle in [0, 2*pi), exactly."""
-    hp, hq = p.half(), q.half()
-    if hp != hq:
-        return -1 if hp < hq else 1
-    c = _cross_sign_quadpoints(p, q)
-    return -c  # cross > 0 means p at the smaller angle
-
-
-def _floor_quad(a: int, b: int, d: int, scale: int) -> int:
-    """floor((a + b*sqrt(d)) / scale) for integers with d >= 0, scale > 0."""
-    m = b * b * d
-    root = isqrt(m)  # floor(|b| sqrt(d))
-    if b < 0:
-        root = -root if root * root == m else -root - 1
-    return (a + root) // scale
-
-
-def circle_order(points: list[QuadPoint], scales: list[int]) -> list[int]:
-    """Indices of ``points`` in the order ``compare_circle_points`` gives.
-
-    Point k is (x, y) * scales[k], scales[k] > 0, and every (x, y) lies on
-    one circle about the origin.  There x falls on the half of angles
-    [0, pi) and rises on [pi, 2 pi), so the integer key (half, -floor(x))
-    or (half, floor(x)) orders points whose keys differ (a filtered exact
-    predicate: Fortune and Van Wyk, ACM TOG 15 (1996)).  One insertion pass
-    then orders each run of equal keys with ``compare_circle_points`` on
-    neighbours.  Coincident points raise DivideError.
-    """
-    keys = []
-    for p, scale in zip(points, scales):
-        half = p.half()
-        x = _floor_quad(p.ax, p.bx, p.d, scale)
-        keys.append((half, x if half else -x))
-    order = sorted(range(len(points)), key=keys.__getitem__)
-    for i in range(1, len(order)):
-        k = i
-        while k and keys[order[k - 1]] == keys[order[k]]:
-            c = compare_circle_points(points[order[k - 1]], points[order[k]])
-            if c < 0:
-                break
-            if c == 0:
-                # Not reached from ``ingest_polyline``: two clips at one
-                # boundary point are two segments meeting there, already
-                # rejected as an intersection on the disc boundary.
-                raise DivideError("coincident boundary terminals")
-            order[k - 1], order[k] = order[k], order[k - 1]
-            k -= 1
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +108,6 @@ def _out_slots(di: IntPoint, dj: IntPoint) -> tuple[int, int]:
     return out_i, out_j
 
 
-def _terminal(seg: _Seg, r2: int, outward: bool) -> QuadPoint:
-    """Where the segment meets the circle |p|^2 = r2, scaled by 2|d|^2 > 0.
-
-    The meeting parameter is t = (-bq +- sqrt(disc)) / (2 aq), the larger
-    root when the segment runs outward, the smaller when it runs inward.  A
-    positive scale leaves the angular order of terminals unchanged.
-    """
-    (ax, ay), (dx, dy) = seg.a, seg.d
-    aq = dx * dx + dy * dy
-    bq = 2 * (ax * dx + ay * dy)
-    disc = bq * bq - 4 * aq * (ax * ax + ay * ay - r2)
-    if disc <= 0:
-        raise DivideError("segment does not cross the disc boundary transversely")
-    root = 1 if outward else -1
-    return QuadPoint(2 * aq * ax - bq * dx, root * dx, 2 * aq * ay - bq * dy, root * dy, disc)
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 
@@ -262,6 +130,11 @@ def ingest_polyline(
     disc that is not on a curve; the face containing it gets ``seed_sign``.
     That face is the one the witness sees at the first hit of a ray aimed at
     the first crossing and pushed an infinitesimal distance to its right.
+
+    Terminals are numbered counterclockwise along the disc boundary, and t0
+    is where the first open polyline enters the disc.  The order comes from
+    one walk around the unbounded face that turns left at every crossing
+    and back at every terminal; it meets the terminals clockwise.
     """
     if disc_radius <= 0:
         raise DivideError("disc_radius must be positive")
@@ -366,53 +239,77 @@ def ingest_polyline(
     for events in seg_events:
         events.sort()
 
-    # Terminals (boundary clips) of each open branch, in CCW angular order.
-    # Crossings on the out-of-disc side of a clip were already skipped.
-    ends: list[tuple[int, bool]] = []  # (branch, whether the end terminal)
-    clips: list[QuadPoint] = []
-    scales: list[int] = []
+    # A one-segment branch has both ends outside the disc.  It meets the
+    # closed disc only when its line does, cross(a, d)^2 <= r^2 |d|^2, at the
+    # point t = -a.d / |d|^2 nearest the centre, and that point lies on the
+    # segment; it touches the circle there when equality holds.  Every other
+    # open branch enters and leaves the disc through an inner vertex, so
+    # transversely.
     for b_idx, (first, count, closed) in enumerate(spans):
-        if not closed:
-            # A one-segment branch has both ends outside the disc.  It meets
-            # the closed disc only when its line does, cross(a, d)^2 <=
-            # r^2 |d|^2, at the point t = -a.d / |d|^2 nearest the centre,
-            # and that point lies on the segment.  A tangent segment meets
-            # the disc and is rejected below as not transverse.
+        if not closed and count == 1:
             a, d = segs[first].a, segs[first].d
-            if count == 1 and not (
-                _cross(a, d) ** 2 <= r2 * _norm2(d) and 0 < -_dot(a, d) < _norm2(d)
-            ):
+            if not (_cross(a, d) ** 2 <= r2 * _norm2(d) and 0 < -_dot(a, d) < _norm2(d)):
                 raise DivideError(f"open polyline {b_idx} does not meet the disc")
-            ends += [(b_idx, False), (b_idx, True)]
-            last = segs[first + count - 1]
-            clips += [_terminal(segs[first], r2, False), _terminal(last, r2, True)]
-            scales += [2 * _norm2(segs[first].d), 2 * _norm2(last.d)]
-    order = circle_order(clips, scales)
-    term_names = [f"t{pos}" for pos in range(len(order))]
-    terminal_id = {ends[rec]: tid for rec, tid in zip(order, term_names)}
+            if _cross(a, d) ** 2 == r2 * _norm2(d):
+                raise DivideError("segment does not cross the disc boundary transversely")
 
     # Walk each branch once: an edge runs from one stop's outgoing end to the
-    # next stop's incoming end.
-    edges: list[EdgeDef] = []
-    branch_edge_ids: list[list[str]] = []
+    # next stop's incoming end, opposite it.  With n crossings, slot s of
+    # crossing x is dart 4x + s, and the start and end clips of the k-th open
+    # branch, where it crosses the disc boundary, are darts 4n + 2k and
+    # 4n + 2k + 1.
+    n_slot = DOUBLE_POINT_DEGREE * len(points_sorted)
+    darts: list[tuple[int, int]] = []
+    branch_edges: list[range] = []
+    n_clip = 0
     for b_idx, (first, count, closed) in enumerate(spans):
-        events = [ev for k in range(first, first + count) for ev in seg_events[k]]
-        outs = [(names[x], slot) for _key, x, slot in events]
-        ins = [(names[x], (slot + 2) % 4) for _key, x, slot in events]
+        outs = [DOUBLE_POINT_DEGREE * x + slot
+                for k in range(first, first + count) for _key, x, slot in seg_events[k]]
+        ins = [y ^ 2 for y in outs]
         if closed:
-            if not events:
+            if not outs:
                 raise DivideError(
                     f"closed polyline {b_idx} has no crossings and cannot be encoded"
                 )
             ins = ins[1:] + ins[:1]
         else:
-            outs.insert(0, (terminal_id[(b_idx, False)], 0))
-            ins.append((terminal_id[(b_idx, True)], 0))
-        ids = []
-        for out_end, in_end in zip(outs, ins):
-            ids.append(f"e{len(edges)}")
-            edges.append(EdgeDef(ids[-1], (out_end, in_end)))
-        branch_edge_ids.append(ids)
+            outs.insert(0, n_slot + n_clip)
+            ins.append(n_slot + n_clip + 1)
+            n_clip += 2
+        branch_edges.append(range(len(darts), len(darts) + len(outs)))
+        darts += zip(outs, ins)
+
+    # Terminals.  Every clip lies on the unbounded face.  Walking that face
+    # from the first start clip, turning back at each clip and leaving each
+    # crossing by the slot clockwise of the one arrived at, keeps the face on
+    # the left and so meets the clips of the walk's component clockwise.
+    # Read backwards, they are numbered counterclockwise from t0, the first
+    # start clip; clips on another component follow in branch order, and
+    # validation rejects that divide as disconnected.
+    twin = [0] * (n_slot + n_clip)
+    for x, y in darts:
+        twin[x], twin[y] = y, x
+    clips: list[int] = []
+    if n_clip:
+        walk, x = [n_slot], twin[n_slot]
+        while x != n_slot:
+            if x < n_slot:
+                x = twin[clockwise_slot(x)]
+            else:
+                walk.append(x)
+                x = twin[x]
+        clips = walk[:1] + walk[:0:-1]
+    clips += sorted(set(range(n_slot, n_slot + n_clip)).difference(clips))
+    term_names = [f"t{pos}" for pos in range(n_clip)]
+    terminal_of = dict(zip(clips, term_names))
+
+    def end(x: int) -> End:
+        if x < n_slot:
+            return (names[x // DOUBLE_POINT_DEGREE], x % DOUBLE_POINT_DEGREE)
+        return (terminal_of[x], 0)
+
+    edges = [EdgeDef(f"e{k}", (end(x), end(y))) for k, (x, y) in enumerate(darts)]
+    branch_edge_ids = [[edges[k].id for k in ks] for ks in branch_edges]
 
     # Seed: the face of the witness, from the first hit of one ray.  The
     # branch's stops before the hit are those of its earlier segments and

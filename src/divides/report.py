@@ -83,8 +83,6 @@ def run_pipeline(
     inv = invariants(signed)
 
     ag = ag_mod.build_ag(signed, reorder)
-    if ag.mu != inv.mu:
-        raise DivideError(f"AG vertex count {ag.mu} does not equal mu {inv.mu}")
     exposed = ag_mod.exposure_set(signed, ag)
     depths = ag_mod.depth_labels(ag, exposed)
 

@@ -62,7 +62,7 @@ def test_vertex_counts_match_mu(corpus_names):
     for name in corpus_names:
         r = pipeline(name)
         n_minus, n_zero, n_plus = r.ag.census()
-        assert r.ag.mu == r.inv.mu
+        assert r.ag.mu == len(r.signed.faces.region_indices) + r.inv.d == r.inv.mu
         assert n_zero == r.inv.d
         assert n_minus + n_plus == r.inv.d - r.inv.r + 1
 

@@ -379,6 +379,53 @@ def test_euler_relation_diagnostic():
     ]
 
 
+def _next_at_face(divide) -> dict:
+    """The next-at-face map of ``trace_faces``, rebuilt from ``edge_darts`` by
+    its documented rule: cross the edge, then leave a double point by the
+    slot clockwise of the one arrived at, a terminal by the virtual arc
+    after it; arc j leads into terminal j + 1."""
+    n_dart, n_term = 4 * len(divide.double_points), len(divide.terminals)
+
+    def turn(y):
+        return y - y % 4 + (y - 1) % 4 if y < n_dart else y + n_term
+
+    succ = {}
+    for x, y in divide.edge_darts:
+        succ[x], succ[y] = turn(y), turn(x)
+    for j in range(n_term):
+        succ[n_dart + n_term + j] = n_dart + (j + 1) % n_term
+    return succ
+
+
+_PERMUTED_CASES = CORPUS_NAMES + [(k, s) for k in range(3, 8) for s in (0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PERMUTED_CASES), st.data())
+def test_next_at_face_is_a_permutation_of_every_item(case, data):
+    """On every divide that validates, the corpus, generic chords and those
+    with the slots of up to three double points permuted (rotations and
+    mirrors among them), the next-at-face map permutes the darts and arcs.
+    Where the faces trace, each face is one of its cycles."""
+    d = entry(case).divide if isinstance(case, str) else generic_chords(*case)
+    moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
+                                      st.sampled_from(SLOT_PERMUTATIONS), max_size=3))
+    d = with_slots_permuted(d, moved)
+    if d.diagnostics:
+        reject()
+    succ = _next_at_face(d)
+    items = list(range(4 * len(d.double_points) + 2 * len(d.terminals)))
+    assert sorted(succ) == sorted(succ.values()) == items
+    try:
+        faces = trace_faces(d)
+    except DivideError as exc:
+        assert exc.diagnostics[0].startswith(
+            "rotation system not planar-consistent: Euler relation fails")
+        return
+    for f in faces.faces:
+        assert [succ[x] for x in f.items] == list(f.items[1:] + f.items[:1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
 def test_traced_maps_have_no_bridge(case, data):

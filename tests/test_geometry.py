@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import functools
-import random
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -18,52 +17,13 @@ from divides import (
     trace_faces,
 )
 from divides.core import validate_divide
-from divides.geometry import (
-    QuadPoint,
-    _Seg,
-    _floor_quad,
-    _terminal,
-    circle_order,
-    compare_circle_points,
-    order_key,
-    order_shift,
-    sign_quad,
-    sign_quad2,
-)
+from divides.geometry import order_key, order_shift
 from divides.report import run_pipeline
 import conftest
 from conftest import A4_SNAKE_POLYLINE, CHORD_DRAWS, chord_polylines
 
 
 F = Fraction
-
-
-def test_sign_quad():
-    assert sign_quad(0, 0, 2) == 0
-    assert sign_quad(-3, 2, 2) == -1  # 2*sqrt(2) < 3
-    assert sign_quad(-2, 2, 2) == 1  # 2*sqrt(2) > 2
-    assert sign_quad(-2, 1, 4) == 0  # sqrt(4) = 2
-    assert sign_quad(5, -1, 16) == 1
-
-
-def test_sign_quad2():
-    # sqrt(2) + sqrt(3) - sqrt(2*3) + 1 > 0 and its negation < 0
-    assert sign_quad2(1, 1, 1, -1, 2, 3) == 1
-    assert sign_quad2(-1, -1, -1, 1, 2, 3) == -1
-    # sqrt(2)*sqrt(8) - 4 = 0
-    assert sign_quad2(-4, 0, 0, 1, 2, 8) == 0
-
-
-def test_circle_point_order():
-    # exact points on a radius-5 circle, no irrational parts needed
-    def pt(x, y):
-        return QuadPoint(ax=x, bx=0, ay=y, by=0, d=0)
-
-    east, north, west, south = pt(5, 0), pt(0, 5), pt(-5, 0), pt(0, -5)
-    ring = [east, north, west, south]
-    for i in range(3):
-        assert compare_circle_points(ring[i], ring[i + 1]) == -1
-    assert compare_circle_points(north, pt(3, 4)) == 1  # (3,4) is earlier
 
 
 def test_ingest_two_diagonals_is_a1():
@@ -78,82 +38,6 @@ def test_ingest_two_diagonals_is_a1():
     assert len(d.branches) == 2
     fs = trace_faces(d)
     assert fs.region_indices == ()
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.integers(-10**6, 10**6), st.integers(-50, 50), st.integers(0, 10**4),
-       st.integers(1, 200))
-def test_floor_quad_is_the_floor(a, b, d, scale):
-    """n = floor((a + b sqrt(d)) / scale): a + b sqrt(d) - n scale lies in
-    [0, scale), decided by exact signs."""
-    n = _floor_quad(a, b, d, scale)
-    assert sign_quad(a - n * scale, b, d) >= 0
-    assert sign_quad(a - (n + 1) * scale, b, d) < 0
-
-
-def _line_clips(lines, r2):
-    """Both points where each line a + t d meets the circle |p|^2 = r2, as
-    ``_terminal`` scales them, with their scales; lines that miss the
-    circle or touch it are left out."""
-    points, scales = [], []
-    for ax, ay, dx, dy in lines:
-        if (dx, dy) == (0, 0):
-            continue
-        seg = _Seg(0, (ax, ay), (ax + dx, ay + dy), (dx, dy))
-        try:
-            clips = [_terminal(seg, r2, False), _terminal(seg, r2, True)]
-        except DivideError:
-            continue
-        points += clips
-        scales += [2 * (dx * dx + dy * dy)] * 2
-    return points, scales
-
-
-def _exact_order(points):
-    by_angle = functools.cmp_to_key(lambda a, b: compare_circle_points(points[a], points[b]))
-    return sorted(range(len(points)), key=by_angle)
-
-
-def _has_coincident(points, order):
-    return any(compare_circle_points(points[a], points[b]) == 0 for a, b in zip(order, order[1:]))
-
-
-def test_circle_order_breaks_key_ties_exactly():
-    """On radius 3 the key (half, floor of x) takes at most 14 values, so 60
-    chord ends share keys; the order is still the exact one."""
-    rng = random.Random("circle-order")
-    lines = []
-    while True:
-        line = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-40, 40), rng.randint(-40, 40))
-        points, scales = _line_clips(lines + [line], 9)
-        if not _has_coincident(points, _exact_order(points)):
-            lines.append(line)
-        if len(points) >= 60:
-            break
-    points, scales = _line_clips(lines, 9)
-    assert len(points) == 60
-    assert circle_order(points, scales) == _exact_order(points)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-6, 6)] * 4), max_size=20))
-def test_circle_order_is_the_exact_order(lines):
-    """Lines through small integer points meet the circle of radius 3 in
-    many shared keys and, now and then, in one point."""
-    points, scales = _line_clips(lines, 9)
-    want = _exact_order(points)
-    if _has_coincident(points, want):
-        with pytest.raises(DivideError, match="^coincident boundary terminals$"):
-            circle_order(points, scales)
-    else:
-        assert circle_order(points, scales) == want
-
-
-def test_circle_order_rejects_coincident_points():
-    # both segments leave the disc of radius 5 at (5, 0)
-    points, scales = _line_clips([(-10, 0, 20, 0), (0, -10, 10, 20)], 25)
-    with pytest.raises(DivideError, match="^coincident boundary terminals$"):
-        circle_order(points, scales)
 
 
 def test_shared_boundary_point_is_rejected_before_the_terminal_order():
@@ -171,8 +55,59 @@ def test_ingest_terminal_order_is_ccw():
         seed_point=(1, 0),
         seed_sign=-1,
     )
-    # four terminals at 45, 135, 225, 315 degrees; t0 is the northeast one
+    # t0 is where branch 0 enters, at 225 degrees; then 315, 45 and 135
     assert d.terminals == ("t0", "t1", "t2", "t3")
+    assert [e.ends for e in d.edges] == [
+        (("t0", 0), ("x0", 2)), (("x0", 0), ("t2", 0)),
+        (("t3", 0), ("x0", 1)), (("x0", 3), ("t1", 0)),
+    ]
+
+
+def test_terminal_order_holds_where_floats_cannot_separate_clips():
+    """Branch 1 crosses branch 0 one unit inside the circle at a slope of
+    1e-12, so it leaves the disc about 1e-21 rad counterclockwise of branch
+    0; both clips are turned by atan2(4, 3), where their float angles differ
+    by rounding alone.  Branch 1 enters about 2e-12 rad after branch 0."""
+    big_r, run = 10 ** 9, 10 ** 12
+
+    def turn(x, y):
+        return (3 * x - 4 * y, 4 * x + 3 * y)
+
+    branches = [
+        ([turn(-2 * big_r, 0), turn(2 * big_r, 0)], False),
+        ([turn(big_r - 1 - run, -1), turn(big_r - 1 + run, 1)], False),
+    ]
+    d = ingest_polyline(branches, 5 * big_r, (0, 7), 1)
+    assert [e.ends for e in d.edges] == [
+        (("t0", 0), ("x0", 2)), (("x0", 0), ("t2", 0)),
+        (("t1", 0), ("x0", 3)), (("x0", 1), ("t3", 0)),
+    ]
+    angles = _terminal_angles(d, branches, 5 * big_r)
+    assert abs(angles["t3"] - angles["t2"]) < 1e-12
+
+
+def _clip_angle(a, b, r2, leaving):
+    """The float angle of the point where the segment from a to b meets the
+    circle |p|^2 = r2: the larger root when it leaves the disc, the smaller
+    when it enters."""
+    (ax, ay), (dx, dy) = a, (b[0] - a[0], b[1] - a[1])
+    aq, bq = dx * dx + dy * dy, 2 * (ax * dx + ay * dy)
+    disc = bq * bq - 4 * aq * (ax * ax + ay * ay - r2)
+    t = (-bq + (1 if leaving else -1) * math.sqrt(disc)) / (2 * aq)
+    return math.atan2(ay + t * dy, ax + t * dx)
+
+
+def _terminal_angles(divide, branches, radius):
+    """Terminal name -> the float angle of its clip, found through the first
+    and last edge of its branch."""
+    angles = {}
+    for (points, closed), ids in zip(branches, divide.branches):
+        if not closed:
+            start = divide.edge_index[ids[0]].ends[0][0]
+            end = divide.edge_index[ids[-1]].ends[1][0]
+            angles[start] = _clip_angle(points[0], points[1], radius ** 2, False)
+            angles[end] = _clip_angle(points[-2], points[-1], radius ** 2, True)
+    return angles
 
 
 def test_ingest_rejects_endpoint_inside():
@@ -339,12 +274,41 @@ def test_random_bent_polylines_ingest_to_consistent_divides(points, witness, sig
     n_e = len(divide.edges) + len(divide.terminals)
     assert n_v - n_e + len(faces.faces) == 1
     assert len(faces.region_indices) == d - r + 1
+    assert result.ag.mu == len(faces.region_indices) + d == result.inv.mu
     assert len(result.lattice.i_mat) == 2 * d - r + 1
     failed = [c.key for c in result.suite.checks if not c.passed]
     assert failed in ([], ["lefschetz_zero"])
     assert result.adapted_verdict.passed
     assert result.certificate.passed
     assert all(c.passed for c in result.cones)
+
+
+_CLOSED = st.lists(_INNER, min_size=3, max_size=5, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_OPEN.map(lambda p: (p, False)), _CLOSED.map(lambda p: (p, True))),
+                min_size=2, max_size=4),
+       _INNER, st.sampled_from((1, -1)))
+def test_terminals_follow_the_clip_angles(branches, witness, sign):
+    """Read counterclockwise from t0, where the first open polyline enters
+    the disc, the terminals follow the float angles of their clips.  Draws
+    with two clips within 1e-9 rad are left out."""
+    try:
+        divide = ingest_polyline(branches, RADIUS, witness, sign)
+    except DivideError:
+        reject()
+    angles = _terminal_angles(divide, branches, RADIUS)
+    by_angle = sorted(angles, key=angles.get)
+    if not by_angle:
+        reject()
+    turn = [angles[b] - angles[a] for a, b in zip(by_angle, by_angle[1:])]
+    if min(turn + [2 * math.pi + angles[by_angle[0]] - angles[by_angle[-1]]]) < 1e-9:
+        reject()
+    first_open = next(k for k, (_points, closed) in enumerate(branches) if not closed)
+    assert divide.edge_index[divide.branches[first_open][0]].ends[0][0] == "t0"
+    k = by_angle.index("t0")
+    assert by_angle[k:] + by_angle[:k] == list(divide.terminals)
 
 
 LEFSCHETZ_COUNTEREXAMPLE = [

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -352,6 +353,65 @@ def test_alexander_polynomial_of_seifert_form_is_char_poly(name, bp):
         assert (t * s - s.T).det(method="bareiss") == want, t
     if bp is not None:
         assert coeffs == _brieskorn_pham_charpoly(*bp)
+
+
+def _inertia(sym) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of a symmetric integer matrix's
+    eigenvalues, by congruence elimination over Fraction.  A zero diagonal
+    with a nonzero entry a_ij first gets row and column j added to row and
+    column i, which makes a_ii = 2 a_ij."""
+    a = [[Fraction(x) for x in row] for row in sym]
+    live = list(range(len(a)))
+    pos = neg = 0
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for row in a:
+                row[p] += row[j]
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+        live.remove(p)
+        pivot = a[p][p]
+        pos, neg = pos + (pivot > 0), neg + (pivot < 0)
+        for i in live:
+            f = a[p][i] / pivot
+            if f:
+                for k in live:
+                    a[i][k] -= f * a[p][k]
+    return pos, neg, len(a) - pos - neg
+
+
+def _brieskorn_pham_inertia(a: int, b: int) -> tuple[int, int, int]:
+    """Over x = s/a + u/b, 1 <= s < a, 1 <= u < b: the counts of
+    1/2 < x < 3/2, of x < 1/2 or x > 3/2, and of x = 1/2 or 3/2."""
+    xs = [Fraction(s, a) + Fraction(u, b) for s in range(1, a) for u in range(1, b)]
+    ends = (Fraction(1, 2), Fraction(3, 2))
+    inside = sum(ends[0] < x < ends[1] for x in xs)
+    on = sum(x in ends for x in xs)
+    return inside, len(xs) - inside - on, on
+
+
+INERTIA_CASES = (
+    [(f"a{n}", (n + 1, 2)) for n in range(1, 13)]
+    + [("e6", (3, 4))]
+    + [(f"chords{k}-s{seed}", (k, k)) for k in range(3, 8) for seed in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("name, bp", INERTIA_CASES, ids=[c[0] for c in INERTIA_CASES])
+def test_inertia_of_symmetrised_seifert_form_is_brieskorn_pham(name, bp):
+    """S + S^T has the inertia that Brieskorn's count over the spectrum
+    gives; for instance 6 chords give (19, 2, 4)."""
+    if name.startswith("chords"):
+        k, seed = name[6:].split("-s")
+        s = run_pipeline(generic_chords(int(k), int(seed))).lattice.s_mat
+    else:
+        s = pipeline(name).lattice.s_mat
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(s, zip(*s))]
+    assert _inertia(sym) == _brieskorn_pham_inertia(*bp)
 
 
 @pytest.mark.parametrize("n, e", [(36, 89), (72, 521)])

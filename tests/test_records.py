@@ -34,7 +34,6 @@ def _records() -> dict[str, tuple]:
     """One instance of every record type, by type name."""
     res = pipeline("depth1")
     d = res.divide
-    seg = geometry._Seg(0, (-12, 0), (12, 0), (24, 0))
     return {
         "EdgeDef": d.edges[0],
         "SignSeed": d.sign_seed,
@@ -54,8 +53,7 @@ def _records() -> dict[str, tuple]:
         "Depth1Cone": res.cones[0],
         "CorpusEntry": entry("depth1"),
         "PipelineResult": res,
-        "_Seg": seg,
-        "QuadPoint": geometry._terminal(seg, 100, True),
+        "_Seg": geometry._Seg(0, (-12, 0), (12, 0), (24, 0)),
     }
 
 
