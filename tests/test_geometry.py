@@ -63,6 +63,33 @@ def test_ingest_terminal_order_is_ccw():
     ]
 
 
+def test_circle_point_order():
+    """Three chords meet the radius-5 circle at exact points; read
+    counterclockwise from the east, (3, 4) comes before the north point and
+    the terminal names rise cyclically."""
+    branches = [
+        ([(-10, 0), (10, 0)], False),
+        ([(0, -10), (0, 10)], False),
+        ([(-8, -7), (7, 8)], False),
+    ]
+    clips = [((-5, 0), (5, 0)), ((0, -5), (0, 5)), ((-4, -3), (3, 4))]
+    d = ingest_polyline(branches, 5, (2, -1), 1)
+    name = {}
+    for (enter, leave), ids in zip(clips, d.branches):
+        name[enter] = d.edge_index[ids[0]].ends[0][0]
+        name[leave] = d.edge_index[ids[-1]].ends[1][0]
+    ccw = [(5, 0), (3, 4), (0, 5), (-5, 0), (-4, -3), (0, -5)]
+    order = [int(name[p][1:]) for p in ccw]
+    assert order == [(order[0] + i) % 6 for i in range(6)]
+
+
+def test_circle_order_rejects_coincident_points():
+    # branch 0 leaves the disc of radius 5 at (0, 5), where branch 1 enters
+    with pytest.raises(DivideError, match="^intersection on the disc boundary$"):
+        ingest_polyline([([(0, -10), (0, 10)], False), ([(4, 8), (-12, -4)], False)],
+                        5, (2, -1), 1)
+
+
 def test_terminal_order_holds_where_floats_cannot_separate_clips():
     """Branch 1 crosses branch 0 one unit inside the circle at a slope of
     1e-12, so it leaves the disc about 1e-21 rad counterclockwise of branch
