@@ -8,7 +8,7 @@ face-trace order for regions) or a given permutation of it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -41,18 +41,26 @@ class AGDiagram(_AGFields):
     signed, and ``milnor_lattice`` refuses an edge list that breaks the rule;
     the constructor accepts any edge list.
 
-    It has one index, the adjacency index, built on its first query, so each
-    later query is a dictionary lookup and a diagram that is never queried
-    never builds it.  Equality and hashing read the fields only.
+    It has one index, the adjacency index, built on its first query: a list
+    holding, at each position, the ascending positions joined to it, once
+    per edge, so each later query is a list index.  Building it refuses an
+    edge with an end outside ``range(mu)``, which would otherwise wrap or
+    fail as a bare IndexError.  A diagram that is never queried never builds
+    it.  Equality and hashing read the fields only.
     """
 
     @cached_property
-    def _adjacent(self) -> dict[int, tuple[int, ...]]:
-        adjacent: dict[int, list[int]] = {}
-        for e in self.edges:
-            adjacent.setdefault(e.u, []).append(e.v)
-            adjacent.setdefault(e.v, []).append(e.u)
-        return {p: tuple(sorted(ns)) for p, ns in adjacent.items()}
+    def _adjacent(self) -> list[list[int]]:
+        mu = len(self.vertices)
+        adjacent: list[list[int]] = [[] for _ in range(mu)]
+        for u, v, _m in self.edges:
+            if not (0 <= u < mu and 0 <= v < mu):
+                raise DivideError(f"AG edge ({u}, {v}) is out of range or out of order")
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        for ns in adjacent:
+            ns.sort()
+        return adjacent
 
     @property
     def mu(self) -> int:
@@ -65,8 +73,10 @@ class AGDiagram(_AGFields):
         return n["-"], n["0"], n["+"]
 
     def neighbors(self, pos: int) -> list[int]:
-        """Positions joined to ``pos``, ascending, once per edge."""
-        return list(self._adjacent.get(pos, ()))
+        """Positions joined to ``pos``, ascending, once per edge; none for a
+        ``pos`` outside ``range(mu)``."""
+        adjacent = self._adjacent
+        return list(adjacent[pos]) if 0 <= pos < len(adjacent) else []
 
 
 def build_ag(
@@ -98,36 +108,40 @@ def build_ag(
         blocks[t] = [blocks[t][i - 1] for i in perm]
     minus, saddles, plus = blocks.values()
 
-    vertices = [AGVertex(f"v-_{i}", "-", ("region", f)) for i, f in enumerate(minus, 1)]
-    vertices += [AGVertex(f"v0_{i}", "0", ("double_point", divide.double_points[k]))
+    # The records are made by tuple.__new__, as ``_make`` makes them, without
+    # a Python-level constructor call each.
+    new = tuple.__new__
+    vertices = [new(AGVertex, (f"v-_{i}", "-", ("region", f))) for i, f in enumerate(minus, 1)]
+    vertices += [new(AGVertex, (f"v0_{i}", "0", ("double_point", divide.double_points[k])))
                  for i, k in enumerate(saddles, 1)]
-    vertices += [AGVertex(f"v+_{i}", "+", ("region", f)) for i, f in enumerate(plus, 1)]
+    vertices += [new(AGVertex, (f"v+_{i}", "+", ("region", f))) for i, f in enumerate(plus, 1)]
     pos_of_dp = [0] * len(saddles)
     for pos, k in enumerate(saddles, len(minus)):
         pos_of_dp[k] = pos
-    n_before_plus = len(minus) + len(saddles)
-    pos_of_region = {f: i for i, f in enumerate(minus)}
-    pos_of_region.update((f, n_before_plus + i) for i, f in enumerate(plus))
+    pos_of_face = [-1] * len(signed.faces.faces)  # -1 at the outer faces
+    for pos, f in enumerate(minus):
+        pos_of_face[f] = pos
+    for pos, f in enumerate(plus, len(minus) + len(saddles)):
+        pos_of_face[f] = pos
 
     # An edge u < v is counted under the one int u * mu + v (v < mu), whose
-    # order is that of the pair (u, v).
+    # order is that of the pair (u, v).  A minus region comes before a saddle
+    # and a plus region after it, so comparing positions orders each pair.
     mu = len(vertices)
-    counts: dict[int, int] = {}
+    keys = []
     for x in range(DOUBLE_POINT_DEGREE * len(divide.double_points)):  # slot x % 4 of x // 4
-        f = face_of[x]
-        if f in pos_of_region:
-            pos = pos_of_dp[x // DOUBLE_POINT_DEGREE]
-            key = pos_of_region[f] * mu + pos if sign[f] == -1 else pos * mu + pos_of_region[f]
-            counts[key] = counts.get(key, 0) + 1
+        p = pos_of_face[face_of[x]]
+        if p >= 0:
+            q = pos_of_dp[x // DOUBLE_POINT_DEGREE]
+            keys.append(p * mu + q if p < q else q * mu + p)
     for x, y in divide.edge_darts:
-        a, b = face_of[x], face_of[y]
-        if a in pos_of_region and b in pos_of_region:
-            pa, pb = pos_of_region[a], pos_of_region[b]
-            key = pa * mu + pb if pa < pb else pb * mu + pa
-            counts[key] = counts.get(key, 0) + 1
+        p, q = pos_of_face[face_of[x]], pos_of_face[face_of[y]]
+        if p >= 0 and q >= 0:
+            keys.append(p * mu + q if p < q else q * mu + p)
+    counts = Counter(keys)
 
-    triples = ((key // mu, key % mu, counts[key]) for key in sorted(counts))
-    return AGDiagram(vertices=tuple(vertices), edges=tuple(map(AGEdge._make, triples)))
+    edges = [new(AGEdge, (key // mu, key % mu, counts[key])) for key in sorted(counts)]
+    return AGDiagram(vertices=tuple(vertices), edges=tuple(edges))
 
 
 def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
@@ -139,22 +153,30 @@ def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:
     bounded region never touches a terminal, so both ends of an edge it
     shares with an outer face are double points of both.  So both rules ask
     whether a double point, x // 4 of a dart x, is one that an outer face
-    passes through; a region's items are all such darts.  O(V + E).
+    passes through; a region's items are all such darts.  Those double
+    points are marked in a bytearray indexed by double-point number, and a
+    region is exposed at the first of its darts that lands on a mark.
+    O(V + E).
     """
     divide, faces = signed.divide, signed.faces
-    n_dart = DOUBLE_POINT_DEGREE * len(divide.double_points)
-    touched = {x // DOUBLE_POINT_DEGREE for f in faces.outer_indices
-               for x in faces.faces[f].items if x < n_dart}
+    touched = bytearray(len(divide.double_points))  # 1 at each double point an outer face meets
+    n_dart = DOUBLE_POINT_DEGREE * len(touched)
+    for f in faces.outer_indices:
+        for x in faces.faces[f].items:
+            if x < n_dart:
+                touched[x // DOUBLE_POINT_DEGREE] = 1
 
-    exposed = set()
-    for pos, vx in enumerate(ag.vertices):
-        kind, origin = vx.origin
+    first = divide.first_dart
+    exposed = []
+    for pos, (_label, _vtype, (kind, origin)) in enumerate(ag.vertices):
         if kind == "double_point":
-            hit = divide.first_dart[origin] // DOUBLE_POINT_DEGREE in touched
+            if touched[first[origin] // DOUBLE_POINT_DEGREE]:
+                exposed.append(pos)
         else:
-            hit = any(x // DOUBLE_POINT_DEGREE in touched for x in faces.faces[origin].items)
-        if hit:
-            exposed.add(pos)
+            for x in faces.faces[origin].items:
+                if touched[x // DOUBLE_POINT_DEGREE]:
+                    exposed.append(pos)
+                    break
     return frozenset(exposed)
 
 
@@ -166,24 +188,26 @@ class DepthLabels(NamedTuple):
 def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
     """Depth = graph distance to the exposed set (the peeling recursion).
 
-    One breadth-first search over the diagram's adjacency index, read in
-    place rather than copied per vertex as ``neighbors`` returns it: O(V + E).
+    One breadth-first search over the diagram's adjacency index, the list of
+    neighbour lists by position, read in place rather than copied per vertex
+    as ``neighbors`` returns it: O(V + E).  An edge with an end outside
+    ``range(mu)`` raises DivideError when the index is built.
     """
     if not exposed:
         raise DivideError("depth undefined: exposed set is empty")
     adjacent = ag._adjacent
-    depth = [-1] * ag.mu
-    queue = deque()
-    for pos in sorted(exposed):
+    depth = [-1] * len(adjacent)
+    queue = deque(sorted(exposed))
+    for pos in queue:
         depth[pos] = 0
-        queue.append(pos)
     while queue:
         cur = queue.popleft()
-        for nxt in adjacent.get(cur, ()):
-            if depth[nxt] == -1:
-                depth[nxt] = depth[cur] + 1
+        step = depth[cur] + 1
+        for nxt in adjacent[cur]:
+            if depth[nxt] < 0:
+                depth[nxt] = step
                 queue.append(nxt)
-    if any(d == -1 for d in depth):
+    if -1 in depth:
         bad = [ag.vertices[i].label for i, d in enumerate(depth) if d == -1]
         raise DivideError(f"depth undefined for vertices disconnected from the exposed set: {bad}")
     return DepthLabels(depth=tuple(depth), diagram_depth=max(depth))

@@ -96,8 +96,7 @@ class Divide(_DivideFields):
         """The darts of each edge's two ends, in ``edges`` order; read only
         once the divide is known to be valid."""
         first = self.first_dart
-        ends = (e.ends for e in self.edges)
-        return tuple((first[u] + su, first[v] + sv) for (u, su), (v, sv) in ends)
+        return tuple([(first[u] + su, first[v] + sv) for _id, ((u, su), (v, sv)) in self.edges])
 
 
 def _strands(twin: list[int], n_dart: int) -> tuple[list[int], int]:
@@ -337,18 +336,16 @@ def trace_faces(divide: Divide) -> FaceSet:
     n_term = len(divide.terminals)
     first_arc = n_dart + n_term
 
-    def turn(x: int) -> int:
-        """The item after arriving at dart x: the slot clockwise of it at a
-        double point, the arc after it at a terminal."""
-        return clockwise_slot(x) if x < n_dart else x + n_term
-
-    # succ is a permutation: the edge involution has no fixed point on a
-    # valid divide, turn maps the darts one to one onto slots and arcs, and
-    # the arcs map one to one onto the terminal darts.  So each walk closes
-    # at its start.
+    # The item after arriving at dart y, the turn: the slot clockwise of y
+    # at a double point (``clockwise_slot``, written out), the arc after it
+    # at a terminal.  succ is a permutation: the edge involution has no fixed
+    # point on a valid divide, the turn maps the darts one to one onto slots
+    # and arcs, and the arcs map one to one onto the terminal darts.  So each
+    # walk closes at its start.
     succ = [0] * (first_arc + n_term)
     for x, y in divide.edge_darts:
-        succ[x], succ[y] = turn(y), turn(x)
+        succ[x] = (y - 1 if y % 4 else y + 3) if y < n_dart else y + n_term
+        succ[y] = (x - 1 if x % 4 else x + 3) if x < n_dart else x + n_term
     for j in range(n_term):  # arc j (a -> b) continues out of terminal b
         succ[first_arc + j] = n_dart + (j + 1) % n_term
 
@@ -400,30 +397,32 @@ def seed_face_index(divide: Divide, faces: FaceSet) -> int:
 
 
 def assign_signs(divide: Divide, faces: FaceSet) -> SignedDivide:
-    """Extend the seed sign to the unique checkerboard coloring."""
-    n = len(faces.faces)
-    sign: list[Optional[int]] = [None] * n
+    """Extend the seed sign to the unique checkerboard coloring.
+
+    A search out from the seed face gives the face across each edge the
+    opposite sign.  On the faces that ``trace_faces`` returned for this
+    divide it reaches every face and never meets a conflict: the disc is
+    simply connected, so the parity of the crossings along a path between
+    two faces is well defined, and its interior is connected.
+    """
+    face_of = faces.face_of
+    adjacent: list[list[int]] = [[] for _ in faces.faces]
+    for x, y in divide.edge_darts:
+        a, b = face_of[x], face_of[y]
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    sign = [0] * len(adjacent)
     start = seed_face_index(divide, faces)
     sign[start] = divide.sign_seed.sign
     queue = [start]
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    face_of = faces.face_of
-    for x, y in divide.edge_darts:
-        a, b = face_of[x], face_of[y]
-        adj[a].append(b)
-        adj[b].append(a)
     while queue:
         cur = queue.pop()
-        for nxt in adj[cur]:
-            want = -sign[cur]  # type: ignore[operator]
-            if sign[nxt] is None:
+        want = -sign[cur]
+        for nxt in adjacent[cur]:
+            if not sign[nxt]:
                 sign[nxt] = want
                 queue.append(nxt)
-            elif sign[nxt] != want:
-                raise DivideError("divide not two-colorable")
-    if any(s is None for s in sign):
-        raise DivideError("divide not two-colorable: face adjacency is disconnected")
-    return SignedDivide(divide, faces, tuple(sign))  # type: ignore[arg-type]
+    return SignedDivide(divide, faces, tuple(sign))
 
 
 # ---------------------------------------------------------------------------

@@ -223,19 +223,18 @@ def ingest_polyline(
 
     # Events per segment: (order key of the parameter, crossing index, slot of
     # the outgoing end).  No denominator, reduced or not, exceeds the largest
-    # raw one, so one shift serves every key.
+    # raw one, so one shift serves every key.  The keys are ``order_key``'s,
+    # written out.
     shift = order_shift(max((recs[0][4] for recs in crossings.values()), default=1))
     points_sorted = sorted(
-        crossings,
-        key=lambda p: (order_key(p[0], p[2], shift), order_key(p[1], p[2], shift)),
-    )
+        crossings, key=lambda p: ((p[0] << shift) // p[2], (p[1] << shift) // p[2]))
     names = [f"x{k}" for k in range(len(points_sorted))]
     seg_events: list[list[tuple[int, int, int]]] = [[] for _ in segs]
     for x, p in enumerate(points_sorted):
         ((i, s, j, t, den),) = crossings[p]
         out_i, out_j = _out_slots(segs[i].d, segs[j].d)
-        seg_events[i].append((order_key(s, den, shift), x, out_i))
-        seg_events[j].append((order_key(t, den, shift), x, out_j))
+        seg_events[i].append(((s << shift) // den, x, out_i))
+        seg_events[j].append(((t << shift) // den, x, out_j))
     for events in seg_events:
         events.sort()
 
@@ -301,15 +300,15 @@ def ingest_polyline(
         clips = walk[:1] + walk[:0:-1]
     clips += sorted(set(range(n_slot, n_slot + n_clip)).difference(clips))
     term_names = [f"t{pos}" for pos in range(n_clip)]
-    terminal_of = dict(zip(clips, term_names))
 
-    def end(x: int) -> End:
-        if x < n_slot:
-            return (names[x // DOUBLE_POINT_DEGREE], x % DOUBLE_POINT_DEGREE)
-        return (terminal_of[x], 0)
-
-    edges = [EdgeDef(f"e{k}", (end(x), end(y))) for k, (x, y) in enumerate(darts)]
-    branch_edge_ids = [[edges[k].id for k in ks] for ks in branch_edges]
+    # The end of the map at each dart, then the edges, made by tuple.__new__
+    # as ``_make`` makes them.
+    ends: list[End] = [(v, s) for v in names for s in range(DOUBLE_POINT_DEGREE)]
+    ends += [(t, 0) for _x, t in sorted(zip(clips, term_names))]
+    edge_ids = [f"e{k}" for k in range(len(darts))]
+    new = tuple.__new__
+    edges = [new(EdgeDef, (eid, (ends[x], ends[y]))) for eid, (x, y) in zip(edge_ids, darts)]
+    branch_edge_ids = [[edge_ids[k] for k in ks] for ks in branch_edges]
 
     # Seed: the face of the witness, from the first hit of one ray.  The
     # branch's stops before the hit are those of its earlier segments and

@@ -17,7 +17,7 @@ from divides import (
 )
 from divides.agdiagram import AGDiagram, AGEdge, AGVertex
 from divides.report import run_pipeline
-from conftest import CORPUS_NAMES, entry, generic_chords, pipeline, position
+from conftest import CORPUS_NAMES, entry, generic_chords, hand_built_ag, pipeline, position
 
 
 def _edge_labels(ag):
@@ -226,6 +226,15 @@ def test_pipeline_passes_under_any_within_type_order(case_and_perms):
 def test_depth_labels_rejects_an_empty_exposed_set():
     with pytest.raises(DivideError, match="^depth undefined: exposed set is empty$"):
         depth_labels(pipeline("a3").ag, frozenset())
+
+
+def test_depth_labels_names_the_vertices_cut_off_from_the_exposed_set():
+    ag = hand_built_ag("-0+0", [(0, 1, 1), (1, 2, 1)])
+    assert ag._adjacent[3] == []  # v0_4 is joined to nothing
+    with pytest.raises(DivideError) as info:
+        depth_labels(ag, frozenset({0}))
+    assert str(info.value) == (
+        "depth undefined for vertices disconnected from the exposed set: ['v0_4']")
 
 
 def test_build_ag_rejects_a_non_permutation():

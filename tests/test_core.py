@@ -304,6 +304,55 @@ def test_signs_a1_alternate():
         assert sd.sign[a] == -sd.sign[b]
 
 
+def _line_through_square():
+    """An interval threaded through a closed square: one arc, one circle."""
+    return ingest_polyline(
+        [([(-9, 0), (9, 0)], False), ([(-3, -3), (3, -3), (3, 3), (-3, 3)], True)],
+        disc_radius=8,
+        seed_point=(0, 1),
+        seed_sign=-1,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.just("a"), st.integers(1, 60)),
+                 st.tuples(st.just("chords"), st.integers(2, 8), st.integers(0, 9)),
+                 st.just(("square",))),
+       st.data())
+def test_signs_are_a_checkerboard_on_every_traced_divide(case, data):
+    """On A_n, generic chords and a divide with a circle, with the slots of
+    up to two double points permuted and any seed edge, side and sign, a
+    divide that validates and traces gets a sign on every face, the seed's
+    on its face, and opposite signs on the two sides of every edge."""
+    if case[0] == "a":
+        d = gen_a(case[1]).divide
+    elif case[0] == "chords":
+        d = generic_chords(case[1], case[2])
+    else:
+        d = _line_through_square()
+    moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
+                                      st.sampled_from(SLOT_PERMUTATIONS), max_size=2))
+    seed = SignSeed(edge=data.draw(st.sampled_from(d.edges)).id,
+                    side=data.draw(st.sampled_from(("left", "right"))),
+                    sign=data.draw(st.sampled_from((1, -1))))
+    d = with_slots_permuted(d, moved)._replace(sign_seed=seed)
+    if d.diagnostics:
+        reject()
+    try:
+        faces = trace_faces(d)
+    except DivideError:
+        reject()
+    sd = assign_signs(d, faces)
+    assert len(sd.sign) == len(faces.faces)
+    assert set(sd.sign) <= {1, -1}
+    dart = dart_numbers(d)
+    left, right = d.edge_index[seed.edge].ends
+    assert sd.sign[faces.face_of[dart[left if seed.side == "left" else right]]] == seed.sign
+    for e in d.edges:
+        a, b = (faces.face_of[dart[end]] for end in e.ends)
+        assert sd.sign[a] == -sd.sign[b]
+
+
 def test_signs_a4_both_minus():
     sd = pipeline("a4").signed
     assert [sd.sign[f] for f in sd.faces.region_indices] == [-1, -1]
@@ -339,13 +388,7 @@ def test_invariants_examples():
 
 
 def test_invariants_reject_circle_components():
-    # a line threaded through a closed square: one interval + one circle
-    d = ingest_polyline(
-        [([(-9, 0), (9, 0)], False), ([(-3, -3), (3, -3), (3, 3), (-3, 3)], True)],
-        disc_radius=8,
-        seed_point=(0, 1),
-        seed_sign=-1,
-    )
+    d = _line_through_square()
     fs = trace_faces(d)
     sd = assign_signs(d, fs)
     with pytest.raises(DivideError, match="circle components"):

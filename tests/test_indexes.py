@@ -17,6 +17,7 @@ from divides import (
     depth_labels,
     exposure_set,
     gen_a,
+    milnor_lattice,
     trace_faces,
 )
 from divides.agdiagram import AGEdge, AGVertex
@@ -28,6 +29,7 @@ from conftest import (
     dart_numbers,
     entry,
     generic_chords,
+    hand_built_ag,
     orbits_by_bfs,
     random_within_type_orders,
     with_slots_permuted,
@@ -89,6 +91,22 @@ def test_ag_indexes_on_an_unsorted_edge_list_with_repeats():
     ag = AGDiagram(vertices=vertices, edges=edges)
     _assert_ag_indexes_match_scans(ag)
     assert ag.neighbors(0) == [1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("edge", [AGEdge(-1, 0, 1), AGEdge(0, 3, 1)], ids=str)
+def test_ag_index_refuses_an_edge_outside_the_positions(edge):
+    """An edge end outside range(mu), here mu = 3, neither wraps to another
+    position nor fails as an IndexError: the index refuses it in the words
+    of ``milnor_lattice``."""
+    message = f"AG edge ({edge.u}, {edge.v}) is out of range or out of order"
+    ag = hand_built_ag("-0+", [(0, 1, 1), tuple(edge)])
+    with pytest.raises(DivideError) as info:
+        milnor_lattice(ag)
+    assert str(info.value) == message
+    for query in (lambda: ag.neighbors(0), lambda: depth_labels(ag, frozenset({0}))):
+        with pytest.raises(DivideError) as info:
+            query()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -239,7 +257,9 @@ def test_build_ag_edges_match_a_tuple_keyed_count(case):
 @given(st.sampled_from(CORPUS_NAMES + [(3, 0), (4, 0), (5, 0)]), st.data())
 def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case, data):
     """With the slots of up to two double points permuted, a divide that
-    still traces and signs gets the edges of the tuple-keyed count."""
+    still traces and signs gets the edges of the tuple-keyed count.  So does
+    a random within-type reorder of its diagram, whose exposed set and depths
+    are those of the scans and of a breadth-first search over its edge list."""
     d = _divide(case)
     moved = data.draw(st.dictionaries(st.sampled_from(d.double_points),
                                       st.sampled_from(SLOT_PERMUTATIONS), max_size=2))
@@ -253,6 +273,18 @@ def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case,
     ag = build_ag(signed)
     assert ag.edges == _ag_edges_by_tuples(signed, ag)
     assert all(ag.vertices[e.u].vtype != ag.vertices[e.v].vtype for e in ag.edges)
+
+    rng = data.draw(st.randoms(use_true_random=False))
+    ag = build_ag(signed, random_within_type_orders(ag, rng))
+    assert ag.edges == _ag_edges_by_tuples(signed, ag)
+    exposed = exposure_set(signed, ag)
+    assert exposed == _exposure_by_scans(signed, ag)
+    want = _depths_by_bfs(ag, exposed)
+    if not exposed or None in want:
+        with pytest.raises(DivideError, match="^depth undefined"):
+            depth_labels(ag, exposed)
+    else:
+        assert depth_labels(ag, exposed) == (want, max(want))
 
 
 @pytest.mark.parametrize("case", ["e6", "depth1", (12, 0)], ids=str)
