@@ -191,13 +191,18 @@ def depth_labels(ag: AGDiagram, exposed: frozenset[int]) -> DepthLabels:
     One breadth-first search over the diagram's adjacency index, the list of
     neighbour lists by position, read in place rather than copied per vertex
     as ``neighbors`` returns it: O(V + E).  An edge with an end outside
-    ``range(mu)`` raises DivideError when the index is built.
+    ``range(mu)`` raises DivideError when the index is built, and so does an
+    exposed position outside ``range(mu)``.
     """
     if not exposed:
         raise DivideError("depth undefined: exposed set is empty")
     adjacent = ag._adjacent
-    depth = [-1] * len(adjacent)
+    mu = len(adjacent)
     queue = deque(sorted(exposed))
+    if queue[0] < 0 or queue[-1] >= mu:
+        bad = [pos for pos in queue if not 0 <= pos < mu]
+        raise DivideError(f"depth undefined: exposed positions {bad} are outside range({mu})")
+    depth = [-1] * mu
     for pos in queue:
         depth[pos] = 0
     while queue:

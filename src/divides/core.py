@@ -66,7 +66,7 @@ class Divide(_DivideFields):
     from its first read on, and parsing, polyline ingestion and
     ``trace_faces`` all read it.  A divide built with ``_replace`` is a new
     object and is validated again.  Equality and hashing read the fields
-    only, never the indexes built on first use.
+    only, never the indexes built on first use or kept by validation.
     """
 
     @cached_property
@@ -93,10 +93,14 @@ class Divide(_DivideFields):
 
     @cached_property
     def edge_darts(self) -> tuple[tuple[int, int], ...]:
-        """The darts of each edge's two ends, in ``edges`` order; read only
-        once the divide is known to be valid."""
-        first = self.first_dart
-        return tuple([(first[u] + su, first[v] + sv) for _id, ((u, su), (v, sv)) in self.edges])
+        """The darts of each edge's two ends, in ``edges`` order, as the slot
+        pass of ``validate_divide`` found them.  A call whose checks up to
+        the slots all pass keeps them here; without them this raises
+        DivideError with the divide's diagnostics."""
+        diagnostics = self.diagnostics
+        if "edge_darts" not in vars(self):
+            raise DivideError(*diagnostics)
+        return vars(self)["edge_darts"]
 
 
 def _strands(twin: list[int], n_dart: int) -> tuple[list[int], int]:
@@ -131,7 +135,9 @@ def validate_divide(divide: Divide) -> list[str]:
     the strands are, once the two strands through each double point are
     joined, and the branches are checked against the strands by strand
     number, without sorting ids.  Each call recomputes the diagnostics;
-    ``Divide.diagnostics`` keeps one call's result.
+    ``Divide.diagnostics`` keeps one call's result.  The slot pass looks
+    each edge end up once; once it and the checks before it pass, the divide
+    keeps the darts it found as ``Divide.edge_darts``.
     """
     diags: list[str] = []
     dps, terms = divide.double_points, divide.terminals
@@ -151,6 +157,7 @@ def validate_divide(divide: Divide) -> list[str]:
     n_dart = DOUBLE_POINT_DEGREE * len(dps)
     used: list[Optional[str]] = [None] * (n_dart + len(terms))  # edge id at each dart
     n_used = 0
+    darts: list[int] = []  # the dart of each end, in edge order while no end fails
     for e in divide.edges:
         if len(e.ends) != 2:
             diags.append(f"edge '{e.id}' does not have exactly two ends")
@@ -167,6 +174,7 @@ def validate_divide(divide: Divide) -> list[str]:
                 diags.append(f"edge '{e.id}': slot {s} out of range at vertex '{v}'")
                 continue
             x += s
+            darts.append(x)
             if used[x] is not None:
                 diags.append(f"slot used twice: ({v}, {s}) by '{used[x]}' and '{e.id}'")
             else:
@@ -187,8 +195,9 @@ def validate_divide(divide: Divide) -> list[str]:
     # Strands, and connectivity through them; from here on, with no
     # diagnostic so far, every dart is the end of exactly one edge.
     if divide.edges and not diags:
+        edge_darts = vars(divide)["edge_darts"] = tuple(zip(darts[0::2], darts[1::2]))
         twin = [0] * len(used)
-        for x, y in divide.edge_darts:
+        for x, y in edge_darts:
             twin[x], twin[y] = y, x
         strand_of, n_strand = _strands(twin, n_dart)
         if _joined_strand_count(strand_of, n_strand, n_dart) != 1:
@@ -210,8 +219,11 @@ def validate_divide(divide: Divide) -> list[str]:
         partition = sorted(branch_ids) == sorted(e.id for e in divide.edges)
     if not partition:
         diags.append("branch partition invalid: does not partition the edge set")
-    elif not diags and not _branches_are_strands(divide, strand_of, n_strand):
-        diags.append("branch partition invalid: disagrees with strand continuation")
+    elif not diags:
+        # Ids are unique here, so ``edge_index`` lists them in edge order.
+        strand_of_edge = dict(zip(edge_index, map(strand_of.__getitem__, darts[0::2])))
+        if not _branches_are_strands(divide.branches, strand_of_edge, n_strand):
+            diags.append("branch partition invalid: disagrees with strand continuation")
 
     seed = divide.sign_seed
     if seed.side not in ("left", "right") or type(seed.sign) is not int or abs(seed.sign) != 1:
@@ -241,28 +253,20 @@ def _joined_strand_count(strand_of: list[int], n_strand: int, n_dart: int) -> in
     return count
 
 
-def _branches_are_strands(divide: Divide, strand_of: list[int], n_strand: int) -> bool:
-    """Whether the branches are the strands, for a divide whose branches
-    partition its edges, each id once: the edges of every branch lie on one
+def _branches_are_strands(
+    branches: tuple[tuple[str, ...], ...], strand_of_edge: dict[str, int], n_strand: int
+) -> bool:
+    """Whether the branches are the strands, for branches that partition the
+    edges, each id once: every branch is nonempty with its edges on one
     strand, and there are as many branches as strands.
 
-    Every strand is then a union of nonempty branches, at least one, so the
-    counts agree only when no branch is empty and each strand is exactly one
-    branch: the branches match the strands one to one.
+    Every strand is then a union of branches, at least one, so the counts
+    agree only when each strand is exactly one branch: the branches match
+    the strands one to one.
     """
-    if len(divide.branches) != n_strand:
-        return False
-    first, edge_index = divide.first_dart, divide.edge_index
-    for branch in divide.branches:
-        strand = -1
-        for eid in branch:
-            (v, s), _end = edge_index[eid].ends
-            k = strand_of[first[v] + s]
-            if k != strand:
-                if strand >= 0:
-                    return False
-                strand = k
-    return True
+    return len(branches) == n_strand and all(
+        len(set(map(strand_of_edge.__getitem__, branch))) == 1 for branch in branches
+    )
 
 
 # ---------------------------------------------------------------------------

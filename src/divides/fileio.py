@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Optional
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
 
@@ -215,25 +216,88 @@ def divide_to_text(divide: Divide) -> str:
     return json_text(obj) + "\n"
 
 
+class _IntTexts(dict):
+    """The texts of exact ints: small ones from the table, any other written
+    on demand and not kept, so the table never grows."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> str:
+        return int.__repr__(value)
+
+
+# Looked up for exact ints only: True == 1 with the same hash, so a bool
+# looked up here would read "1".  Report matrices and characteristic
+# polynomials have small entries (|x| <= 7 from A_4 to A_32 and 3 to 6
+# generic chords), so nearly every int a report writes is in the table.
+_INT_TEXT = _IntTexts((i, int.__repr__(i)) for i in range(-256, 257))
+# The writer of each scalar type, by exact type.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: _INT_TEXT.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_ROW_TYPES = {list, tuple}
+_INT_ONLY = {int}
+
+
+def _items_text(items: list | tuple, pad: str) -> Iterable[str]:
+    """The texts of the items of a non-empty list or tuple, nested at
+    ``pad``: scalars of one exact type in one pass; rows that are non-empty
+    exact lists or tuples of scalars one join per row, by the int table when
+    every entry is an exact int; anything else item by item."""
+    kinds = set(map(type, items))
+    if len(kinds) == 1 and kinds <= _SCALAR_TEXT.keys():
+        return map(_SCALAR_TEXT[kinds.pop()], items)
+    if kinds <= _ROW_TYPES and all(items):
+        entry_kinds = set(map(type, chain.from_iterable(items)))
+        if entry_kinds <= _SCALAR_TEXT.keys():
+            row_pad = pad + "  "
+            head, sep, tail = "[\n" + row_pad, ",\n" + row_pad, "\n" + pad + "]"
+            if entry_kinds == _INT_ONLY:
+                int_text = _INT_TEXT.__getitem__
+                return [head + sep.join(map(int_text, row)) + tail for row in items]
+            text = _SCALAR_TEXT
+            return [head + sep.join([text[type(x)](x) for x in row]) + tail for row in items]
+    text = _SCALAR_TEXT.get
+    return [w(x) if (w := text(type(x))) else json_text(x, pad) for x in items]
+
+
 def json_text(value: Any, pad: str = "") -> str:
     """The text of ``json.dumps(value, indent=2)``, nested at ``pad``, for str,
     int, bool, None, lists, tuples and dicts with str keys; anything else (a
-    float, a non-str key, a set) raises TypeError rather than be written."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    float, a non-str key, a set, bytes) raises TypeError rather than be
+    written.
+
+    Scalars are written by exact type without a further call, exact ints
+    from a table of texts.  Only type ``int`` reads the table: bools and int
+    or str subclasses (an ``IntEnum``) take the general path, as
+    ``json.dumps`` writes them.  A list of scalars of one type takes one
+    pass, and a list of non-empty exact list or tuple rows of scalars (an
+    integer matrix, the report's edge triples) one join per row; a tuple
+    subclass such as ``CharPoly`` is never read as a row.
+    """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # exact ints, bools excluded: one pass
-            items = map(int.__repr__, value)
-        else:
-            items = [json_text(x, inner) for x in value]
-        return f"[\n{inner}{sep.join(items)}\n{pad}]" if value else "[]"
+        if not value:
+            return "[]"
+        return f"[\n{inner}{sep.join(_items_text(value, inner))}\n{pad}]"
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}" if value else "{}"
+        if not value:
+            return "{}"
+        text = _SCALAR_TEXT.get
+        items = [
+            f"{encode_basestring_ascii(k)}: {w(v) if (w := text(type(v))) else json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not written as JSON")

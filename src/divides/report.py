@@ -217,7 +217,12 @@ def build_report(result: PipelineResult, version: str, digest: str) -> dict:
 
 def report_json(report: dict) -> str:
     """The report's text: the bytes of ``json.dumps(report, indent=2) + "\\n"``,
-    ASCII only; a float or a non-str key raises TypeError."""
+    ASCII only; a float or a non-str key raises TypeError.
+
+    ``fileio.json_text`` writes it along the report's shapes: the matrices
+    I, S and M_desc one join per row from its table of int texts, the AG
+    edge and Euler arrow triples one join per row, and scalar fields
+    without a call of their own."""
     return json_text(report) + "\n"
 
 

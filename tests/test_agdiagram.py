@@ -237,6 +237,16 @@ def test_depth_labels_names_the_vertices_cut_off_from_the_exposed_set():
         "depth undefined for vertices disconnected from the exposed set: ['v0_4']")
 
 
+@pytest.mark.parametrize("exposed, bad", [({-1}, [-1]), ({3}, [3]), ({-1, 1, 3, 7}, [-1, 3, 7])])
+def test_depth_labels_refuses_exposed_positions_outside_the_diagram(exposed, bad):
+    # -1 would wrap to the last vertex and 3 would index past the end.
+    ag = hand_built_ag("-0+", [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(DivideError) as info:
+        depth_labels(ag, frozenset(exposed))
+    assert str(info.value) == f"depth undefined: exposed positions {bad} are outside range(3)"
+    assert depth_labels(ag, frozenset({2})).depth == (2, 1, 0)
+
+
 def test_build_ag_rejects_a_non_permutation():
     signed = _signed("e6")
     for t, perm in [("0", (1, 1, 2)), ("0", (1, 2)), ("0", (1, 2, 3, 4)), ("0", (0, 1, 2)),

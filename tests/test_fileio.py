@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divides import divide_to_text, gen_a, gen_e6, parse_divide
 from divides.fileio import json_text
-from conftest import TWO_CHORDS, entry
+from divides.intmat import CharPoly
+from divides.report import build_report, report_json, run_pipeline
+from conftest import TWO_CHORDS, entry, generic_chords
 
 
 def test_round_trip_all_corpus(corpus_names):
@@ -269,13 +272,46 @@ def test_top_level_key_diagnostics_are_exact(base, drop, replace, diags):
 # Text with control characters, non-ASCII letters and lone surrogates.
 _TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
 _INT = st.integers(-(10**30), 10**30)
-_SCALAR = st.none() | st.booleans() | _INT | _TEXT
+# Inside and just beyond json_text's table of int texts, and beyond 2**64.
+_WIDE_INT = st.integers(-300, 300) | st.integers(-(2**70), 2**70)
+
+
+class _Kind(IntEnum):
+    SMALL = 1
+    LARGE = 300
+
+
+class _Name(str):
+    pass
+
+
+_CHARPOLY = st.builds(CharPoly, st.lists(_WIDE_INT, max_size=5), st.just(()))
+_SCALAR = st.none() | st.booleans() | _INT | _TEXT | st.sampled_from(_Kind) | _CHARPOLY
+_KEY = _TEXT | _TEXT.map(_Name)  # a str subclass is a str key
+
+
+def _rows(entry):
+    """Lists and tuples of list or tuple rows of ``entry``: empty and ragged
+    rows included."""
+    row = st.lists(entry, max_size=4)
+    rows = st.lists(row | row.map(tuple), min_size=1, max_size=4)
+    return rows | rows.map(tuple)
+
+
+# Integer matrices, with bools, IntEnum members or CharPoly rows mixed in,
+# and rows of any scalars, as the report's edge triples are.
+_MATRIX = (
+    _rows(_WIDE_INT)
+    | _rows(_WIDE_INT | st.booleans() | st.sampled_from(_Kind))
+    | _rows(_WIDE_INT | _TEXT | st.none() | st.booleans())
+    | st.lists(_CHARPOLY | st.lists(_WIDE_INT, min_size=1, max_size=3), min_size=1, max_size=3)
+)
 _VALUE = st.recursive(
-    _SCALAR,
+    _SCALAR | _MATRIX,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | st.lists(_INT | st.booleans(), max_size=6)  # int lists with bools mixed in
-    | st.dictionaries(_TEXT, inner, max_size=5),
+    | st.dictionaries(_KEY, inner, max_size=5),
     max_leaves=30,
 )
 
@@ -286,9 +322,30 @@ def test_json_text_matches_json_dumps_indent_2(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_MATRIX, st.integers(0, 5))
+def test_json_text_writes_matrices_as_json_dumps_at_any_depth(matrix, depth):
+    value = matrix
+    for _ in range(depth):
+        value = {"m": [value]}
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows(_WIDE_INT), st.sampled_from([0.5, float("nan"), {1}, frozenset(), b"1"]), st.data())
+def test_json_text_refuses_a_bad_entry_in_a_late_matrix_row(matrix, bad, data):
+    row = list(data.draw(st.lists(_WIDE_INT, max_size=3)))
+    row.insert(data.draw(st.integers(0, len(row))), bad)
+    with pytest.raises(TypeError):
+        json_text([*matrix, row])
+
+
 @pytest.mark.parametrize(
     "value",
-    [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], [True, 1, False, 0], [1, -2]],
+    [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], [True, 1, False, 0], [1, -2],
+     [[1, True], [0, False]], [[1], []], ((True,), (1,)), [[2**64, -257], (256, -256)],
+     [_Kind.SMALL, _Kind.LARGE], [[_Kind.SMALL]], {_Name("k"): [1]},
+     CharPoly((1, -2, 1), (0,)), [CharPoly((1, 0), ()), [1, 0]]],
 )
 def test_json_text_empty_nested_and_int_lists(value):
     assert json_text(value) == json.dumps(value, indent=2)
@@ -296,11 +353,27 @@ def test_json_text_empty_nested_and_int_lists(value):
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, [1, 2.0], {"a": float("nan")}, {1: "x"}, {"a": {None: 1}}, {1, 2}, [frozenset()], b"x", object()],
+    [1.5, [1, 2.0], {"a": float("nan")}, {1: "x"}, {"a": {None: 1}}, {1, 2}, [frozenset()], b"x", object(),
+     [[1, 2], [3, 4], [5, 6.0]], ((1,), (2,), (3, 1.5)), [[1], {2}], [[1, 2], [3, {4}]], [["a", 1], [b"x"]]],
 )
 def test_json_text_refuses_what_it_would_not_write_alike(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+@pytest.mark.parametrize(
+    "size, seed",
+    [pytest.param(n, None, id=f"a{n}") for n in range(4, 33, 4)]
+    + [pytest.param(k, s, id=f"chords{k}-s{s}") for k in range(3, 7) for s in (0, 1)],
+)
+def test_report_json_is_json_dumps_at_benchmark_sizes(size, seed):
+    """The report writer against ``json.dumps`` on the benchmark's report
+    inputs: the digest goldens pin the bytes, this names the writer when
+    they differ.  Lines are compared, so that a failure names the first
+    line that differs without diffing the whole text."""
+    divide = gen_a(size).divide if seed is None else generic_chords(size, seed)
+    report = build_report(run_pipeline(divide), "0", "0" * 64)
+    assert report_json(report).split("\n") == (json.dumps(report, indent=2) + "\n").split("\n")
 
 
 def test_divide_to_text_is_json_dumps_indent_2(corpus_names):
