@@ -8,7 +8,10 @@ quiver and its exceptional certificate read from S, and the depth-1 cone
 classes.  The variation of a class is computed by the twist-by-twist
 iteration (last basis twist first) over the nonzeros of each column of I,
 read from I itself and never by the Seifert route, so the two are
-independent checks of each other.  Each class costs O(mu + nnz(I)).
+independent checks of each other.  One class costs O(mu + nnz(I)) steps;
+``verify_adapted`` runs the iteration once for the whole family, one row
+operation per nonzero of I below the diagonal, and the certificate compares
+whole rows of S, checking entry by entry only a row that differs.
 """
 
 from __future__ import annotations
@@ -63,17 +66,34 @@ def verify_adapted(lattice: MilnorLattice) -> AdaptedVerdict:
     a_j meets V_j once positively, meets every earlier cycle with the
     multiplicity of the intersection form, a_j[m] = I[j][m] for m < j, and
     misses all later cycles.
+
+    The iteration runs once for all columns: row k of the matrix C whose
+    column j is var(a_j) is PL_SIGN * (S[k] + sum x C[m]) over the entries
+    (m, x) of column k of I with m > k; an entry with m < k meets a row the
+    iteration has not yet reached, which is still zero.  So the family costs
+    one row operation per nonzero of I below the diagonal.
     """
-    mu = lattice.mu
+    s, columns = lattice.s_mat, lattice.columns
+    mu = len(columns)
+    if len(s) != mu:
+        raise DivideError(f"intersection vector has length {len(s)}, expected {mu}")
+    # Row k of PL_SIGN * C = S[k] + sum (PL_SIGN x) (PL_SIGN C[m]), as
+    # PL_SIGN^2 = 1; the identity matrix when the family passes.
+    rows: list[Sequence[int]] = [()] * mu
+    for k in range(mu - 1, -1, -1):
+        row = s[k]
+        for m, x in columns[k]:
+            if m > k:
+                x *= PL_SIGN
+                row = [a + x * b for a, b in zip(row, rows[m])]
+        rows[k] = row
     passes = []
     first_failure = None
-    for j, vec in enumerate(zip(*lattice.s_mat)):
-        got = _variation(vec, lattice.columns)
-        want = (0,) * j + (PL_SIGN,) + (0,) * (mu - 1 - j)
-        ok = got == want
+    for j, col in enumerate(zip(*rows)):
+        ok = col == (0,) * j + (1,) + (0,) * (mu - 1 - j)
         passes.append(ok)
         if not ok and first_failure is None:
-            first_failure = (j, got)
+            first_failure = (j, tuple(PL_SIGN * x for x in col))
     return AdaptedVerdict(passes=tuple(passes), first_failure=first_failure)
 
 
@@ -122,18 +142,30 @@ def exceptional_certificate(lattice: MilnorLattice, ag: AGDiagram) -> Certificat
     Passes iff E = 2 Id - S has unit diagonal, vanishes strictly below it,
     and the magnitude of every strictly-upper entry (i, j) equals the
     multiplicity of the edge (i, j), or 0 when there is none.  Each entry of
-    E is read from S where it is checked.
+    E is read from S where it is checked: a row of S equal to the row that
+    passes is checked whole, any other row entry by entry.
     """
     expected = {(u, v): m for u, v, m in ag.edges}
+    s = lattice.s_mat
+    mu = len(s)
+    # Row i of S as it passes: 1 at i and each multiplicity above it.  x = m
+    # gives |x| = m only for an int m >= 0; any other multiplicity is put in
+    # as None, which no entry equals, so its row is checked entry by entry.
+    want_rows = [[0] * i + [1] + [0] * (mu - 1 - i) for i in range(mu)]
+    for (u, v), m in expected.items():
+        if 0 <= u < v < mu:
+            want_rows[u][v] = m if type(m) is int and m >= 0 else None
     violations = []
-    for i, row in enumerate(lattice.s_mat):
-        for j, s in enumerate(row):
+    for i, row in enumerate(s):
+        if row == tuple(want_rows[i]):
+            continue
+        for j, x in enumerate(row):
             if i < j:
                 want = expected.get((i, j), 0)
-                if abs(s) != want:
-                    violations.append((i, j, want, -s))
-            elif s != (i == j):  # E[i][j] = 2 (i == j) - s must be (i == j)
-                violations.append((i, j, int(i == j), 2 * (i == j) - s))
+                if abs(x) != want:
+                    violations.append((i, j, want, -x))
+            elif x != (i == j):  # E[i][j] = 2 (i == j) - x must be (i == j)
+                violations.append((i, j, int(i == j), 2 * (i == j) - x))
     return CertificateVerdict(passed=not violations, violations=tuple(violations))
 
 

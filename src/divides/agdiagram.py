@@ -36,10 +36,11 @@ class AGDiagram(_AGFields):
     """Vertices in the total order and edges between their positions.
 
     The edge rule: the edges are strictly increasing in (u, v), each has
-    0 <= u < v < mu, and each joins two vertices of different types.
-    ``build_ag`` writes them so for every divide that ``assign_signs``
-    signed, and ``milnor_lattice`` refuses an edge list that breaks the rule;
-    the constructor accepts any edge list.
+    0 <= u < v < mu, each joins two vertices of different types, and each
+    multiplicity is an exact int >= 1 (not a bool).  ``build_ag`` writes
+    them so for every divide that ``assign_signs`` signed, and
+    ``milnor_lattice`` refuses an edge list that breaks the rule; the
+    constructor accepts any edge list.
 
     It has one index, the adjacency index, built on its first query: a list
     holding, at each position, the ascending positions joined to it, once

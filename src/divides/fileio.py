@@ -268,7 +268,9 @@ def json_text(value: Any, pad: str = "") -> str:
     """The text of ``json.dumps(value, indent=2)``, nested at ``pad``, for str,
     int, bool, None, lists, tuples and dicts with str keys; anything else (a
     float, a non-str key, a set, bytes) raises TypeError rather than be
-    written.
+    written.  A value that contains itself raises RecursionError, where
+    ``json.dumps`` raises ValueError: no record of the enclosing containers
+    is kept, since reports and divide texts are trees.
 
     Scalars are written by exact type without a further call, exact ints
     from a table of texts.  Only type ``int`` reads the table: bools and int

@@ -6,7 +6,12 @@ by the gcd of its entries.  The characteristic polynomial is the Hessenberg
 recurrence taken once, modulo a Mersenne prime above twice a proven bound
 on its coefficients (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.2), and read as symmetric residues; that pass also leaves the
-unit vectors whose Krylov spaces span Q^n.  The order of a matrix comes from
+unit vectors whose Krylov spaces span Q^n.  The pass skips zeros: the
+reduction finds the rows with an entry in the pivot column by a scan in C,
+clears only those and inverts a pivot only when there is one to clear; the
+recurrence reads only the nonzero entries above the diagonal of each
+unreduced block, each subdiagonal product from prefix products and one
+inversion per block.  The order of a matrix comes from
 the cyclotomic factors of that polynomial and, when one repeats, an exact
 sparse check of their product on those start vectors alone.  A factor Phi_k
 is divided out only when Phi_k(2) divides the value at 2 of what remains:
@@ -17,7 +22,9 @@ touches floating point or rationals.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress, count
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .core import DivideError
@@ -47,7 +54,7 @@ Columns = tuple[tuple[tuple[int, int], ...], ...]
 
 def column_nonzeros(a: Mat) -> Columns:
     """For each column k of a, the pairs (i, a[i][k]) with a[i][k] != 0."""
-    return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*a))
+    return tuple(tuple(zip(compress(count(), col), filter(None, col))) for col in zip(*a))
 
 
 def trace(a: Mat) -> int:
@@ -102,7 +109,7 @@ def coefficient_bound(a: Mat) -> int:
     """
     bound = 1
     for row in a:
-        sq = sum(x * x for x in row)
+        sq = sum(x * x for x in filter(None, row))
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
     return bound
@@ -148,22 +155,25 @@ def _charpoly_mod(a: Mat, p: int) -> tuple[list[int], list[int]]:
     # Similarity transforms that clear column m-1 below its subdiagonal.
     for m in range(1, n - 1):
         col = m - 1
-        pivot = next((i for i in range(m, n) if h[i][col]), None)
-        if pivot is None:
+        # the rows >= m with a nonzero in column col; the steps below change
+        # that column only where they clear it
+        nonzero = list(compress(count(m), map(itemgetter(col), h[m:])))
+        if not nonzero:
             starts.append(perm[m])
             continue
+        pivot = nonzero[0]
         if pivot != m:
             h[pivot], h[m] = h[m], h[pivot]
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
             perm[pivot], perm[m] = perm[m], perm[pivot]
+        if len(nonzero) == 1:
+            continue
         h_m = h[m]
         inv = pow(h_m[col], -1, p)
-        for i in range(m + 1, n):
+        for i in nonzero[1:]:
             h_i = h[i]
             u = h_i[col] * inv % p
-            if not u:
-                continue
             # row i -= u * row m, then column m += u * column i
             h_i[col:] = [(x - u * y) % p for x, y in zip(h_i[col:], h_m[col:])]
             for row in h:
@@ -172,23 +182,37 @@ def _charpoly_mod(a: Mat, p: int) -> tuple[list[int], list[int]]:
     if n > 1 and not h[n - 1][n - 2]:
         starts.append(perm[n - 1])
     # p_{m+1} = (t - h[m][m]) p_m - sum_{i<m} h[i][m] h[i+1][i] ... h[m][m-1] p_i,
-    # each p_k a coefficient list in ascending powers.
+    # each p_k a coefficient list in ascending powers.  The product vanishes
+    # across a zero of the subdiagonal, so i runs over the nonzero h[i][m] of
+    # m's unreduced block only.  There it is prefix[m] / prefix[i], for the
+    # products of the subdiagonal from the block's start; every factor is a
+    # unit, and one inversion mod p gives a block's inverse[i], made the first
+    # time the block needs one.
+    prefix, inverse = [1] * n, [0] * n  # 0: not yet inverted
+    for k in range(1, n):
+        if h[k][k - 1]:
+            prefix[k] = prefix[k - 1] * h[k][k - 1] % p
     polys: list[list[int]] = [[1]]
+    start = 0
     for m in range(n):
+        if m and not h[m][m - 1]:
+            start = m
         prev = polys[m]
         nxt = [0] + prev
         h_mm = h[m][m]
         for j, c in enumerate(prev):
             nxt[j] -= h_mm * c
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            if not t:
-                break
-            f = h[i][m] * t % p
-            if f:
-                for j, c in enumerate(polys[i]):
-                    nxt[j] -= f * c
+        for i in compress(range(start, m), map(itemgetter(m), h[start:m])):
+            if not inverse[i]:
+                end = next((k for k in range(m + 1, n) if not h[k][k - 1]), n)
+                inv = pow(prefix[end - 1], -1, p)
+                for k in range(end - 1, start, -1):
+                    inverse[k] = inv
+                    inv = inv * h[k][k - 1] % p
+                inverse[start] = 1
+            f = h[i][m] * prefix[m] * inverse[i] % p
+            for j, c in enumerate(polys[i]):
+                nxt[j] -= f * c
         polys.append([c % p for c in nxt])
     return polys[n][::-1], starts
 

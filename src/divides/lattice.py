@@ -12,6 +12,7 @@ Varchenko, *Singularities of Differentiable Maps II*, chapter 2).
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cached_property
 from typing import NamedTuple
 
@@ -62,6 +63,8 @@ def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
             raise DivideError(
                 f"AG edge between same-type vertices {vertices[u].label}, {vertices[v].label}"
             )
+        if type(m) is not int or m < 1:
+            raise DivideError(f"AG edge ({u}, {v}) has multiplicity {m!r}, not an int >= 1")
         i_rows[v][u] = s_rows[u][v] = m
         i_rows[u][v] = -m
     return MilnorLattice(i_mat=tuple(map(tuple, i_rows)), s_mat=tuple(map(tuple, s_rows)))
@@ -70,19 +73,36 @@ def milnor_lattice(ag: AGDiagram) -> MilnorLattice:
 def monodromy(lattice: MilnorLattice) -> Mat:
     """The monodromy T_1 T_2 ... T_mu: the twist of the last basis vector
     acts first, the composition the variation iteration follows.  Reads the
-    lattice's column index of I."""
-    mu = lattice.mu
-    m = [[int(i == j) for j in range(mu)] for i in range(mu)]
-    for k, col in enumerate(lattice.columns):
-        # T_k = Id + e_k c_k^T with c_k[j] = PL_SIGN * I[j][k];
-        # M <- M T_k = M + (M e_k) c_k^T.
-        for row in m:
+    lattice's column index of I.
+
+    Row r of M is e_r T_1 ... T_mu, and twist k changes a row only when the
+    row is nonzero at k.  So each row walks, in increasing order, only the
+    positions its updates reach: twist k adds to the row at the nonzeros of
+    column k of I, and those above k join the walk.  The cost is that of the
+    updates, nnz(column k of I) for each position k a row reaches, with no
+    step spent on a position that stays zero.
+    """
+    mu, columns = lattice.mu, lattice.columns
+    rows = []
+    queued = [-1] * mu  # queued[j]: the last row whose walk took position j
+    for r in range(mu):
+        row = [0] * mu
+        row[r] = 1
+        pending = [-r]  # negated positions still to walk, so pop() gives the least
+        while pending:
+            k = -pending.pop()
             v = row[k]
             if v:
+                # T_k = Id + e_k c_k^T with c_k[j] = PL_SIGN * I[j][k], so
+                # row <- row T_k = row + row[k] c_k^T
                 v *= PL_SIGN
-                for j, x in col:
+                for j, x in columns[k]:
                     row[j] += v * x
-    return tuple(map(tuple, m))
+                    if j > k and queued[j] != r:
+                        queued[j] = r
+                        insort(pending, -j)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class IdentityCheck(NamedTuple):

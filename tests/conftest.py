@@ -128,6 +128,15 @@ def transvection(i_mat, k):
     return freeze(rows)
 
 
+def transvection_product(i_mat):
+    """T_1 T_2 ... T_mu, the product of the dense transvection matrices: the
+    reference ``monodromy`` is checked against."""
+    m = identity(len(i_mat))
+    for k in range(len(i_mat)):
+        m = intmat.mul(m, transvection(i_mat, k))
+    return m
+
+
 def random_within_type_orders(ag, rng) -> dict:
     """A ``build_ag`` reorder: a random 1-based permutation of each type."""
     perms = {}

@@ -16,8 +16,9 @@ from divides import (
 )
 from divides.core import DivideError
 from divides.report import run_pipeline
+from divides.adapted import AdaptedVerdict, CertificateVerdict
 from divides.lattice import PL_SIGN
-from conftest import CORPUS_NAMES, freeze, generic_chords, pipeline, position
+from conftest import CORPUS_NAMES, freeze, generic_chords, hand_built_ag, pipeline, position
 
 
 def _columns(lat):
@@ -331,3 +332,101 @@ def lattice_and_vector(draw):
 def test_pl_variation_matches_dense_iteration(case):
     i_mat, vector = case
     assert pl_variation(vector, i_mat) == _dense_variation(vector, i_mat)
+
+
+@functools.lru_cache(maxsize=None)
+def _result(name):
+    if name.startswith("chords"):
+        return run_pipeline(generic_chords(int(name[6:]), 0))
+    return pipeline(name)
+
+
+def _verify_adapted_reference(lat) -> AdaptedVerdict:
+    """``verify_adapted`` one column of S at a time, each by the dense iteration."""
+    mu = lat.mu
+    passes, first_failure = [], None
+    for j, vec in enumerate(zip(*lat.s_mat)):
+        got = _dense_variation(vec, lat.i_mat)
+        ok = got == tuple(PL_SIGN * (i == j) for i in range(mu))
+        passes.append(ok)
+        if not ok and first_failure is None:
+            first_failure = (j, got)
+    return AdaptedVerdict(passes=tuple(passes), first_failure=first_failure)
+
+
+def _with_entry(m, i, j, value):
+    rows = [list(row) for row in m]
+    rows[i][j] = value
+    return freeze(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(VARIATION_LATTICES),
+    which=st.sampled_from(("I", "S")),
+    data=st.data(),
+)
+def test_verify_adapted_matches_the_per_column_reference_on_a_corrupted_lattice(name, which, data):
+    # one entry of I or of S moved, antisymmetry and triangularity not kept
+    lat = _result(name).lattice
+    i = data.draw(st.integers(0, lat.mu - 1), label="i")
+    j = data.draw(st.integers(0, lat.mu - 1), label="j")
+    matrix = lat.i_mat if which == "I" else lat.s_mat
+    value = matrix[i][j] + data.draw(st.sampled_from((-2, -1, 1, 2)), label="delta")
+    if which == "I":
+        bad = MilnorLattice(i_mat=_with_entry(lat.i_mat, i, j, value), s_mat=lat.s_mat)
+    else:
+        bad = MilnorLattice(i_mat=lat.i_mat, s_mat=_with_entry(lat.s_mat, i, j, value))
+    assert verify_adapted(bad) == _verify_adapted_reference(bad)
+
+
+def _certificate_reference(lat, ag) -> CertificateVerdict:
+    """The certificate entry by entry, every entry of S checked."""
+    expected = {(u, v): m for u, v, m in ag.edges}
+    violations = []
+    for i, row in enumerate(lat.s_mat):
+        for j, s in enumerate(row):
+            if i < j:
+                want = expected.get((i, j), 0)
+                if abs(s) != want:
+                    violations.append((i, j, want, -s))
+            elif s != (i == j):
+                violations.append((i, j, int(i == j), 2 * (i == j) - s))
+    return CertificateVerdict(passed=not violations, violations=tuple(violations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(VARIATION_LATTICES), data=st.data())
+def test_certificate_matches_the_entry_by_entry_reference_under_mutations_of_s(name, data):
+    r = _result(name)
+    s = r.lattice.s_mat
+    position = st.integers(0, r.lattice.mu - 1)
+    for _ in range(data.draw(st.integers(1, 4), label="count")):
+        i, j = data.draw(position, label="i"), data.draw(position, label="j")
+        s = _with_entry(s, i, j, data.draw(st.integers(-3, 3), label="value"))
+    bad = r.lattice._replace(s_mat=s)
+    assert exceptional_certificate(bad, r.ag) == _certificate_reference(bad, r.ag)
+
+
+@pytest.mark.parametrize(
+    "i, j, value",
+    [(3, 3, -1), (4, 1, -1), (5, 0, -2), (0, 3, -1), (2, 5, -1)],
+    ids=["diagonal -1", "below -1", "below -2", "upper sign", "upper no-edge -1"],
+)
+def test_certificate_matches_the_reference_on_negative_entries(i, j, value):
+    # abs() of a row would pass a -1 on the diagonal
+    r = pipeline("e6")
+    bad = r.lattice._replace(s_mat=_with_entry(r.lattice.s_mat, i, j, value))
+    verdict = exceptional_certificate(bad, r.ag)
+    assert verdict == _certificate_reference(bad, r.ag)
+    assert verdict.passed == (i < j and abs(value) == dict(
+        ((u, v), m) for u, v, m in r.ag.edges).get((i, j), 0))
+
+
+@pytest.mark.parametrize("multiplicity", [-1, 0, True, 1.0])
+def test_certificate_matches_the_reference_on_an_edge_milnor_lattice_refuses(multiplicity):
+    # S[0][1] = -1 read against the edge (0, 1, multiplicity): only the
+    # entry-by-entry rule decides
+    ag = hand_built_ag(("-", "0"), [(0, 1, multiplicity)])
+    lat = MilnorLattice(i_mat=((0, 1), (-1, 0)), s_mat=((1, -1), (0, 1)))
+    assert exceptional_certificate(lat, ag) == _certificate_reference(lat, ag)

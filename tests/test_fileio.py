@@ -361,6 +361,17 @@ def test_json_text_refuses_what_it_would_not_write_alike(value):
         json_text(value)
 
 
+def test_json_text_on_a_list_that_contains_itself_raises_recursion_error():
+    # json.dumps finds the cycle; json_text keeps no record of the
+    # containers it is inside, so it recurses until the interpreter stops it
+    a = [1]
+    a.append(a)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json.dumps(a, indent=2)
+    with pytest.raises(RecursionError):
+        json_text(a)
+
+
 @pytest.mark.parametrize(
     "size, seed",
     [pytest.param(n, None, id=f"a{n}") for n in range(4, 33, 4)]

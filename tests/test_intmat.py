@@ -15,8 +15,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from divides import DivideError, gen_a, intmat, monodromy
+from divides.report import run_pipeline
 from conftest import (
-    charpoly_moduli, freeze, generic_chords, identity, lattice_of, pipeline, transvection,
+    CORPUS_NAMES, charpoly_moduli, freeze, generic_chords, identity, lattice_of, pipeline,
+    transvection_product,
 )
 
 SMALL = st.integers(-6, 6)
@@ -201,19 +203,12 @@ def _antisym(n, xs):
     return freeze(rows)
 
 
-def _transvection_product(i_mat):
-    m = identity(len(i_mat))
-    for k in range(len(i_mat)):
-        m = intmat.mul(m, transvection(i_mat, k))
-    return m
-
-
 @settings(max_examples=60, deadline=None)
 @given(antisymmetric())
 def test_monodromy_is_the_product_of_transvections(i_mat):
     lat = lattice_of(i_mat)
     m = monodromy(lat)
-    assert m == _transvection_product(i_mat)
+    assert m == transvection_product(i_mat)
     s = sympy.Matrix(lat.s_mat)
     assert sympy.Matrix(m) == s.inv() * s.T
 
@@ -221,7 +216,7 @@ def test_monodromy_is_the_product_of_transvections(i_mat):
 def test_monodromy_on_corpus_is_the_product_of_transvections(corpus_names):
     for name in corpus_names:
         r = pipeline(name)
-        assert r.m_desc == _transvection_product(r.lattice.i_mat)
+        assert r.m_desc == transvection_product(r.lattice.i_mat)
 
 
 def brieskorn_pham_order(a: int, b: int) -> int:
@@ -236,8 +231,6 @@ def brieskorn_pham_order(a: int, b: int) -> int:
 
 
 def test_order_of_a_n_is_brieskorn_pham():
-    from divides.report import run_pipeline
-
     for n in range(1, 41):
         result = run_pipeline(gen_a(n).divide)
         assert result.order == brieskorn_pham_order(n + 1, 2), n
@@ -249,8 +242,6 @@ def test_order_of_chords_is_brieskorn_pham(k):
     # The eigenvalues of x^k + y^k are zeta^(s + t) for 1 <= s, t < k, zeta a
     # primitive k-th root of unity; 1 among them at least twice, so a
     # cyclotomic factor repeats and the order comes from the check on the starts.
-    from divides.report import run_pipeline
-
     for seed in (0, 1):
         result = run_pipeline(generic_chords(k, seed))
         assert result.order == brieskorn_pham_order(k, k), (k, seed)
@@ -466,3 +457,114 @@ def test_order_of_conjugated_permutation(perm, moves, negate):
     if negate:  # (-P)^k = Id needs P^k = Id and k even
         want = lcm(2, want)
     assert order(m) == want
+
+
+def _charpoly_mod_reference(a, p):
+    """The Hessenberg pass as it was before it read only nonzeros: the pivot
+    by a scan of every row, the multiplier formed for every row below it and
+    the recurrence's subdiagonal product walked down one entry at a time."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    perm = list(range(n))
+    starts = [0] if n else []
+    for m in range(1, n - 1):
+        col = m - 1
+        pivot = next((i for i in range(m, n) if h[i][col]), None)
+        if pivot is None:
+            starts.append(perm[m])
+            continue
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+            perm[pivot], perm[m] = perm[m], perm[pivot]
+        h_m = h[m]
+        inv = pow(h_m[col], -1, p)
+        for i in range(m + 1, n):
+            h_i = h[i]
+            u = h_i[col] * inv % p
+            if not u:
+                continue
+            h_i[col:] = [(x - u * y) % p for x, y in zip(h_i[col:], h_m[col:])]
+            for row in h:
+                if row[i]:
+                    row[m] = (row[m] + u * row[i]) % p
+    if n > 1 and not h[n - 1][n - 2]:
+        starts.append(perm[n - 1])
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        nxt = [0] + prev
+        h_mm = h[m][m]
+        for j, c in enumerate(prev):
+            nxt[j] -= h_mm * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][m] * t % p
+            if f:
+                for j, c in enumerate(polys[i]):
+                    nxt[j] -= f * c
+        polys.append([c % p for c in nxt])
+    return polys[n][::-1], starts
+
+
+def banded(max_n=12):
+    """Square matrices with entries in -3..3 within a drawn distance of the
+    diagonal, below and above it, and zeros beyond."""
+    return st.tuples(st.integers(1, max_n), st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda nlu: st.lists(SMALL, min_size=nlu[0] ** 2, max_size=nlu[0] ** 2).map(
+            lambda xs: freeze(
+                [[xs[i * nlu[0] + j] if -nlu[1] <= j - i <= nlu[2] else 0
+                  for j in range(nlu[0])] for i in range(nlu[0])]
+            )
+        )
+    )
+
+
+@st.composite
+def permuted_blocks(draw):
+    """A block-diagonal matrix of sparse blocks of 1 to 4 rows, its rows and
+    columns then permuted alike, so the blocks interleave."""
+    blocks = draw(st.lists(square(SPARSE, max_n=4), min_size=1, max_size=4))
+    m = block_diagonal(blocks)
+    perm = draw(st.permutations(range(len(m))))
+    return tuple(tuple(m[i][j] for j in perm) for i in perm)
+
+
+# A small prime makes zero pivots, zero subdiagonals and so many unreduced
+# blocks common; 2^61 - 1 is the modulus every benchmark input takes.
+PRIMES = st.sampled_from((2, 3, 5, 7, (1 << 61) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(square(SPARSE, max_n=10), banded(), permuted_blocks()), PRIMES)
+def test_charpoly_mod_matches_the_reference_pass(m, p):
+    assert intmat._charpoly_mod(m, p) == _charpoly_mod_reference(m, p)
+    char_poly = intmat.charpoly(m)
+    p = next((1 << e) - 1 for e in intmat.MERSENNE_EXPONENTS
+             if (1 << e) - 1 > 2 * intmat.coefficient_bound(m) + 1)
+    coefficients, starts = _charpoly_mod_reference(m, p)
+    assert tuple(char_poly) == tuple(c - p if c > p // 2 else c for c in coefficients)
+    assert char_poly.starts == tuple(starts)
+
+
+@pytest.mark.parametrize(
+    "name", CORPUS_NAMES + ["a16", "a20", "a24", "a32"] + [f"chords{k}" for k in range(3, 7)]
+)
+def test_charpoly_of_report_monodromies_matches_the_reference_pass(name):
+    # the corpus and the sizes of the benchmark's report inputs
+    if name.startswith("chords"):
+        m = run_pipeline(generic_chords(int(name[6:]), 0)).m_desc
+    elif name in CORPUS_NAMES:
+        m = pipeline(name).m_desc
+    else:
+        m = run_pipeline(gen_a(int(name[1:])).divide).m_desc
+    p = (1 << 61) - 1
+    assert 2 * intmat.coefficient_bound(m) + 1 < p
+    coefficients, starts = _charpoly_mod_reference(m, p)
+    char_poly = intmat.charpoly(m)
+    assert char_poly.starts == tuple(starts)
+    assert tuple(char_poly) == tuple(c - p if c > p // 2 else c for c in coefficients)

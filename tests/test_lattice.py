@@ -40,6 +40,7 @@ from conftest import (
     pipeline,
     random_within_type_orders,
     transvection,
+    transvection_product,
 )
 from test_golden import CONE_KEYS, V3_KEYS, _key_paths
 
@@ -248,6 +249,12 @@ BROKEN_EDGES = {
     "at_mu": (("-", "0", "+"), [(0, 1, 1), (1, 3, 1)],
               "AG edge (1, 3) is out of range or out of order"),
     "same_type": (("-", "-"), [(0, 1, 1)], "AG edge between same-type vertices v-_1, v-_2"),
+    "zero_multiplicity": (("-", "0", "+"), [(0, 1, 1), (1, 2, 0)],
+                          "AG edge (1, 2) has multiplicity 0, not an int >= 1"),
+    "negative_multiplicity": (("-", "0"), [(0, 1, -2)],
+                              "AG edge (0, 1) has multiplicity -2, not an int >= 1"),
+    "bool_multiplicity": (("-", "0"), [(0, 1, True)],
+                          "AG edge (0, 1) has multiplicity True, not an int >= 1"),
 }
 
 
@@ -305,6 +312,36 @@ def test_a_corrupted_edge_list_cannot_enter_the_lattice(case, how, data):
         edges[i] = AGEdge(bad, v, m) if at_u else AGEdge(u, bad, m)
     with pytest.raises(DivideError):
         milnor_lattice(ag._replace(edges=tuple(edges)))
+
+
+@pytest.mark.parametrize("case", CHORDS, ids=str)
+def test_monodromy_of_chords_is_the_dense_product_of_transvections(case):
+    # the corpus is checked in test_intmat
+    lat = milnor_lattice(_ag_of(case))
+    assert monodromy(lat) == transvection_product(lat.i_mat)
+
+
+@st.composite
+def hand_built_diagrams(draw):
+    """A diagram of 1 to 9 vertices of drawn types, with an edge of
+    multiplicity 1 to 3, or none, between each pair of different types."""
+    kinds = draw(st.lists(st.sampled_from("-0+"), min_size=1, max_size=9))
+    edges = []
+    for u in range(len(kinds)):
+        for v in range(u + 1, len(kinds)):
+            if kinds[u] != kinds[v]:
+                m = draw(st.integers(0, 3))
+                if m:
+                    edges.append((u, v, m))
+    return hand_built_ag(kinds, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_built_diagrams())
+def test_monodromy_of_a_hand_built_diagram_is_the_dense_product_of_transvections(ag):
+    lat = milnor_lattice(ag)
+    assert lat == lattice_reference(ag)
+    assert monodromy(lat) == transvection_product(lat.i_mat)
 
 
 def test_lattice_from_ag_has_labels():
