@@ -55,6 +55,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_reorders(specs: list[str]) -> dict[str, tuple[int, ...]]:
+    """TYPE:PERM specs as permutations by type; each index is a run of ASCII
+    digits, which ``int`` alone would widen to signs, spaces, underscores
+    and other scripts' digits."""
     perms: dict[str, tuple[int, ...]] = {}
     for spec in specs:
         try:
@@ -64,7 +67,10 @@ def _parse_reorders(specs: list[str]) -> dict[str, tuple[int, ...]]:
             if vtype in perms:
                 print(f"error: --reorder given twice for type {vtype!r}", file=sys.stderr)
                 raise SystemExit(EXIT_INVALID)
-            perms[vtype] = tuple(int(x) for x in perm.split(","))
+            indices = perm.split(",")
+            if not all(x.isascii() and x.isdigit() for x in indices):
+                raise ValueError(perm)
+            perms[vtype] = tuple(map(int, indices))
         except ValueError:
             print(f"error: bad --reorder spec {spec!r}", file=sys.stderr)
             raise SystemExit(EXIT_INVALID)

@@ -1,17 +1,24 @@
-"""Built-in divides: the A_n snake family, E6, and a depth-1 example.
+"""Built-in divides: the A_n zigzag family, E6, and a depth-1 example.
 
-Generators emit combinatorial maps directly (no geometry at runtime) and are
-byte-deterministic.  Expected facts carry provenance notes and serve as
-ground truth for the acceptance suite; the transcriptions of the two
-figure-derived divides are certified by matching the independently known
-structure (vertex census, edge pattern, depth data), not trusted as drawn.
+A_n and E6 are Brieskorn-Pham curves x^p + y^q, and their divides are
+A'Campo's: the Chebyshev billiard T_p(x) = T_q(y) (A'Campo, Ann. Fac. Sci.
+Toulouse 8 (1999); Gusein-Zade, Funct. Anal. Appl. 8 (1974)), built as
+integer polylines and ingested by ``geometry.ingest_polyline``.  Only the
+depth-1 divide, which is not Brieskorn-Pham, is transcribed as a map from a
+figure.  Generators are byte-deterministic.  Expected facts carry
+provenance notes, are written independently of the generators and serve as
+ground truth for the acceptance suite: each generated or transcribed map is
+certified by matching the independently known structure (vertex census,
+edge pattern, depth data), not trusted as built.
 """
 
 from __future__ import annotations
 
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .core import Divide, DivideError, EdgeDef, SignSeed
+from .geometry import ingest_polyline
 
 
 class _EntryFields(NamedTuple):
@@ -43,118 +50,54 @@ class CorpusEntry(_EntryFields):
         return entry
 
 
-def _a_even(k: int) -> Divide:
-    """Single-branch snake: straight run, U-turn, wave back across it.
+def _billiard(p: int, q: int, sign: int, name: str) -> Divide:
+    """A'Campo's divide of x^p + y^q: the Chebyshev billiard T_p(x) = T_q(y).
 
-    Crossings c1..ck east to west; c1 carries the U-turn cap.  The wave dips
-    below the run after c1 and alternates sides, exiting past ck.
+    Its piecewise-linear form is the union of the cell diagonals of a q x p
+    grid through the grid points (i, j) with i + j even.  Each path is walked
+    from an even corner to the corner where it ends, keeping the wall points
+    where it turns.  Grid point (i, j) sits at (q - 2i, 2j - p), inside the
+    disc of radius R = isqrt(p^2 + q^2) + 1, and each path's two ends move 2R
+    out along their end diagonals.  Every integer point of the curve has
+    X + Y = p + q (mod 2), so the witness (0, 0) or (-1, 0) is never on the
+    curve; its face gets ``sign``.  With gcd(p, q) > 2 some paths close up
+    into circles, and the call is refused.
     """
-    dps = [f"c{i}" for i in range(1, k + 1)]
-    # type A (odd i): slots E, NE, W, SW; type B (even i): slots E, NW, W, SE
-    edges: list[EdgeDef] = []
-    walk: list[str] = []
+    if gcd(p, q) > 2:
+        raise DivideError(f"billiard ({p}, {q}) has circle components: gcd(p, q) > 2")
+    radius = isqrt(p * p + q * q) + 1
 
-    def add(edge_id: str, a, b):
-        edges.append(EdgeDef(id=edge_id, ends=(a, b)))
-        walk.append(edge_id)
+    def moved_out(end, nxt):
+        return tuple(a + (2 * radius if a > b else -2 * radius) for a, b in zip(end, nxt))
 
-    # straight run west to east: terminal, ck, ..., c1
-    add("l0", ("tL", 0), (f"c{k}", 2))
-    for i in range(k, 1, -1):
-        add(f"l{k - i + 1}", (f"c{i}", 0), (f"c{i - 1}", 2))
-    add("u", ("c1", 0), ("c1", 1))
-    # wave east to west: exit slot 3 on type A, 1 on type B
-    for i in range(1, k):
-        s = 3 if i % 2 == 1 else 1
-        add(f"w{i}", (f"c{i}", s), (f"c{i + 1}", s))
-    exit_slot = 3 if k % 2 == 1 else 1
-    add("x", (f"c{k}", exit_slot), ("tA", 0))
-
-    terminals = ("tL", "tA") if k % 2 == 1 else ("tA", "tL")
-    return Divide(
-        name=f"a{2 * k}",
-        double_points=tuple(dps),
-        terminals=terminals,
-        edges=tuple(edges),
-        branches=(tuple(walk),),
-        sign_seed=SignSeed(edge="u", side="left", sign=-1),
-    )
-
-
-def _a_odd(k: int) -> Divide:
-    """Two branches: a straight line crossed k+1 times by a wave.
-
-    Crossings c1..c(k+1) west to east; the wave enters above at c1, dips
-    below, and alternates.  n = 2k + 1, so k = 0 gives two crossing segments.
-    """
-    m = k + 1
-    dps = [f"c{i}" for i in range(1, m + 1)]
-    edges: list[EdgeDef] = []
-    line_walk: list[str] = []
-    wave_walk: list[str] = []
-
-    def add(edge_id: str, a, b, walk):
-        edges.append(EdgeDef(id=edge_id, ends=(a, b)))
-        walk.append(edge_id)
-
-    add("l0", ("tL", 0), ("c1", 2), line_walk)
-    for i in range(1, m):
-        add(f"l{i}", (f"c{i}", 0), (f"c{i + 1}", 2), line_walk)
-    add(f"l{m}", (f"c{m}", 0), ("tR", 0), line_walk)
-    # type for c_i: odd i: slots E, NW, W, SE; even i: slots E, NE, W, SW
-    add("a", ("tA", 0), ("c1", 1), wave_walk)
-    for i in range(1, m):
-        s = 3 if i % 2 == 1 else 1
-        add(f"w{i}", (f"c{i}", s), (f"c{i + 1}", s), wave_walk)
-    exit_slot = 3 if m % 2 == 1 else 1
-    add("b", (f"c{m}", exit_slot), ("tB", 0), wave_walk)
-
-    if m % 2 == 1:  # wave exits below, to the southeast
-        terminals = ("tR", "tA", "tL", "tB")
-    else:  # wave exits above, to the northeast
-        terminals = ("tR", "tB", "tA", "tL")
-    if k == 0:
-        seed = SignSeed(edge="l1", side="left", sign=-1)  # north face of c1
-    else:
-        seed = SignSeed(edge="w1", side="left", sign=-1)  # first lens
-    return Divide(
-        name=f"a{2 * k + 1}",
-        double_points=tuple(dps),
-        terminals=terminals,
-        edges=tuple(edges),
-        branches=(tuple(line_walk), tuple(wave_walk)),
-        sign_seed=seed,
-    )
-
-
-def _order_key(label: str) -> tuple[int, int]:
-    t = label[1]
-    return ({"-": 0, "0": 1, "+": 2}[t], int(label.split("_")[1]))
-
-
-def _a_path_edges(n: int) -> list[tuple[str, str, int]]:
-    """Expected AG path of gen_a(n), as (label, label, multiplicity) with
-    each pair in basis order (minus block before saddle block)."""
-    if n % 2 == 0:
-        k = n // 2
-        seq = []
-        for i in range(1, k + 1):
-            seq.extend([f"v-_{i}", f"v0_{i}"])
-    else:
-        k = (n - 1) // 2
-        seq = ["v0_1"]
-        for i in range(1, k + 1):
-            seq.extend([f"v-_{i}", f"v0_{i + 1}"])
-    return [
-        (*sorted((a, b), key=_order_key), 1) for a, b in zip(seq, seq[1:])
-    ]
+    branches: list[tuple[list[tuple[int, int]], bool]] = []
+    ends_reached = set()
+    for i, j in [(i, j) for i in (0, q) for j in (0, p) if (i + j) % 2 == 0]:
+        if (i, j) in ends_reached:
+            continue
+        di, dj = (1 if i == 0 else -1), (1 if j == 0 else -1)
+        path = [(i, j)]
+        while True:
+            i, j = i + di, j + dj
+            wall_i, wall_j = i in (0, q), j in (0, p)
+            if wall_i or wall_j:
+                path.append((i, j))
+                if wall_i and wall_j:
+                    break
+                di, dj = (-di if wall_i else di), (-dj if wall_j else dj)
+        ends_reached.add(path[-1])
+        pts = [(q - 2 * i, 2 * j - p) for i, j in path]
+        pts[0], pts[-1] = moved_out(pts[0], pts[1]), moved_out(pts[-1], pts[-2])
+        branches.append((pts, False))
+    witness = (0, 0) if (p + q) % 2 else (-1, 0)
+    return ingest_polyline(branches, radius, witness, sign, name)
 
 
 def gen_a(n: int) -> CorpusEntry:
-    """The standard zigzag divide of the chain singularity x^(n+1) + y^2."""
+    """The billiard divide of the chain singularity x^2 + y^(n+1): a zigzag."""
     if n < 1:
         raise DivideError("n must be >= 1")
-    divide = _a_even(n // 2) if n % 2 == 0 else _a_odd((n - 1) // 2)
+    divide = _billiard(2, n + 1, -1, f"a{n}")
     d = (n + 1) // 2
     r = 1 if n % 2 == 0 else 2
     expected = {
@@ -165,7 +108,9 @@ def gen_a(n: int) -> CorpusEntry:
         "genus": d - r + 1,
         "boundary_components": r,
         "census": (d - r + 1, d, 0),
-        "ag_edges": _a_path_edges(n),
+        # the path v0_1 - v-_1 - v0_2 - ... for odd n, v-_1 - v0_1 - v-_2 - ... for even n
+        "ag_edges": [(f"v-_{i}", f"v0_{j}", 1)
+                     for i in range(1, n // 2 + 1) for j in (i - 1 + n % 2, i + n % 2) if j],
         "depths": {f"v0_{i}": 0 for i in range(1, d + 1)}
         | {f"v-_{i}": 0 for i in range(1, d - r + 2)},
         "region_signs": tuple(-1 for _ in range(d - r + 1)),
@@ -205,28 +150,8 @@ _E6_AG_EDGES = [
 
 
 def gen_e6() -> CorpusEntry:
-    """Divide of x^3 + y^4: a loop whose tail is threaded through it.
-
-    Crossings: c1 the loop neck, c2 and c3 where the tail dives through.
-    Regions: the central triangle (plus) and two lunes (minus).
-    """
-    edges = (
-        EdgeDef(id="s1", ends=(("t0", 0), ("c1", 2))),
-        EdgeDef(id="s2", ends=(("c1", 0), ("c2", 2))),
-        EdgeDef(id="s3", ends=(("c2", 0), ("c3", 0))),
-        EdgeDef(id="s4", ends=(("c3", 2), ("c1", 3))),
-        EdgeDef(id="s5", ends=(("c1", 1), ("c2", 1))),
-        EdgeDef(id="s6", ends=(("c2", 3), ("c3", 1))),
-        EdgeDef(id="s7", ends=(("c3", 3), ("t1", 0))),
-    )
-    divide = Divide(
-        name="e6",
-        double_points=("c1", "c2", "c3"),
-        terminals=("t0", "t1"),
-        edges=edges,
-        branches=(("s1", "s2", "s3", "s4", "s5", "s6", "s7"),),
-        sign_seed=SignSeed(edge="s2", side="right", sign=1),
-    )
+    """The billiard divide of the E6 singularity x^3 + y^4."""
+    divide = _billiard(3, 4, 1, "e6")
     expected = {
         "d": 3,
         "r": 1,
@@ -362,7 +287,8 @@ def gen_depth1() -> CorpusEntry:
 
 
 def builtin_entries() -> list[CorpusEntry]:
-    """All built-in corpus entries: A_1 to A_12, E6, depth-1."""
+    """All built-in corpus entries: the billiard divides A_1 to A_12 and E6,
+    then the transcribed depth-1 divide."""
     entries = [gen_a(n) for n in range(1, 13)]
     entries.append(gen_e6())
     entries.append(gen_depth1())

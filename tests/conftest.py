@@ -38,6 +38,7 @@ from divides import (
 )
 from divides.agdiagram import AGEdge, AGVertex
 from divides.core import DOUBLE_POINT_DEGREE
+from divides.corpus import _billiard
 from divides.lattice import PL_SIGN
 from divides.report import run_pipeline
 
@@ -66,8 +67,17 @@ def entry(name: str):
     return gen_a(int(name[1:]))
 
 
+# Billiard divides of x^p + y^q from outside the built-in corpus, with both
+# seed signs: name -> (p, q, seed sign).
+BILLIARDS = {f"bp{p},{q}{'+' if sign > 0 else '-'}": (p, q, sign)
+             for p, q in ((3, 5), (4, 5), (4, 6), (5, 7)) for sign in (1, -1)}
+
+
 @functools.lru_cache(maxsize=None)
 def pipeline(name: str):
+    """The pipeline result of a built-in entry or of a ``BILLIARDS`` divide."""
+    if name in BILLIARDS:
+        return run_pipeline(_billiard(*BILLIARDS[name], name))
     return run_pipeline(entry(name).divide)
 
 
@@ -229,14 +239,14 @@ def generic_chords(k: int, seed: int):
     return ingest_polyline(**chord_polylines(k, seed))
 
 
-def a1_mirrored_at_c1():
-    """A_1 with the rotation at its double point ``c1`` mirrored: slot s
+def a1_mirrored_at_x0():
+    """A_1 with the rotation at its double point ``x0`` mirrored: slot s
     becomes (0, 3, 2, 1)[s].  Every slot is still used once, so the divide
     validates, but its orbits do not close up into the faces of a disc."""
     a1 = gen_a(1).divide
     mirror = (0, 3, 2, 1)
     edges = tuple(
-        EdgeDef(e.id, tuple((v, mirror[s]) if v == "c1" else (v, s) for v, s in e.ends))
+        EdgeDef(e.id, tuple((v, mirror[s]) if v == "x0" else (v, s) for v, s in e.ends))
         for e in a1.edges
     )
     return a1._replace(edges=edges)

@@ -7,7 +7,7 @@ import pytest
 from divides import builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6, intmat
 from divides.cli import main
 
-from conftest import a1_mirrored_at_c1
+from conftest import a1_mirrored_at_x0
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -36,7 +36,7 @@ def test_validate_corrupted_slot(tmp_path, capsys):
 
 def test_validate_rejects_a_map_failing_the_euler_relation(tmp_path, capsys):
     path = tmp_path / "mirrored.json"
-    path.write_text(divide_to_text(a1_mirrored_at_c1()))
+    path.write_text(divide_to_text(a1_mirrored_at_x0()))
     code, out, err = _run(capsys, "validate", str(path))
     assert code == 2
     assert out == ""
@@ -111,6 +111,17 @@ def test_report_rejects_an_unknown_reorder_type(tmp_path, capsys):
     path.write_text(divide_to_text(gen_a(3).divide))
     code, out, err = _run(capsys, "report", str(path), "--reorder", "x:1")
     assert (code, out, err) == (2, "", "error: bad --reorder spec 'x:1'\n")
+
+
+@pytest.mark.parametrize("index", ["1_2", " 2", "+1", "\u0662"],
+                         ids=["underscore", "space", "sign", "arabic-indic"])
+def test_report_rejects_a_reorder_index_that_is_not_ascii_digits(tmp_path, capsys, index):
+    # int() reads each of these as a number: "1_2" as 12
+    path = tmp_path / "depth1.json"
+    path.write_text(divide_to_text(gen_depth1().divide))
+    spec = f"0:{index},1"
+    code, out, err = _run(capsys, "report", str(path), "--reorder", spec)
+    assert (code, out, err) == (2, "", f"error: bad --reorder spec {spec!r}\n")
 
 
 def test_report_into_a_missing_directory_exits_3(tmp_path, capsys):

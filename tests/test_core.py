@@ -26,7 +26,7 @@ from divides.report import run_pipeline
 from conftest import (
     CORPUS_NAMES,
     SLOT_PERMUTATIONS,
-    a1_mirrored_at_c1,
+    a1_mirrored_at_x0,
     chord_polylines,
     dart_numbers,
     entry,
@@ -61,7 +61,7 @@ def test_three_valent_vertex_rejected():
 def test_slot_used_twice_rejected():
     d = gen_a(1).divide
     e0 = d.edges[0]
-    clash = EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0)))
+    clash = EdgeDef(id="clash", ends=(e0.ends[1], ("t3", 0)))
     broken = d._replace(edges=d.edges + (clash,))
     diags = validate_divide(broken)
     assert any("slot used twice" in m for m in diags)
@@ -69,12 +69,12 @@ def test_slot_used_twice_rejected():
 
 def test_terminal_slot_out_of_range_rejected():
     d = gen_a(1).divide
-    (_tl, c1_end) = d.edges[0].ends
-    moved = EdgeDef(id=d.edges[0].id, ends=(("tL", 1), c1_end))
+    (_t0, x0_end) = d.edges[0].ends
+    moved = EdgeDef(id=d.edges[0].id, ends=(("t0", 1), x0_end))
     broken = d._replace(edges=(moved,) + d.edges[1:])
     assert validate_divide(broken) == [
-        "edge 'l0': slot 1 out of range at vertex 'tL'",
-        "degree mismatch at vertex 'tL': slots []",
+        "edge 'e0': slot 1 out of range at vertex 't0'",
+        "degree mismatch at vertex 't0': slots []",
     ]
 
 
@@ -82,11 +82,11 @@ def test_terminal_slot_out_of_range_rejected():
 def test_slot_that_is_not_an_int_is_a_diagnostic(slot):
     # A hand-built divide: parsing admits only int slots, a Divide does not.
     d = gen_a(1).divide
-    tl_end, _c1_end = d.edges[0].ends
-    broken = d._replace(edges=(EdgeDef("l0", (tl_end, ("c1", slot))),) + d.edges[1:])
+    t0_end, _x0_end = d.edges[0].ends
+    broken = d._replace(edges=(EdgeDef("e0", (t0_end, ("x0", slot))),) + d.edges[1:])
     assert validate_divide(broken) == [
-        f"edge 'l0': slot {slot!r} is not an int at vertex 'c1'",
-        "degree mismatch at vertex 'c1': slots [0, 1, 3]",
+        f"edge 'e0': slot {slot!r} is not an int at vertex 'x0'",
+        "degree mismatch at vertex 'x0': slots [0, 1, 2]",
     ]
 
 
@@ -146,7 +146,7 @@ def _broken_divides() -> list[Divide]:
     e0 = d.edges[0]
     return [
         d._replace(edges=d.edges[:-1], branches=(d.branches[0], d.branches[1][:-1])),
-        d._replace(edges=d.edges + (EdgeDef(id="clash", ends=(e0.ends[1], ("tB", 0))),)),
+        d._replace(edges=d.edges + (EdgeDef(id="clash", ends=(e0.ends[1], ("t3", 0))),)),
         d._replace(sign_seed=SignSeed(edge="nope", side="left", sign=-1)),
         d._replace(double_points=()),
     ]
@@ -232,7 +232,7 @@ def test_empty_branch_beside_merged_strands_is_rejected():
 def test_branch_repeating_one_edge_and_missing_another_is_rejected():
     """As many branch ids as edges, all of them edge ids, yet one repeated:
     not a partition of the edge set."""
-    broken = gen_a(1).divide._replace(branches=(("l0", "l0"), ("a", "b")))
+    broken = gen_a(1).divide._replace(branches=(("e0", "e0"), ("e2", "e3")))
     assert validate_divide(broken) == [
         "branch partition invalid: does not partition the edge set"]
     assert validate_divide_reference(broken) == validate_divide(broken)
@@ -242,14 +242,14 @@ def test_malformed_seed_rejected():
     d = gen_a(1).divide
     broken = d._replace(sign_seed=SignSeed(edge="nope", side="left", sign=-1))
     assert any("malformed sign seed" in m for m in validate_divide(broken))
-    broken = d._replace(sign_seed=SignSeed(edge="l0", side="up", sign=-1))
+    broken = d._replace(sign_seed=SignSeed(edge="e0", side="up", sign=-1))
     assert any("malformed sign seed" in m for m in validate_divide(broken))
 
 
 @pytest.mark.parametrize("sign", [True, 1.0, -1.0], ids=str)
 def test_seed_sign_that_is_not_an_int_is_malformed(sign):
     # A hand-built seed: parsing admits only "+" and "-", a SignSeed does not.
-    broken = gen_a(3).divide._replace(sign_seed=SignSeed(edge="l0", side="left", sign=sign))
+    broken = gen_a(3).divide._replace(sign_seed=SignSeed(edge="e0", side="left", sign=sign))
     assert validate_divide(broken) == ["malformed sign seed"]
     assert validate_divide_reference(broken) == ["malformed sign seed"]
     with pytest.raises(DivideError, match="^malformed sign seed$"):
@@ -411,14 +411,14 @@ def test_trace_rejects_no_terminals():
 
 
 def test_euler_relation_diagnostic():
-    d = a1_mirrored_at_c1()
+    d = a1_mirrored_at_x0()
     assert validate_divide(d) == []
     with pytest.raises(DivideError) as info:
         trace_faces(d)
     assert info.value.diagnostics == [
         "rotation system not planar-consistent: Euler relation fails (V=5, E=8, F=2); "
-        "offending orbit (('dart', 'c1', 0), ('arc', 'tR', 'tA'), ('dart', 'tA', 0), "
-        "('dart', 'c1', 2), ('arc', 'tL', 'tB'), ('dart', 'tB', 0))"
+        "offending orbit (('dart', 'x0', 0), ('arc', 't1', 't2'), ('dart', 't2', 0), "
+        "('dart', 'x0', 2), ('arc', 't3', 't0'), ('dart', 't0', 0))"
     ]
 
 

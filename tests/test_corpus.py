@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from divides import DivideError, builtin_entries, divide_to_text, gen_a, gen_depth1, gen_e6
+from divides.corpus import _billiard
 from divides.report import check_entry
 from conftest import entry, pipeline
 
@@ -70,3 +71,11 @@ def test_seed_flip_breaks_certification():
     problems = check_entry(flipped)
     assert problems  # expected-facts certification must fail
     assert any("census" in p or "region_signs" in p for p in problems)
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (4, 8)])
+def test_billiard_with_circle_components_is_refused(p, q):
+    # gcd(p, q) > 2: some billiard paths close up into circles, which the
+    # corner walk would drop, giving the divide of another singularity
+    with pytest.raises(DivideError, match=rf"^billiard \({p}, {q}\) has circle components"):
+        _billiard(p, q, 1, "bp")

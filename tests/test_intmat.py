@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from divides import DivideError, gen_a, intmat, monodromy
 from divides.report import run_pipeline
 from conftest import (
-    CORPUS_NAMES, charpoly_moduli, freeze, generic_chords, identity, lattice_of, pipeline,
+    BILLIARDS, CORPUS_NAMES, charpoly_moduli, freeze, generic_chords, identity, lattice_of, pipeline,
     transvection_product,
 )
 
@@ -231,9 +231,14 @@ def brieskorn_pham_order(a: int, b: int) -> int:
 
 
 def test_order_of_a_n_is_brieskorn_pham():
+    # A_n is the billiard (2, n + 1); billiards from outside the corpus too,
+    # each with every verdict passing
     for n in range(1, 41):
         result = run_pipeline(gen_a(n).divide)
         assert result.order == brieskorn_pham_order(n + 1, 2), n
+    for name, (p, q, _sign) in BILLIARDS.items():
+        result = pipeline(name)
+        assert result.all_passed and result.order == brieskorn_pham_order(p, q), name
     assert brieskorn_pham_order(33, 2) == 66
 
 

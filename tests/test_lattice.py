@@ -28,6 +28,7 @@ from divides.core import DivideError, SignedDivide
 from divides.lattice import DIM_N, PL_SIGN
 from divides.report import build_report, report_json, run_pipeline
 from conftest import (
+    BILLIARDS,
     CORPUS_NAMES,
     charpoly_moduli,
     entry,
@@ -371,6 +372,7 @@ SEIFERT_CASES = (
     [(f"a{n}", (n + 1, 2)) for n in range(1, 13)]
     + [("e6", (3, 4)), ("depth1", None)]
     + [(f"chords{k}", (k, k)) for k in range(3, 7)]
+    + [(name, (p, q)) for name, (p, q, _sign) in BILLIARDS.items()]
 )
 
 
@@ -435,6 +437,7 @@ INERTIA_CASES = (
     [(f"a{n}", (n + 1, 2)) for n in range(1, 13)]
     + [("e6", (3, 4))]
     + [(f"chords{k}-s{seed}", (k, k)) for k in range(3, 8) for seed in (0, 1)]
+    + [(name, (p, q)) for name, (p, q, _sign) in BILLIARDS.items()]
 )
 
 

@@ -103,7 +103,8 @@ def test_corpus_entry_needs_a_source_for_every_fact():
 
 
 def test_equality_and_hash_ignore_built_indexes():
-    d1, d2 = gen_a(5).divide, gen_a(5).divide
+    d1 = gen_a(5).divide  # validated by ingestion
+    d2 = Divide(*d1)  # the same fields, nothing built yet
     assert d1.diagnostics == () and d1.edge_index and d1.edge_darts
     assert "edge_index" in vars(d1) and not vars(d2)
     assert d1 == d2 and hash(d1) == hash(d2)
