@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .core import DOUBLE_POINT_DEGREE, DivideError, SignedDivide
@@ -42,12 +43,12 @@ class AGDiagram(_AGFields):
     ``milnor_lattice`` refuses an edge list that breaks the rule; the
     constructor accepts any edge list.
 
-    It has one index, the adjacency index, built on its first query: a list
-    holding, at each position, the ascending positions joined to it, once
-    per edge, so each later query is a list index.  Building it refuses an
-    edge with an end outside ``range(mu)``, which would otherwise wrap or
-    fail as a bare IndexError.  A diagram that is never queried never builds
-    it.  Equality and hashing read the fields only.
+    It has one index, the adjacency index: a list holding, at each position,
+    the ascending positions joined to it, once per edge, so each query is a
+    list index.  ``build_ag`` writes it with the edges.  A diagram built by
+    hand builds it on its first query, and that refuses an edge with an end
+    outside ``range(mu)``, which would otherwise wrap or fail as a bare
+    IndexError.  Equality and hashing read the fields only.
     """
 
     @cached_property
@@ -93,6 +94,11 @@ def build_ag(
     order, or the 1-based permutation ``reorder[t]`` of it when one is given:
     ``reorder["-"] = (2, 1)`` puts the second minus region first.  Labels
     ``v{t}_{i}`` number the vertices of each type in the final order.
+
+    The adjacency index is written with the edges, in the pass that emits
+    them sorted, so no query of this diagram builds it again.  A diagram
+    built by hand, ``AGDiagram(vertices, edges)``, still builds it on its
+    first query and refuses there an edge end outside ``range(mu)``.
     """
     divide = signed.divide
     face_of = signed.faces.face_of
@@ -139,10 +145,26 @@ def build_ag(
         p, q = pos_of_face[face_of[x]], pos_of_face[face_of[y]]
         if p >= 0 and q >= 0:
             keys.append(p * mu + q if p < q else q * mu + p)
+    # Each key list is freed once read, so that the index is built at a lower
+    # peak of memory.
     counts = Counter(keys)
+    del keys
+    ordered = sorted(counts)
+    us = [key // mu for key in ordered]
+    vs = [key % mu for key in ordered]
+    edges = tuple(map(new, repeat(AGEdge), zip(us, vs, map(counts.__getitem__, ordered))))
+    del counts, ordered
 
-    edges = [new(AGEdge, (key // mu, key % mu, counts[key])) for key in sorted(counts)]
-    return AGDiagram(vertices=tuple(vertices), edges=tuple(edges))
+    # The adjacency index, in the same pass: the edges ascend in (u, v), so
+    # each position gets its lower neighbours first, then its higher ones,
+    # each run already ascending.
+    adjacent: list[list[int]] = [[] for _ in range(mu)]
+    for u, v in zip(us, vs):
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    ag = AGDiagram(vertices=tuple(vertices), edges=edges)
+    vars(ag)["_adjacent"] = adjacent
+    return ag
 
 
 def exposure_set(signed: SignedDivide, ag: AGDiagram) -> frozenset[int]:

@@ -323,7 +323,9 @@ def trace_faces(divide: Divide) -> FaceSet:
     clockwise at the head vertex.  Between cyclically consecutive terminals
     a virtual boundary arc is inserted, so every face incident to the disc
     boundary carries at least one arc and is flagged outer.  Faces are
-    traced in item order, so face 0 is the face through dart 0.
+    traced in item order, so face 0 is the face through dart 0.  Each
+    ``Face`` is made by ``tuple.__new__`` as its orbit closes, as ``_make``
+    makes it.
 
     An invalid divide raises DivideError with its ``diagnostics``; they were
     computed once for the divide, when it was parsed or ingested, and are not
@@ -355,6 +357,7 @@ def trace_faces(divide: Divide) -> FaceSet:
 
     face_of = [-1] * len(succ)
     faces: list[Face] = []
+    new = tuple.__new__
     for start in range(len(succ)):
         if face_of[start] >= 0:
             continue
@@ -365,7 +368,7 @@ def trace_faces(divide: Divide) -> FaceSet:
             cycle.append(cur)
             face_of[cur] = index
             cur = succ[cur]
-        faces.append(Face(index=index, items=tuple(cycle), outer=max(cycle) >= first_arc))
+        faces.append(new(Face, (index, tuple(cycle), max(cycle) >= first_arc)))
 
     n_v = len(divide.double_points) + n_term
     n_e = len(divide.edges) + n_term  # virtual arcs count as edges

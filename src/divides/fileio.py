@@ -90,7 +90,7 @@ def _parse_edge(e: Any, diags: list[str]) -> Optional[EdgeDef]:
         diags.append(f"edge {eid!r} must have exactly two ends")
         return None
     (u, su), (v, sv) = ends
-    return EdgeDef(eid, ((u, su), (v, sv)))
+    return tuple.__new__(EdgeDef, (eid, ((u, su), (v, sv))))
 
 
 def _parse_map(obj: dict, diags: list[str]) -> Optional[Divide]:

@@ -87,27 +87,6 @@ class _Seg(NamedTuple):
     d: IntPoint  # b - a
 
 
-def _upper(v: IntPoint) -> bool:
-    """Whether v points into the half-plane of angles [0, pi)."""
-    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
-
-
-def _out_slots(di: IntPoint, dj: IntPoint) -> tuple[int, int]:
-    """Slots of the outgoing directions di and dj among the four ends of a
-    crossing, counted counterclockwise from angle 0.
-
-    Let ui be whichever of +-di points into [0, pi), likewise uj.  The four
-    directions run ui, uj, -ui, -uj when ui has the smaller angle, that is
-    when cross(ui, uj) > 0, and uj, ui, -uj, -ui otherwise.  The incoming
-    end of a segment sits opposite its outgoing one, at slot (out + 2) % 4.
-    """
-    ei, ej = (1 if _upper(di) else -1), (1 if _upper(dj) else -1)
-    first_i = ei * ej * _cross(di, dj) > 0
-    out_i = (0 if first_i else 1) + (0 if ei > 0 else 2)
-    out_j = (1 if first_i else 0) + (0 if ej > 0 else 2)
-    return out_i, out_j
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 
@@ -179,7 +158,7 @@ def ingest_polyline(
     # Pairwise intersections, decided in integers: with w = a2 - a1 the
     # lines meet at a1 + (ns/den) d1 = a2 + (nt/den) d2, den > 0.  The point
     # is (px/den, py/den), keyed by its reduced triple.
-    crossings: dict[tuple[int, int, int], list[tuple[int, int, int, int, int]]] = {}
+    crossings: dict[tuple[int, int, int], list[tuple[int, int, int, int, int, bool]]] = {}
     flat = [(seg.branch, seg.a[0], seg.a[1], seg.d[0], seg.d[1]) for seg in segs]
     for i, (b1, ax, ay, dx1, dy1) in enumerate(flat):
         _first, count, closed = spans[b1]
@@ -201,7 +180,8 @@ def ingest_polyline(
                     raise DivideError("intersection at a polyline vertex")
                 raise DivideError("tangency or overlapping segments")
             ns, nt = wx * dy2 - wy * dx2, wx * dy1 - wy * dx1
-            if den < 0:
+            ccw = den > 0  # cross(d1, d2) > 0
+            if not ccw:
                 den, ns, nt = -den, -ns, -nt
             if not (0 <= ns <= den and 0 <= nt <= den):
                 continue
@@ -215,7 +195,7 @@ def ingest_polyline(
                 raise DivideError("intersection at a polyline vertex")
             g = gcd(px, py, den)
             crossings.setdefault((px // g, py // g, den // g), []).append(
-                (i, ns, j, nt, den))
+                (i, ns, j, nt, den, ccw))
 
     for (px, py, den), recs in crossings.items():
         if len(recs) > 1:
@@ -224,17 +204,28 @@ def ingest_polyline(
     # Events per segment: (order key of the parameter, crossing index, slot of
     # the outgoing end).  No denominator, reduced or not, exceeds the largest
     # raw one, so one shift serves every key.  The keys are ``order_key``'s,
-    # written out.
+    # written out.  Slots count the four ends of a crossing counterclockwise
+    # from angle 0.  A segment is upper when its direction d points into the
+    # half-plane of angles [0, pi); then u = d, else u = -d.  This is decided
+    # once per segment.  The ends run ui, uj, -ui, -uj when ui has the
+    # smaller angle, that is when cross(ui, uj) > 0, and uj, ui, -uj, -ui
+    # otherwise.  cross(ui, uj) has the sign of cross(di, dj), kept with the
+    # crossing as ``ccw``, when both segments or neither are upper, and the
+    # other sign when one is.  A segment that is not upper leaves by -u, two
+    # slots on, and the incoming end sits opposite the outgoing one, at slot
+    # (out + 2) % 4.
     shift = order_shift(max((recs[0][4] for recs in crossings.values()), default=1))
     points_sorted = sorted(
         crossings, key=lambda p: ((p[0] << shift) // p[2], (p[1] << shift) // p[2]))
     names = [f"x{k}" for k in range(len(points_sorted))]
+    upper = [dy > 0 or (dy == 0 and dx > 0) for _b, _ax, _ay, dx, dy in flat]
     seg_events: list[list[tuple[int, int, int]]] = [[] for _ in segs]
     for x, p in enumerate(points_sorted):
-        ((i, s, j, t, den),) = crossings[p]
-        out_i, out_j = _out_slots(segs[i].d, segs[j].d)
-        seg_events[i].append(((s << shift) // den, x, out_i))
-        seg_events[j].append(((t << shift) // den, x, out_j))
+        ((i, s, j, t, den, ccw),) = crossings[p]
+        up_i, up_j = upper[i], upper[j]
+        first_i = (up_i == up_j) == ccw
+        seg_events[i].append(((s << shift) // den, x, (0 if up_i else 2) + (0 if first_i else 1)))
+        seg_events[j].append(((t << shift) // den, x, (0 if up_j else 2) + (1 if first_i else 0)))
     for events in seg_events:
         events.sort()
 

@@ -239,6 +239,57 @@ def test_ingest_euler_on_chords():
     assert len(fs.faces) == n_e - n_v + 1
 
 
+def _upper(v):
+    """Whether v points into the half-plane of angles [0, pi)."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+
+
+def _out_slots(di, dj):
+    """The reference slot rule: slots of the outgoing directions di and dj
+    among the four ends of a crossing, counted counterclockwise from angle 0.
+
+    Let ui be whichever of +-di points into [0, pi), likewise uj.  The four
+    directions run ui, uj, -ui, -uj when ui has the smaller angle, that is
+    when cross(ui, uj) > 0, and uj, ui, -uj, -ui otherwise.  The incoming
+    end of a segment sits opposite its outgoing one, at slot (out + 2) % 4.
+    """
+    ei, ej = (1 if _upper(di) else -1), (1 if _upper(dj) else -1)
+    first_i = ei * ej * (di[0] * dj[1] - di[1] * dj[0]) > 0
+    out_i = (0 if first_i else 1) + (0 if ei > 0 else 2)
+    out_j = (1 if first_i else 0) + (0 if ej > 0 else 2)
+    return out_i, out_j
+
+
+_DIRECTION = st.one_of(
+    st.tuples(st.sampled_from((-3, -1, 1, 2)), st.just(0)),  # horizontal, the tie of _upper
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda d: d != (0, 0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DIRECTION, _DIRECTION, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_crossing_slots_follow_the_reference_rule(d0, d1, c):
+    """Two chords through the point c with non-parallel directions d0 and d1:
+    the slots each chord's edges take at the crossing are those of
+    ``_out_slots``, the outgoing end first and the incoming end opposite."""
+    if d0[0] * d1[1] - d0[1] * d1[0] == 0:
+        reject()
+    chords = [([(c[0] - 20 * d[0], c[1] - 20 * d[1]), (c[0] + 20 * d[0], c[1] + 20 * d[1])], False)
+              for d in (d0, d1)]
+    # Each line through c meets at most one of the three offsets.
+    witness = next((c[0] + ox, c[1] + oy) for ox, oy in ((1, 1), (1, 0), (0, 1))
+                   if all(d[0] * oy - d[1] * ox for d in (d0, d1)))
+    divide = ingest_polyline(chords, 10, witness, 1)
+    assert divide.double_points == ("x0",)
+    outs = []
+    for branch in divide.branches:
+        arrive, leave = (divide.edge_index[eid] for eid in branch)
+        assert arrive.ends[1][0] == leave.ends[0][0] == "x0"
+        outs.append(leave.ends[0][1])
+        assert arrive.ends[1][1] == (leave.ends[0][1] + 2) % 4
+    assert tuple(outs) == _out_slots(*((40 * d[0], 40 * d[1]) for d in (d0, d1)))
+
+
 def _seeded(branches, witness):
     d = ingest_polyline(branches, 8, witness, -1)
     return d, assign_signs(d, trace_faces(d)).sign

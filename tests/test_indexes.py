@@ -60,19 +60,30 @@ def _assert_ag_indexes_match_scans(ag):
         assert ag.neighbors(pos) == scan
 
 
+def _assert_written_index_is_the_built_one(ag):
+    """The index ``build_ag`` wrote with the edges is the one a hand-built
+    diagram with the same fields builds on its first query."""
+    assert "_adjacent" in vars(ag)
+    assert ag._adjacent == AGDiagram(*ag)._adjacent
+
+
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_ag_indexes_match_scans(case):
     signed, ag = _signed_and_ag(case)
+    _assert_written_index_is_the_built_one(ag)
     _assert_ag_indexes_match_scans(ag)
     rng = random.Random(str(case))
     for _ in range(3):
-        _assert_ag_indexes_match_scans(build_ag(signed, random_within_type_orders(ag, rng)))
+        reordered = build_ag(signed, random_within_type_orders(ag, rng))
+        _assert_written_index_is_the_built_one(reordered)
+        _assert_ag_indexes_match_scans(reordered)
 
 
 def test_ag_indexes_survive_a_reorder_that_moves_an_edge():
     signed, ag = _signed_and_ag("depth1")
     swapped = build_ag(signed, {"-": (2, 1), "0": (6, 5, 4, 3, 2, 1)})
     assert swapped.edges != ag.edges
+    _assert_written_index_is_the_built_one(swapped)
     _assert_ag_indexes_match_scans(swapped)
 
 
@@ -289,14 +300,19 @@ def test_build_ag_edges_match_a_tuple_keyed_count_on_slot_permuted_divides(case,
 
 @pytest.mark.parametrize("case", ["e6", "depth1", (12, 0)], ids=str)
 def test_screen_leaves_unqueried_ag_indexes_unbuilt(case):
-    """build_ag leaves the adjacency index unbuilt; a screen (exposure_set,
-    depth_labels) builds it once.  Built indexes do not enter equality."""
+    """build_ag writes the adjacency index with the edges, and a screen
+    (exposure_set, depth_labels) and later queries read that one list.  A
+    copy built by hand, ``AGDiagram(*ag)``, has nothing built until its first
+    query builds an equal index.  Built indexes do not enter equality."""
     signed, ag = _signed_and_ag(case)
-    assert "_adjacent" not in vars(ag)
-    depth_labels(ag, exposure_set(signed, ag))
     assert set(vars(ag)) == {"_adjacent"}
     index = ag._adjacent
+    depth_labels(ag, exposure_set(signed, ag))
     ag.neighbors(0)
-    assert ag._adjacent is index
-    fresh = AGDiagram(vertices=ag.vertices, edges=ag.edges)
+    assert set(vars(ag)) == {"_adjacent"} and ag._adjacent is index
+    fresh = AGDiagram(*ag)
+    assert not vars(fresh)
     assert fresh == ag and hash(fresh) == hash(ag)
+    assert depth_labels(fresh, exposure_set(signed, fresh)) == depth_labels(
+        ag, exposure_set(signed, ag))
+    assert set(vars(fresh)) == {"_adjacent"} and fresh._adjacent == index
